@@ -6,7 +6,7 @@ Library layout:
 * :mod:`noma_fair.bounds`    power-split bounds, pairing criterion, beta*
 * :mod:`noma_fair.fairness`  alpha-fair utility and throughput metric
 * :mod:`noma_fair.allocator` optimal / sub-optimal / fixed-bound splits
-* :mod:`noma_fair.pairing`   near-far and criterion-gated user pairing
+* :mod:`noma_fair.pairing`   candidate matching and the near-far decision
 * :mod:`noma_fair.netsim`    Poisson cellular Monte Carlo harness
 * :mod:`noma_fair.report`    CSV/JSON artifact emission
 * :mod:`noma_fair.cli`       the ``noma-fair`` command
@@ -43,14 +43,7 @@ from .netsim import (
     run_campaign,
     run_trial,
 )
-from .pairing import (
-    CellPopulation,
-    NomaPair,
-    PairingOutcome,
-    UserChannel,
-    pair_msd,
-    pair_near_far,
-)
+from .pairing import UserChannel
 from .rates import (
     AllocationSource,
     PairLink,
@@ -68,15 +61,12 @@ __all__ = [
     "AllocationBounds",
     "AllocationDecision",
     "AllocationSource",
-    "CellPopulation",
     "DecisionDiagnostics",
     "DecisionMode",
     "FairnessConfig",
     "NetworkConfig",
-    "NomaPair",
     "PairLink",
     "PairingCriterion",
-    "PairingOutcome",
     "PathlossModel",
     "PowerAllocation",
     "ResultRow",
@@ -100,8 +90,6 @@ __all__ = [
     "noma_rates",
     "noma_sinrs",
     "oma_rate",
-    "pair_msd",
-    "pair_near_far",
     "pairing_criterion",
     "run_campaign",
     "run_trial",

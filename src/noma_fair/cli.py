@@ -15,12 +15,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
 from .allocator import DecisionMode, solve_optimal, solve_suboptimal
-from .bounds import allocation_bounds, pairing_criterion
 from .fairness import FairnessConfig, alpha_throughput, utility
 from .netsim import NetworkConfig, PathlossModel, Strategy, run_campaign
 from .rates import AllocationSource, PairLink, db_to_linear, noma_rates, oma_rate
@@ -31,7 +31,7 @@ from .report import (
     emit_delta_sweep,
 )
 
-__all__ = ["main", "build_parser", "parse_config_file", "ConfigError"]
+__all__ = ["main", "build_parser", "parse_config_file", "ConfigError", "SETTINGS"]
 
 THREADS_ENV_VAR = "NOMA_FAIR_THREADS"
 
@@ -69,40 +69,54 @@ def _strategy_list(text: str) -> list[Strategy]:
     return out
 
 
-# Config file schema: flat `key = value` lines, `#` comments.  Values are
-# scalars or comma-separated lists as noted.  README documents the schema.
-_CONFIG_SCHEMA = {
-    "bs_density": float,
-    "user_density": float,
-    "area_km2": float,
-    "tx_power_dbm": float,
-    "noise_power_dbm": float,
-    "pathloss_model": str,
-    "pathloss_intercept_db": float,
-    "pathloss_slope_db": float,
-    "pathloss_min_distance_km": float,
-    "fading_scale": float,
-    "trials": int,
-    "seed": int,
-    "alphas": _float_list,
-    "betas": _float_list,
-    "strategies": _strategy_list,
-    "tau": float,
-    "solver_tol": float,
-    "threads": int,
-    "version": str,  # informational, accepted on re-parse of a manifest
+# Config key -> dataclass field, for the settings a campaign is built from.
+_NETWORK_KEYS = {f.name: f for f in fields(NetworkConfig) if f.name != "pathloss"}
+_PATHLOSS_KEYS = {
+    "pathloss_" + ("model" if f.name == "name" else f.name): f for f in fields(PathlossModel)
+}
+_FAIRNESS_KEYS = {f.name: f for f in fields(FairnessConfig) if f.name != "alpha"}
+_TYPES = {"float": float, "int": int, "str": str}
+
+# The simulate settings, config key -> (parser, default).  Config files, the
+# flag overrides, the campaign and the manifest all read this one table; the
+# README config table lists it.  Files are flat `key = value` lines with `#`
+# comments; `version` is also accepted so that a manifest parses back.
+SETTINGS = {
+    **{
+        key: (_TYPES[f.type], f.default)
+        for key, f in {**_NETWORK_KEYS, **_PATHLOSS_KEYS, **_FAIRNESS_KEYS}.items()
+    },
+    "alphas": (_float_list, (1.0,)),
+    "betas": (_float_list, (0.01, 0.06)),
+    "strategies": (_strategy_list, tuple(Strategy)),
+    "threads": (int, None),  # None: NOMA_FAIR_THREADS or machine parallelism
 }
 
-_DEFAULT_STRATEGIES = tuple(Strategy)
+# Settings that `simulate` also takes as flags, with their help texts.
+_SIMULATE_FLAGS = {
+    "seed": None,
+    "trials": None,
+    "strategies": "comma list of strategies",
+    "alphas": "comma list of alpha sweep values",
+    "betas": "comma list of beta sweep values",
+    "threads": f"default: {THREADS_ENV_VAR} or machine parallelism",
+}
+
+
+def _parse_setting(key: str, text: str):
+    try:
+        return SETTINGS[key][0](text)
+    except ValueError as exc:
+        raise ValueError(f"bad value for {key!r}: {exc}") from exc
 
 
 def parse_config_file(path) -> dict:
-    """Parse a flat key-value config file against the documented schema.
+    """Parse a flat key-value config file against :data:`SETTINGS`.
 
     Raises :class:`ConfigError` naming the offending key and line for any
     unknown key, malformed line, or unconvertible value.
     """
-    resolved = {}
+    parsed = {}
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -116,14 +130,15 @@ def parse_config_file(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_SCHEMA:
+        if key == "version":
+            continue
+        if key not in SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            resolved[key] = _CONFIG_SCHEMA[key](value)
+            parsed[key] = _parse_setting(key, value.strip())
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-    return resolved
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+    return parsed
 
 
 def _resolve_threads(flag_value: Optional[int]) -> int:
@@ -205,12 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo network campaign")
     sim.add_argument("--config", type=Path, default=None, help="key-value config file")
-    sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--trials", type=int, default=None)
-    sim.add_argument("--strategies", type=str, default=None, help="comma list of strategies")
-    sim.add_argument("--alphas", type=str, default=None, help="comma list of alpha sweep values")
-    sim.add_argument("--betas", type=str, default=None, help="comma list of beta sweep values")
-    sim.add_argument("--threads", type=int, default=None, help=f"default: {THREADS_ENV_VAR} or machine parallelism")
+    for key, help_text in _SIMULATE_FLAGS.items():
+        sim.add_argument(f"--{key}", default=None, help=help_text)
     sim.add_argument("--out-dir", type=Path, required=True)
     return parser
 
@@ -224,8 +235,8 @@ def _pair_report(args) -> dict:
     cfg = FairnessConfig(alpha=args.alpha, tau=args.tau, solver_tol=args.solver_tol)
     solve = solve_optimal if args.solver == "optimal" else solve_suboptimal
     decision = solve(link, cfg)
-    crit = pairing_criterion(gamma_s, gamma_w)
-    bounds = allocation_bounds(link)
+    crit = decision.diagnostics.criterion
+    bounds = decision.diagnostics.bounds
     r_s_oma, r_w_oma = oma_rate(gamma_s), oma_rate(gamma_w)
     report = {
         "gamma_s_db": args.gamma_s_db,
@@ -315,30 +326,14 @@ def _cmd_sweep(args) -> int:
     json_path = base.with_suffix(".json")
     emit_campaign_csv(rows, csv_path)
     emit_campaign_json(rows, json_path)
-    settings = {
-        "axis": args.axis,
-        "values": args.values,
-        "alphas": alphas,
-        "betas": betas,
-        "gamma_s_db": args.gamma_s_db,
-        "gamma_w_db": args.gamma_w_db,
-        "tau": args.tau,
-        "solver": args.solver,
-        "solver_tol": args.solver_tol,
-    }
+    keys = ("axis", "values", "alphas", "betas", "gamma_s_db", "gamma_w_db", "tau", "solver",
+            "solver_tol")
+    settings = {key: getattr(args, key) for key in keys}
+    settings.update(alphas=alphas, betas=betas)
     command = "noma-fair sweep " + " ".join(
-        f"--{k.replace('_', '-')} {v}" for k, v in (
-            ("axis", args.axis),
-            ("values", args.values),
-            ("alphas", args.alphas),
-            ("betas", args.betas),
-            ("gamma-s-db", args.gamma_s_db),
-            ("gamma-w-db", args.gamma_w_db),
-            ("tau", args.tau),
-            ("solver", args.solver),
-            ("solver-tol", args.solver_tol),
-            ("out", args.out),
-        ) if v is not None
+        f"--{key.replace('_', '-')} {getattr(args, key)}"
+        for key in (*keys, "out")
+        if getattr(args, key) is not None
     )
     manifest_path = base.parent / (base.name + ".manifest.txt")
     write_manifest(manifest_path, settings, [csv_path.name, json_path.name], command)
@@ -348,56 +343,28 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-# Defaults for the simulate sweep grid when neither config nor flags set them.
-_DEFAULT_ALPHAS = (1.0,)
-_DEFAULT_BETAS = (0.01, 0.06)
-
-
 def _cmd_simulate(args) -> int:
     settings = {}
     if args.config is not None:
         settings = parse_config_file(args.config)
-    settings.pop("version", None)
-    if args.seed is not None:
-        settings["seed"] = args.seed
-    if args.trials is not None:
-        settings["trials"] = args.trials
-    if args.strategies is not None:
-        settings["strategies"] = _strategy_list(args.strategies)
-    if args.alphas is not None:
-        settings["alphas"] = _float_list(args.alphas)
-    if args.betas is not None:
-        settings["betas"] = _float_list(args.betas)
-    if args.threads is not None:
-        settings["threads"] = args.threads
+    for key in _SIMULATE_FLAGS:
+        if getattr(args, key) is not None:
+            settings[key] = _parse_setting(key, getattr(args, key))
+    values = {key: settings.get(key, default) for key, (_, default) in SETTINGS.items()}
+    values["threads"] = _resolve_threads(values["threads"])
 
-    pathloss = PathlossModel(
-        name=settings.get("pathloss_model", PathlossModel.name),
-        intercept_db=settings.get("pathloss_intercept_db", PathlossModel.intercept_db),
-        slope_db=settings.get("pathloss_slope_db", PathlossModel.slope_db),
-        min_distance_km=settings.get("pathloss_min_distance_km", PathlossModel.min_distance_km),
-    )
+    pathloss = PathlossModel(**{f.name: values[key] for key, f in _PATHLOSS_KEYS.items()})
     cfg = NetworkConfig(
-        bs_density=settings.get("bs_density", 25.0),
-        user_density=settings.get("user_density", 120.0),
-        area_km2=settings.get("area_km2", 1.0),
-        tx_power_dbm=settings.get("tx_power_dbm", 46.0),
-        noise_power_dbm=settings.get("noise_power_dbm", -95.0),
-        pathloss=pathloss,
-        fading_scale=settings.get("fading_scale", 1.0),
-        trials=settings.get("trials", 100),
-        seed=settings.get("seed", 1),
+        pathloss=pathloss, **{f.name: values[key] for key, f in _NETWORK_KEYS.items()}
     )
-    alphas = settings.get("alphas", list(_DEFAULT_ALPHAS))
-    betas = settings.get("betas", list(_DEFAULT_BETAS))
-    strategies = settings.get("strategies", list(_DEFAULT_STRATEGIES))
-    tau = settings.get("tau", 0.5)
-    solver_tol = settings.get("solver_tol", 1e-9)
-    threads = _resolve_threads(settings.get("threads"))
-
-    sweep = [(a, b) for a in alphas for b in betas]
+    sweep = [(a, b) for a in values["alphas"] for b in values["betas"]]
     rows = run_campaign(
-        cfg, sweep, strategies, tau=tau, solver_tol=solver_tol, threads=threads
+        cfg,
+        sweep,
+        values["strategies"],
+        tau=values["tau"],
+        solver_tol=values["solver_tol"],
+        threads=values["threads"],
     )
 
     out_dir = args.out_dir
@@ -407,28 +374,8 @@ def _cmd_simulate(args) -> int:
     manifest_path = out_dir / "manifest.txt"
     emit_campaign_csv(rows, csv_path)
     emit_campaign_json(rows, json_path)
-    resolved = {
-        "bs_density": cfg.bs_density,
-        "user_density": cfg.user_density,
-        "area_km2": cfg.area_km2,
-        "tx_power_dbm": cfg.tx_power_dbm,
-        "noise_power_dbm": cfg.noise_power_dbm,
-        "pathloss_model": cfg.pathloss.name,
-        "pathloss_intercept_db": cfg.pathloss.intercept_db,
-        "pathloss_slope_db": cfg.pathloss.slope_db,
-        "pathloss_min_distance_km": cfg.pathloss.min_distance_km,
-        "fading_scale": cfg.fading_scale,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "alphas": alphas,
-        "betas": betas,
-        "strategies": strategies,
-        "tau": tau,
-        "solver_tol": solver_tol,
-        "threads": threads,
-    }
     command = f"noma-fair simulate --config {manifest_path} --out-dir {out_dir}"
-    write_manifest(manifest_path, resolved, [csv_path.name, json_path.name], command)
+    write_manifest(manifest_path, values, [csv_path.name, json_path.name], command)
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
     print(f"wrote {manifest_path}")

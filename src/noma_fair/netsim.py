@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -68,6 +68,19 @@ class Strategy(str, enum.Enum):
     OMA = "oma"
 
 
+def _check_fields(obj, prefix: str, positive: Sequence[str]) -> None:
+    """Reject non-finite float fields and non-positive ``positive`` fields.
+
+    Messages name the field as its config key, ``prefix`` + field name.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{prefix}{f.name} must be finite, got {value!r}")
+        if f.name in positive and not value > 0:
+            raise ValueError(f"{prefix}{f.name} must be positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PathlossModel:
     """Log-distance pathloss PL(dB) = intercept + slope * log10(d_km).
@@ -80,6 +93,9 @@ class PathlossModel:
     intercept_db: float = 128.1
     slope_db: float = 37.6
     min_distance_km: float = 1e-3
+
+    def __post_init__(self) -> None:
+        _check_fields(self, "pathloss_", positive=("min_distance_km",))
 
     def loss_db(self, distance_km):
         d = np.maximum(distance_km, self.min_distance_km)
@@ -99,12 +115,9 @@ class NetworkConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.bs_density <= 0 or self.user_density <= 0:
-            raise ValueError("densities must be positive")
-        if self.area_km2 <= 0:
-            raise ValueError("area must be positive")
-        if self.fading_scale <= 0:
-            raise ValueError("fading_scale must be positive")
+        _check_fields(
+            self, "", positive=("bs_density", "user_density", "area_km2", "fading_scale")
+        )
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
@@ -381,8 +394,8 @@ def run_campaign(
     aggregation runs in trial order, so the result is bit-identical for any
     ``threads`` setting.
     """
-    if not sweep:
-        raise ValueError("sweep must be non-empty")
+    if not sweep or not strategies:
+        raise ValueError("sweep and strategies must be non-empty")
     strategies = list(strategies)
     indices = list(range(cfg.trials))
     workers = max(1, min(int(threads), len(indices)))
@@ -430,4 +443,6 @@ def run_campaign(
                         stderr=stderr,
                     )
                 )
+    if not rows:
+        raise ValueError(f"all {cfg.trials} trials dropped zero users; no metric to report")
     return rows

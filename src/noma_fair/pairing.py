@@ -1,42 +1,24 @@
-"""User pairing strategies for one cell's population.
+"""Candidate matching shared by every strategy, and the near-far decision.
 
-Every strategy shares the same candidate enumeration so that comparisons
-isolate gating and power allocation: users are sorted by descending channel
-gain (ties broken by user id for reproducibility) and the i-th from the
-front is matched with the i-th from the back; an odd user out is served OMA.
+All strategies see the same candidates, so comparisons isolate gating and
+power allocation: a cell's users are sorted by descending channel gain
+(ties broken by user id for reproducibility) and the i-th from the front is
+matched with the i-th from the back; an odd user out is served OMA.
 
-* :func:`pair_near_far` admits every candidate and allocates delta_ub,
-  ignoring the pairing criterion and the SIC imperfection bound.
-* :func:`pair_msd` admits a candidate only when the minimum-SINR-difference
-  criterion holds and beta < beta_star, allocating via the optimal or
-  sub-optimal solver; rejected users fall back to OMA.
+:mod:`noma_fair.netsim` decides each candidate with one function per
+strategy: the gated solvers of :mod:`noma_fair.allocator`, or the ungated
+:func:`near_far_decision` defined here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .allocator import (
-    AllocationDecision,
-    DecisionMode,
-    _diagnostics,
-    solve_optimal,
-    solve_suboptimal,
-)
-from .fairness import FairnessConfig
+from .allocator import AllocationDecision, DecisionMode, _diagnostics
 from .rates import AllocationSource, PairLink, PowerAllocation
 
-__all__ = [
-    "UserChannel",
-    "CellPopulation",
-    "NomaPair",
-    "PairingOutcome",
-    "candidate_pairs",
-    "near_far_decision",
-    "pair_near_far",
-    "pair_msd",
-]
+__all__ = ["UserChannel", "candidate_pairs", "near_far_decision"]
 
 
 @dataclass(frozen=True)
@@ -57,41 +39,8 @@ class UserChannel:
             )
 
 
-@dataclass(frozen=True)
-class CellPopulation:
-    """Ordered user list of one cell."""
-
-    users: tuple[UserChannel, ...]
-
-    def __init__(self, users: Sequence[UserChannel]) -> None:
-        object.__setattr__(self, "users", tuple(users))
-
-    def __len__(self) -> int:
-        return len(self.users)
-
-    def __iter__(self):
-        return iter(self.users)
-
-
-@dataclass(frozen=True)
-class NomaPair:
-    """An admitted strong/weak pair and the decision that admitted it."""
-
-    strong: UserChannel
-    weak: UserChannel
-    decision: AllocationDecision
-
-
-@dataclass(frozen=True)
-class PairingOutcome:
-    """Partition of a population into NOMA pairs and OMA singles."""
-
-    pairs: tuple[NomaPair, ...]
-    singles: tuple[UserChannel, ...]
-
-
 def candidate_pairs(
-    pop: CellPopulation | Sequence[UserChannel],
+    cell: Sequence[UserChannel],
 ) -> tuple[list[tuple[UserChannel, UserChannel]], list[UserChannel]]:
     """Sorted front/back candidate matching shared by all strategies.
 
@@ -100,8 +49,7 @@ def candidate_pairs(
     disagree with the SINR order and the roles are swapped to keep
     gamma_s >= gamma_w.
     """
-    users = list(pop)
-    users.sort(key=lambda u: (-u.channel_gain, u.user_id))
+    users = sorted(cell, key=lambda u: (-u.channel_gain, u.user_id))
     n = len(users)
     cands = []
     for i in range(n // 2):
@@ -124,40 +72,3 @@ def near_far_decision(link: PairLink) -> AllocationDecision:
     diag = _diagnostics(link)
     alloc = PowerAllocation.split(diag.bounds.delta_ub, AllocationSource.NEAR_FAR)
     return AllocationDecision(DecisionMode.NOMA_PAIRED, alloc, None, diag)
-
-
-def pair_near_far(pop: CellPopulation | Sequence[UserChannel], beta: float) -> PairingOutcome:
-    """Near-far pairing: extremes matched, every candidate admitted at delta_ub."""
-    cands, singles = candidate_pairs(pop)
-    pairs = []
-    for strong, weak in cands:
-        link = PairLink(gamma_s=strong.gamma, gamma_w=weak.gamma, beta=beta)
-        pairs.append(NomaPair(strong, weak, near_far_decision(link)))
-    return PairingOutcome(pairs=tuple(pairs), singles=tuple(singles))
-
-
-def pair_msd(
-    pop: CellPopulation | Sequence[UserChannel],
-    beta: float,
-    cfg: FairnessConfig,
-    solver: AllocationSource = AllocationSource.OPTIMAL,
-) -> PairingOutcome:
-    """Criterion-gated pairing with the chosen fairness solver.
-
-    ``solver`` selects AllocationSource.OPTIMAL or SUBOPTIMAL.  Candidates
-    failing the admission gate contribute both members to ``singles``.
-    """
-    if solver not in (AllocationSource.OPTIMAL, AllocationSource.SUBOPTIMAL):
-        raise ValueError(f"solver must be optimal or suboptimal, got {solver!r}")
-    solve = solve_optimal if solver is AllocationSource.OPTIMAL else solve_suboptimal
-    cands, singles = candidate_pairs(pop)
-    pairs = []
-    rejected: list[UserChannel] = []
-    for strong, weak in cands:
-        link = PairLink(gamma_s=strong.gamma, gamma_w=weak.gamma, beta=beta)
-        decision = solve(link, cfg)
-        if decision.mode is DecisionMode.NOMA_PAIRED:
-            pairs.append(NomaPair(strong, weak, decision))
-        else:
-            rejected.extend((strong, weak))
-    return PairingOutcome(pairs=tuple(pairs), singles=tuple(rejected + singles))

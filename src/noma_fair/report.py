@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .allocator import DecisionMode, solve_optimal, solve_suboptimal
-from .bounds import allocation_bounds, pairing_criterion
+from .bounds import beta_star
 from .fairness import FairnessConfig
 from .rates import AllocationSource, PairLink, db_to_linear
 
@@ -121,25 +121,25 @@ def emit_delta_sweep(
     for gs_db, gw_db in links_db:
         gamma_s = db_to_linear(gs_db)
         gamma_w = db_to_linear(gw_db)
-        crit = pairing_criterion(gamma_s, gamma_w)
+        star = beta_star(gamma_s, gamma_w)
         for entry in betas:
             if isinstance(entry, str):
                 if entry != BETA_STAR_TOKEN:
                     raise ValueError(f"unknown beta token {entry!r}")
-                if crit.beta_star <= 0:
+                if star <= 0:
                     continue  # no admissible imperfection for this link
-                beta = crit.beta_star * (1.0 - _BETA_STAR_MARGIN)
+                beta = star * (1.0 - _BETA_STAR_MARGIN)
             else:
                 beta = float(entry)
             link = PairLink(gamma_s=gamma_s, gamma_w=gamma_w, beta=beta)
-            bounds = allocation_bounds(link)
             for alpha in alphas:
                 cfg = FairnessConfig(alpha=alpha, tau=tau, solver_tol=solver_tol)
                 decision = solve(link, cfg)
+                diag = decision.diagnostics
                 values = {
-                    "delta_lb": bounds.delta_lb,
-                    "delta_ub": bounds.delta_ub,
-                    "msd_satisfied": 1.0 if crit.satisfied else 0.0,
+                    "delta_lb": diag.bounds.delta_lb,
+                    "delta_ub": diag.bounds.delta_ub,
+                    "msd_satisfied": 1.0 if diag.criterion.satisfied else 0.0,
                 }
                 if decision.mode is DecisionMode.NOMA_PAIRED:
                     values["delta_s"] = decision.allocation.delta_s

@@ -1,13 +1,30 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from noma_fair.cli import main, parse_config_file
-from noma_fair.report import parse_campaign_csv
+from noma_fair.cli import SETTINGS, main, parse_config_file
+from noma_fair.netsim import NetworkConfig, drop_network
+from noma_fair.report import format_value, parse_campaign_csv
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(argv):
     return main(argv)
+
+
+def readme_config_table() -> list[tuple[str, str]]:
+    """(key, default cell) rows of the README config table."""
+    section = README.read_text(encoding="utf-8").split("### Config file", 1)[1]
+    table = []
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            table.append((cells[0].strip("`"), cells[-1]))
+        elif table:
+            break
+    return table
 
 
 class TestPairCommand:
@@ -186,11 +203,97 @@ class TestSimulateCommand:
         assert code == 2
         assert ":2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("bs_density", "nan"),
+            ("user_density", "inf"),
+            ("area_km2", "0"),
+            ("tx_power_dbm", "nan"),
+            ("noise_power_dbm", "inf"),
+            ("pathloss_intercept_db", "-inf"),
+            ("pathloss_slope_db", "nan"),
+            ("pathloss_min_distance_km", "-1"),
+            ("pathloss_min_distance_km", "0"),
+            ("fading_scale", "nan"),
+        ],
+    )
+    def test_bad_value_names_its_key(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"trials = 1\n{key} = {value}\n", encoding="utf-8")
+        out = tmp_path / "o"
+        code = run(["simulate", "--config", str(cfg), "--threads", "1", "--out-dir", str(out)])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_all_trials_empty_says_why(self, tmp_path, capsys):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("area_km2 = 0.01\nuser_density = 1\ntrials = 5\n", encoding="utf-8")
+        net = NetworkConfig(area_km2=0.01, user_density=1.0, trials=5)
+        assert all(len(drop_network(net, t).user_xy) == 0 for t in range(5))
+        code = run(["simulate", "--config", str(cfg), "--threads", "1", "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "all 5 trials dropped zero users" in capsys.readouterr().err
+
     def test_unknown_strategy_exit_2(self, tmp_path):
         code = run(
             ["simulate", "--strategies", "psychic", "--out-dir", str(tmp_path / "o")]
         )
         assert code == 2
+
+
+class TestPairSweepAgreement:
+    @pytest.mark.parametrize("solver", ["optimal", "suboptimal"])
+    def test_pair_report_matches_sweep_rows(self, tmp_path, solver):
+        # Admitted at low beta, rejected by the beta gate, and rejected by
+        # the pairing criterion (close SINRs).
+        alphas, betas = ("0.5", "3"), ("0", "0.04", "0.3")
+        for gs_db, gw_db in (("9", "2"), ("12", "0"), ("4", "3.5")):
+            base = tmp_path / f"sweep_{gs_db}_{gw_db}"
+            code = run(
+                ["sweep", "--axis", "beta", "--values", ",".join(betas),
+                 "--alphas", ",".join(alphas), "--gamma-s-db", gs_db, "--gamma-w-db", gw_db,
+                 "--solver", solver, "--out", str(base)]
+            )
+            assert code == 0
+            rows = parse_campaign_csv(base.with_suffix(".csv"))
+            swept = {(r.alpha, r.beta, r.metric): r.value for r in rows}
+            for alpha in alphas:
+                for beta in betas:
+                    report_path = tmp_path / "pair.json"
+                    code = run(
+                        ["pair", "--gamma-s-db", gs_db, "--gamma-w-db", gw_db, "--beta", beta,
+                         "--alpha", alpha, "--solver", solver, "--json", str(report_path)]
+                    )
+                    assert code == 0
+                    report = json.loads(report_path.read_text())
+                    for metric in ("delta_lb", "delta_ub", "msd_satisfied", "delta_s"):
+                        want = report.get(metric)
+                        got = swept.get((float(alpha), float(beta), metric))
+                        assert got == (None if want is None else float(format_value(want)))
+            assert {r.metric for r in rows} >= {"delta_lb", "delta_ub", "msd_satisfied"}
+
+
+class TestSettingsTable:
+    # README defaults that are descriptions rather than values.
+    DESCRIBED = {"strategies": "all six", "threads": "machine parallelism"}
+
+    def test_readme_lists_exactly_the_settings(self):
+        assert sorted(key for key, _ in readme_config_table()) == sorted(SETTINGS)
+
+    def test_readme_defaults_match_the_table(self):
+        def plain(value):
+            return list(value) if isinstance(value, (list, tuple)) else value
+
+        for key, text in readme_config_table():
+            parser, default = SETTINGS[key]
+            if key in self.DESCRIBED:
+                assert text == self.DESCRIBED[key]
+            else:
+                assert plain(parser(text)) == plain(default), key
+        assert len(SETTINGS["strategies"][1]) == 6
+        assert SETTINGS["threads"][1] is None
 
 
 class TestConfigFile:

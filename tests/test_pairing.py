@@ -1,19 +1,14 @@
 import numpy as np
-import pytest
 
-from noma_fair.allocator import DecisionMode
+from noma_fair.allocator import DecisionMode, solve_optimal, solve_suboptimal
 from noma_fair.bounds import beta_star, delta_upper_bound, msd_threshold
 from noma_fair.fairness import FairnessConfig
-from noma_fair.pairing import (
-    CellPopulation,
-    UserChannel,
-    candidate_pairs,
-    pair_msd,
-    pair_near_far,
-)
-from noma_fair.rates import AllocationSource
+from noma_fair.pairing import UserChannel, candidate_pairs, near_far_decision
+from noma_fair.rates import AllocationSource, PairLink
 
 from _oracles import grid_feasible
+
+SOLVERS = {AllocationSource.OPTIMAL: solve_optimal, AllocationSource.SUBOPTIMAL: solve_suboptimal}
 
 
 def user(uid, gamma, gain=None):
@@ -24,12 +19,21 @@ def ids(users):
     return sorted(u.user_id for u in users)
 
 
-def outcome_ids(outcome):
-    out = []
-    for p in outcome.pairs:
-        out.extend([p.strong.user_id, p.weak.user_id])
-    out.extend(u.user_id for u in outcome.singles)
-    return sorted(out)
+def decide(pop, beta, decision_fn):
+    """(strong, weak, decision) for every candidate of one cell."""
+    cands, _ = candidate_pairs(pop)
+    return [
+        (s, w, decision_fn(PairLink(gamma_s=s.gamma, gamma_w=w.gamma, beta=beta)))
+        for s, w in cands
+    ]
+
+
+def admitted(pop, beta, cfg, solve):
+    return [
+        (s, w, d)
+        for s, w, d in decide(pop, beta, lambda link: solve(link, cfg))
+        if d.mode is DecisionMode.NOMA_PAIRED
+    ]
 
 
 class TestCandidatePairs:
@@ -70,87 +74,79 @@ class TestCandidatePairs:
 class TestNearFar:
     def test_allocates_upper_bound_without_gating(self):
         # Close SINRs fail the pairing criterion, near-far pairs them anyway.
-        pop = [user(1, 10.0), user(2, 9.5)]
-        out = pair_near_far(pop, beta=0.3)
-        assert len(out.pairs) == 1
-        pair = out.pairs[0]
-        assert not pair.decision.diagnostics.criterion.satisfied
-        assert pair.decision.mode is DecisionMode.NOMA_PAIRED
-        assert pair.decision.allocation.source is AllocationSource.NEAR_FAR
-        assert pair.decision.allocation.delta_s == delta_upper_bound(9.5)
+        [(strong, weak, decision)] = decide([user(1, 10.0), user(2, 9.5)], 0.3, near_far_decision)
+        assert (strong.user_id, weak.user_id) == (1, 2)
+        assert not decision.diagnostics.criterion.satisfied
+        assert decision.mode is DecisionMode.NOMA_PAIRED
+        assert decision.allocation.source is AllocationSource.NEAR_FAR
+        assert decision.allocation.delta_s == decision.diagnostics.bounds.delta_ub
+        assert decision.allocation.delta_s == delta_upper_bound(9.5)
 
     def test_empty_population(self):
-        out = pair_near_far([], beta=0.0)
-        assert out.pairs == () and out.singles == ()
+        assert candidate_pairs([]) == ([], [])
 
     def test_deterministic(self):
         rng = np.random.default_rng(42)
         pop = [user(i, g) for i, g in enumerate(10 ** rng.uniform(0, 2, 9))]
-        first = pair_near_far(pop, beta=0.1)
-        second = pair_near_far(pop, beta=0.1)
+        first = decide(pop, 0.1, near_far_decision)
+        second = decide(list(reversed(pop)), 0.1, near_far_decision)
         assert first == second
 
     def test_partition(self):
+        # Near-far admits every candidate: each user is in one pair or is the odd one out.
         rng = np.random.default_rng(43)
         for n in [1, 2, 5, 8, 13]:
             pop = [user(i, g) for i, g in enumerate(10 ** rng.uniform(0, 2, n))]
-            out = pair_near_far(pop, beta=0.05)
-            assert outcome_ids(out) == ids(pop)
-            assert 2 * len(out.pairs) + len(out.singles) == n
+            cands, singles = candidate_pairs(pop)
+            assert ids([u for pair in cands for u in pair] + singles) == ids(pop)
+            assert 2 * len(cands) + len(singles) == n
 
 
 class TestMsdPairing:
+    """The gated solvers applied to the shared candidates."""
+
     def test_feasible_two_user_cell_is_paired(self):
         pop = [user(1, 7.943), user(2, 1.585)]
         assert grid_feasible(7.943, 1.585)
-        out = pair_msd(pop, beta=0.0, cfg=FairnessConfig(alpha=1.0))
-        assert len(out.pairs) == 1
-        assert out.singles == ()
+        for solve in SOLVERS.values():
+            assert len(admitted(pop, 0.0, FairnessConfig(alpha=1.0), solve)) == 1
+        assert candidate_pairs(pop)[1] == []
 
     def test_identical_sinr_population_all_single(self):
         pop = [user(i, 5.0) for i in range(6)]
-        out = pair_msd(pop, beta=0.0, cfg=FairnessConfig(alpha=1.0))
-        assert out.pairs == ()
-        assert len(out.singles) == 6
+        assert len(candidate_pairs(pop)[0]) == 3
+        for solve in SOLVERS.values():
+            assert admitted(pop, 0.0, FairnessConfig(alpha=1.0), solve) == []
 
     def test_all_candidates_failing_criterion_go_single(self):
         # close SINRs: every candidate misses the minimum-difference cut
         pop = [user(i, g) for i, g in enumerate([4.0, 3.9, 3.8, 3.7])]
-        out = pair_msd(pop, beta=0.0, cfg=FairnessConfig(alpha=2.0))
-        assert out.pairs == ()
-        assert len(out.singles) == 4
+        cfg = FairnessConfig(alpha=2.0)
+        for solve in SOLVERS.values():
+            decisions = decide(pop, 0.0, lambda link: solve(link, cfg))
+            assert len(decisions) == 2
+            for _, _, d in decisions:
+                assert not d.diagnostics.criterion.satisfied
+                assert d.mode is DecisionMode.OMA_FALLBACK
 
     def test_beta_gate_rejects(self):
         gs, gw = 7.943, 1.585
         beta = min(1.0, beta_star(gs, gw) * 1.05)
-        out = pair_msd([user(1, gs), user(2, gw)], beta=beta, cfg=FairnessConfig(alpha=1.0))
-        assert out.pairs == ()
+        pop = [user(1, gs), user(2, gw)]
+        for solve in SOLVERS.values():
+            [(_, _, d)] = decide(pop, beta, lambda link: solve(link, FairnessConfig(alpha=1.0)))
+            assert d.diagnostics.criterion.satisfied  # rejected by the beta gate alone
+            assert d.mode is DecisionMode.OMA_FALLBACK
 
     def test_admitted_pairs_satisfy_gates_post_hoc(self):
         rng = np.random.default_rng(44)
         pop = [user(i, g) for i, g in enumerate(10 ** rng.uniform(0, 3, 12))]
         beta = 0.02
-        out = pair_msd(pop, beta=beta, cfg=FairnessConfig(alpha=3.0), solver=AllocationSource.SUBOPTIMAL)
-        assert out.pairs  # seeded population admits at least one pair
-        for p in out.pairs:
-            gs, gw = p.strong.gamma, p.weak.gamma
-            assert gs - gw > msd_threshold(gs, gw)
-            assert beta < beta_star(gs, gw)
-            assert p.decision.allocation.source is AllocationSource.SUBOPTIMAL
-
-    def test_partition_under_gating(self):
-        rng = np.random.default_rng(45)
-        for n in [2, 3, 7, 10]:
-            pop = [user(i, g) for i, g in enumerate(10 ** rng.uniform(0, 3, n))]
-            out = pair_msd(pop, beta=0.01, cfg=FairnessConfig(alpha=1.0))
-            assert outcome_ids(out) == ids(pop)
-
-    def test_solver_argument_validated(self):
-        with pytest.raises(ValueError):
-            pair_msd([user(1, 2.0)], beta=0.0, cfg=FairnessConfig(alpha=1.0), solver=AllocationSource.NEAR_FAR)
-
-    def test_accepts_cell_population_wrapper(self):
-        pop = CellPopulation([user(1, 7.943), user(2, 1.585)])
-        assert len(pop) == 2
-        out = pair_msd(pop, beta=0.0, cfg=FairnessConfig(alpha=1.0))
-        assert len(out.pairs) == 1
+        for source, solve in SOLVERS.items():
+            pairs = admitted(pop, beta, FairnessConfig(alpha=3.0), solve)
+            assert pairs  # seeded population admits at least one pair
+            for strong, weak, d in pairs:
+                gs, gw = strong.gamma, weak.gamma
+                assert gs - gw > msd_threshold(gs, gw)
+                assert beta < beta_star(gs, gw)
+                assert d.allocation.source is source
