@@ -2,11 +2,11 @@
 
 Library layout:
 
-* :mod:`noma_fair.rates`     closed-form OMA/NOMA SINRs and rates
+* :mod:`noma_fair.rates`     the Strategy enum, closed-form OMA/NOMA SINRs and rates
 * :mod:`noma_fair.bounds`    power-split bounds, pairing criterion, beta*
 * :mod:`noma_fair.fairness`  alpha-fair utility and throughput metric
-* :mod:`noma_fair.allocator` optimal / sub-optimal / fixed-bound splits
-* :mod:`noma_fair.pairing`   candidate matching and the near-far decision
+* :mod:`noma_fair.allocator` every strategy's decision and the DECISIONS table
+* :mod:`noma_fair.pairing`   candidate matching
 * :mod:`noma_fair.netsim`    Poisson cellular Monte Carlo harness
 * :mod:`noma_fair.report`    CSV/JSON artifact emission
 * :mod:`noma_fair.cli`       the ``noma-fair`` command
@@ -36,7 +36,6 @@ from .fairness import FairnessConfig, alpha_throughput, utility
 from .netsim import (
     NetworkConfig,
     PathlossModel,
-    Strategy,
     TrialMetrics,
     compute_sinrs,
     drop_network,
@@ -45,9 +44,9 @@ from .netsim import (
 )
 from .pairing import UserChannel
 from .rates import (
-    AllocationSource,
     PairLink,
     PowerAllocation,
+    Strategy,
     db_to_linear,
     linear_to_db,
     noma_rates,
@@ -60,7 +59,6 @@ __all__ = [
     "__version__",
     "AllocationBounds",
     "AllocationDecision",
-    "AllocationSource",
     "DecisionDiagnostics",
     "DecisionMode",
     "FairnessConfig",

@@ -1,7 +1,8 @@
-"""Power-split decisions for a candidate NOMA pair.
+"""Power-split decisions for a candidate NOMA pair, and the one table of them.
 
-Three entry points, all gated on the pairing criterion and on the SIC
-imperfection staying below its admissible bound:
+Three decisions share one admission gate: the pairing criterion must hold
+and the SIC imperfection must stay below ``beta_star``, or the pair is
+served OMA.
 
 * :func:`solve_optimal` maximizes the summed alpha-fair utility of the two
   NOMA rates over the feasible interval [delta_lb, delta_ub].
@@ -11,6 +12,9 @@ imperfection staying below its admissible bound:
   alpha.
 * :func:`allocate_fixed_bound` pins the split to one bound (the baseline
   strategies evaluated against the solvers).
+
+The fourth, :func:`near_far_decision`, is ungated.  :data:`DECISIONS` maps
+every :class:`~noma_fair.rates.Strategy` to its decision.
 
 The 1-D objective is continuous on a compact interval but need not be
 concave, so the optimal solver runs a coarse grid scan followed by
@@ -35,9 +39,9 @@ from .bounds import (
 )
 from .fairness import FairnessConfig, utility
 from .rates import (
-    AllocationSource,
     PairLink,
     PowerAllocation,
+    Strategy,
     noma_sinr_strong,
     noma_sinr_weak,
 )
@@ -49,6 +53,8 @@ __all__ = [
     "solve_optimal",
     "solve_suboptimal",
     "allocate_fixed_bound",
+    "near_far_decision",
+    "DECISIONS",
 ]
 
 _GRID_POINTS = 1000
@@ -70,39 +76,40 @@ class DecisionDiagnostics:
 
     bounds: AllocationBounds
     criterion: PairingCriterion
-    beta_ratio: float
 
 
 @dataclass(frozen=True)
 class AllocationDecision:
-    """Outcome of a pairing decision.
+    """Outcome of a pairing decision; ``allocation`` is None for an OMA fallback.
 
-    ``allocation`` is present exactly when ``mode`` is NOMA_PAIRED.
     ``objective`` is the achieved summed utility; it is filled by the
     fairness-driven solvers and left None by the fixed-bound and near-far
     paths, which carry no fairness exponent.
     """
 
-    mode: DecisionMode
     allocation: Optional[PowerAllocation]
     objective: Optional[float]
     diagnostics: DecisionDiagnostics
 
-    def __post_init__(self) -> None:
-        if (self.mode is DecisionMode.NOMA_PAIRED) != (self.allocation is not None):
-            raise ValueError("allocation must be present iff the pair was admitted")
+    @property
+    def mode(self) -> DecisionMode:
+        return DecisionMode.OMA_FALLBACK if self.allocation is None else DecisionMode.NOMA_PAIRED
 
 
 def _diagnostics(link: PairLink) -> DecisionDiagnostics:
-    crit = pairing_criterion(link.gamma_s, link.gamma_w)
-    ratio = link.beta / crit.beta_star if crit.beta_star > 0 else math.inf
     return DecisionDiagnostics(
-        bounds=allocation_bounds(link), criterion=crit, beta_ratio=ratio
+        bounds=allocation_bounds(link),
+        criterion=pairing_criterion(link.gamma_s, link.gamma_w),
     )
 
 
-def _admissible(link: PairLink, diag: DecisionDiagnostics) -> bool:
-    return diag.criterion.satisfied and link.beta < diag.criterion.beta_star
+def _gated(link: PairLink, strategy: Strategy, pick: Callable) -> AllocationDecision:
+    """The shared admission gate; ``pick(diag)`` gives an admitted pair's (delta_s, objective)."""
+    diag = _diagnostics(link)
+    if not (diag.criterion.satisfied and link.beta < diag.criterion.beta_star):
+        return AllocationDecision(None, None, diag)
+    delta, objective = pick(diag)
+    return AllocationDecision(PowerAllocation(delta, strategy), objective, diag)
 
 
 def _objective_fn(link: PairLink, alpha: float) -> Callable:
@@ -178,25 +185,20 @@ def solve_optimal(link: PairLink, cfg: FairnessConfig) -> AllocationDecision:
     [delta_lb, delta_ub], located to within ``cfg.solver_tol``, which keeps
     both NOMA rates at or above their OMA counterparts by construction.
     """
-    diag = _diagnostics(link)
-    if not _admissible(link, diag):
-        return AllocationDecision(DecisionMode.OMA_FALLBACK, None, None, diag)
-    if not diag.bounds.feasible:
-        # The admission gate guarantees a nonempty interval; reaching this
-        # branch indicates a numerical fault, not a rejectable pair.
-        raise RuntimeError(
-            f"inconsistent state: pairing admitted but interval empty for {link!r}"
+
+    def pick(diag: DecisionDiagnostics) -> tuple[float, float]:
+        if not diag.bounds.feasible:
+            # The admission gate guarantees a nonempty interval; reaching this
+            # branch indicates a numerical fault, not a rejectable pair.
+            raise RuntimeError(
+                f"inconsistent state: pairing admitted but interval empty for {link!r}"
+            )
+        fn = _objective_fn(link, cfg.alpha)
+        return _maximize_on_interval(
+            fn, diag.bounds.delta_lb, diag.bounds.delta_ub, cfg.solver_tol
         )
-    fn = _objective_fn(link, cfg.alpha)
-    delta, value = _maximize_on_interval(
-        fn, diag.bounds.delta_lb, diag.bounds.delta_ub, cfg.solver_tol
-    )
-    return AllocationDecision(
-        DecisionMode.NOMA_PAIRED,
-        PowerAllocation.split(delta, AllocationSource.OPTIMAL),
-        value,
-        diag,
-    )
+
+    return _gated(link, Strategy.OPTIMAL, pick)
 
 
 def solve_suboptimal(link: PairLink, cfg: FairnessConfig) -> AllocationDecision:
@@ -207,40 +209,46 @@ def solve_suboptimal(link: PairLink, cfg: FairnessConfig) -> AllocationDecision:
     otherwise delta_ub for any alpha, since a large residual imperfection
     forces the most protective split for the strong user.
     """
-    diag = _diagnostics(link)
-    if not _admissible(link, diag):
-        return AllocationDecision(DecisionMode.OMA_FALLBACK, None, None, diag)
-    if diag.beta_ratio < cfg.tau and cfg.alpha > 1:
-        delta = diag.bounds.delta_lb
-    else:
-        delta = diag.bounds.delta_ub
-    value = float(_objective_fn(link, cfg.alpha)(delta))
-    return AllocationDecision(
-        DecisionMode.NOMA_PAIRED,
-        PowerAllocation.split(delta, AllocationSource.SUBOPTIMAL),
-        value,
-        diag,
-    )
+
+    def pick(diag: DecisionDiagnostics) -> tuple[float, float]:
+        if link.beta / diag.criterion.beta_star < cfg.tau and cfg.alpha > 1:
+            delta = diag.bounds.delta_lb
+        else:
+            delta = diag.bounds.delta_ub
+        return delta, float(_objective_fn(link, cfg.alpha)(delta))
+
+    return _gated(link, Strategy.SUBOPTIMAL, pick)
 
 
-def allocate_fixed_bound(link: PairLink, which: AllocationSource) -> AllocationDecision:
+def allocate_fixed_bound(link: PairLink, which: Strategy) -> AllocationDecision:
     """Pin the split to delta_ub or delta_lb, with the same admission gate.
 
-    ``which`` must be AllocationSource.UPPER_BOUND or LOWER_BOUND.
+    ``which`` must be Strategy.UPPER_BOUND or LOWER_BOUND.
     """
-    if which not in (AllocationSource.UPPER_BOUND, AllocationSource.LOWER_BOUND):
-        raise ValueError(f"which must select a bound, got {which!r}")
+    if which is Strategy.UPPER_BOUND:
+        return _gated(link, which, lambda diag: (diag.bounds.delta_ub, None))
+    if which is Strategy.LOWER_BOUND:
+        return _gated(link, which, lambda diag: (diag.bounds.delta_lb, None))
+    raise ValueError(f"which must select a bound, got {which!r}")
+
+
+def near_far_decision(link: PairLink) -> AllocationDecision:
+    """Ungated delta_ub allocation used by the near-far baseline.
+
+    No rate guarantee for the strong user: with rising imperfection its NOMA
+    rate can fall below its OMA rate, which is exactly the failure mode the
+    gated strategies avoid.
+    """
     diag = _diagnostics(link)
-    if not _admissible(link, diag):
-        return AllocationDecision(DecisionMode.OMA_FALLBACK, None, None, diag)
-    delta = (
-        diag.bounds.delta_ub
-        if which is AllocationSource.UPPER_BOUND
-        else diag.bounds.delta_lb
-    )
-    return AllocationDecision(
-        DecisionMode.NOMA_PAIRED,
-        PowerAllocation.split(delta, which),
-        None,
-        diag,
-    )
+    return AllocationDecision(PowerAllocation(diag.bounds.delta_ub, Strategy.NEAR_FAR), None, diag)
+
+
+# Every strategy's decision for one candidate; None means serve both as OMA.
+DECISIONS: dict[Strategy, Callable[[PairLink, FairnessConfig], Optional[AllocationDecision]]] = {
+    Strategy.OPTIMAL: solve_optimal,
+    Strategy.SUBOPTIMAL: solve_suboptimal,
+    Strategy.UPPER_BOUND: lambda link, _: allocate_fixed_bound(link, Strategy.UPPER_BOUND),
+    Strategy.LOWER_BOUND: lambda link, _: allocate_fixed_bound(link, Strategy.LOWER_BOUND),
+    Strategy.NEAR_FAR: lambda link, _: near_far_decision(link),
+    Strategy.OMA: lambda link, _: None,
+}

@@ -20,10 +20,10 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .allocator import DecisionMode, solve_optimal, solve_suboptimal
+from .allocator import DECISIONS
 from .fairness import FairnessConfig, alpha_throughput, utility
-from .netsim import NetworkConfig, PathlossModel, Strategy, run_campaign
-from .rates import AllocationSource, PairLink, db_to_linear, noma_rates, oma_rate
+from .netsim import NetworkConfig, PathlossModel, run_campaign
+from .rates import PairLink, Strategy, db_to_linear, noma_rates, oma_rate
 from .report import (
     BETA_STAR_TOKEN,
     emit_campaign_csv,
@@ -193,9 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     pair.add_argument("--gamma-w-db", type=float, required=True, help="weak user SINR in dB")
     pair.add_argument("--beta", type=float, required=True, help="SIC imperfection in [0, 1]")
     pair.add_argument("--alpha", type=float, required=True, help="fairness exponent >= 0")
-    pair.add_argument("--tau", type=float, default=0.5, help="sub-optimal ratio threshold")
-    pair.add_argument("--solver", choices=["optimal", "suboptimal"], default="optimal")
-    pair.add_argument("--solver-tol", type=float, default=1e-9)
     pair.add_argument("--json", type=Path, default=None, help="also write the report as JSON")
 
     sweep = sub.add_parser("sweep", help="sweep one axis and emit power-split rows")
@@ -213,10 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--gamma-s-db", type=float, default=None)
     sweep.add_argument("--gamma-w-db", type=float, default=None)
-    sweep.add_argument("--tau", type=float, default=0.5)
-    sweep.add_argument("--solver", choices=["optimal", "suboptimal"], default="optimal")
-    sweep.add_argument("--solver-tol", type=float, default=1e-9)
     sweep.add_argument("--out", type=Path, required=True, help="output base path (writes .csv/.json)")
+
+    solvers = [Strategy.OPTIMAL.value, Strategy.SUBOPTIMAL.value]
+    for cmd in (pair, sweep):
+        cmd.add_argument("--tau", type=float, default=FairnessConfig.tau, help="sub-optimal ratio threshold")
+        cmd.add_argument("--solver", choices=solvers, default=solvers[0])
+        cmd.add_argument("--solver-tol", type=float, default=FairnessConfig.solver_tol)
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo network campaign")
     sim.add_argument("--config", type=Path, default=None, help="key-value config file")
@@ -233,8 +233,7 @@ def _pair_report(args) -> dict:
         raise ValueError("--gamma-s-db must be at least --gamma-w-db")
     link = PairLink(gamma_s=gamma_s, gamma_w=gamma_w, beta=args.beta)
     cfg = FairnessConfig(alpha=args.alpha, tau=args.tau, solver_tol=args.solver_tol)
-    solve = solve_optimal if args.solver == "optimal" else solve_suboptimal
-    decision = solve(link, cfg)
+    decision = DECISIONS[Strategy(args.solver)](link, cfg)
     crit = decision.diagnostics.criterion
     bounds = decision.diagnostics.bounds
     r_s_oma, r_w_oma = oma_rate(gamma_s), oma_rate(gamma_w)
@@ -254,7 +253,7 @@ def _pair_report(args) -> dict:
         "rate_strong_oma": r_s_oma,
         "rate_weak_oma": r_w_oma,
     }
-    if decision.mode is DecisionMode.NOMA_PAIRED:
+    if decision.allocation is not None:
         r_s, r_w = noma_rates(link, decision.allocation)
         report.update(
             delta_s=decision.allocation.delta_s,
@@ -312,9 +311,8 @@ def _cmd_sweep(args) -> int:
     else:
         links = [(_require("gamma-s-db", args.gamma_s_db), _require("gamma-w-db", args.gamma_w_db))]
 
-    solver = AllocationSource(args.solver)
     rows = emit_delta_sweep(
-        links, betas, alphas, tau=args.tau, solver_tol=args.solver_tol, solver=solver
+        links, betas, alphas, tau=args.tau, solver_tol=args.solver_tol, solver=Strategy(args.solver)
     )
     if not rows:
         raise ValueError("sweep produced no rows (all links infeasible at beta_star)")

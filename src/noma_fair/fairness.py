@@ -84,6 +84,11 @@ def alpha_throughput(r_s, r_w, alpha: float):
             raise ValueError(f"{name} must be positive and finite, got {arr!r}")
     if alpha == 1:
         out = np.sqrt(rs * rw)
+    elif abs(1.0 - alpha) < 1e-2:
+        # The form below divides its rounding error by 1 - alpha; near 1 use
+        # exp(mean log + log(cosh(p*d)) / p), with d half the log ratio.
+        p, d = 1.0 - alpha, 0.5 * (np.log(rs) - np.log(rw))
+        out = np.exp(0.5 * (np.log(rs) + np.log(rw)) + np.log1p(2.0 * np.sinh(0.5 * p * d) ** 2) / p)
     else:
         p = 1.0 - alpha
         out = np.exp((np.logaddexp(p * np.log(rs), p * np.log(rw)) - math.log(2.0)) / p)

@@ -8,7 +8,8 @@ the station offering the maximum SINR, and every non-serving station
 interferes at full power on the shared subchannel.
 
 Within a trial every strategy consumes the identical channel realization
-and the identical per-cell candidate pairs, so strategy comparisons are
+and the identical per-cell candidate pairs, and decides each candidate
+through :data:`noma_fair.allocator.DECISIONS`, so strategy comparisons are
 paired-sample: candidates rejected by a gated strategy contribute their
 members' OMA rates, the pure-OMA strategy rejects everything.  Per-pair
 metrics (strong/weak rate, pair throughput, pair sum rate) are therefore
@@ -21,7 +22,6 @@ any output.
 
 from __future__ import annotations
 
-import enum
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -29,16 +29,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .allocator import (
-    AllocationDecision,
-    DecisionMode,
-    allocate_fixed_bound,
-    solve_optimal,
-    solve_suboptimal,
-)
+from .allocator import DECISIONS
 from .fairness import FairnessConfig, alpha_throughput
-from .pairing import UserChannel, candidate_pairs, near_far_decision
-from .rates import AllocationSource, PairLink, noma_rates, oma_rate
+from .pairing import UserChannel, candidate_pairs
+from .rates import PairLink, Strategy, noma_rates, oma_rate
 from .report import ResultRow
 
 __all__ = [
@@ -57,15 +51,6 @@ __all__ = [
 # Substream tags under (seed, trial_index, tag).
 _GEOMETRY_STREAM = 0
 _FADING_STREAM = 1
-
-
-class Strategy(str, enum.Enum):
-    OPTIMAL = "optimal"
-    SUBOPTIMAL = "suboptimal"
-    UPPER_BOUND = "upper_bound"
-    LOWER_BOUND = "lower_bound"
-    NEAR_FAR = "near_far"
-    OMA = "oma"
 
 
 def _check_fields(obj, prefix: str, positive: Sequence[str]) -> None:
@@ -216,31 +201,21 @@ def received_power_mw(network: NetworkRealization, cfg: NetworkConfig) -> np.nda
     return 10.0 ** (cfg.tx_power_dbm / 10.0) * gains
 
 
-def sinr_matrix(prx_mw: np.ndarray, noise_mw: float) -> np.ndarray:
-    """Candidate SINR toward every station: signal over noise plus the rest.
-
-    The subtraction form is fine for ranking candidates; the final SINR of
-    the chosen station is recomputed with a masked sum in
-    :func:`compute_sinrs` because total - prx cancels catastrophically when
-    one station dominates the row.
-    """
-    total = prx_mw.sum(axis=1, keepdims=True)
-    return prx_mw / (noise_mw + (total - prx_mw))
-
-
 def compute_sinrs(network: NetworkRealization, cfg: NetworkConfig) -> list[UserChannel]:
     """Associate users by maximum SINR and report their link state.
 
-    Association ties go to the lowest station id.  The reported channel gain
-    is pathloss times fading toward the serving station (transmit power
-    excluded).
+    For a fixed row total S the SINR p / (N + S - p) rises strictly with the
+    received power p, so the maximum-SINR station is the maximum-power one
+    and no SINR matrix is needed.  Association ties go to the lowest station
+    id.  The reported channel gain is pathloss times fading toward the
+    serving station (transmit power excluded).
     """
     n_users = len(network.user_xy)
     if n_users == 0:
         return []
     prx = received_power_mw(network, cfg)
     noise_mw = 10.0 ** (cfg.noise_power_dbm / 10.0)
-    serving = np.argmax(sinr_matrix(prx, noise_mw), axis=1)
+    serving = np.argmax(prx, axis=1)
     rows = np.arange(n_users)
     # Sum the non-serving columns directly; the error stays relative to the
     # interference instead of to the (possibly dominant) serving power.
@@ -259,25 +234,6 @@ def compute_sinrs(network: NetworkRealization, cfg: NetworkConfig) -> list[UserC
         )
         for u in rows
     ]
-
-
-def _decide(
-    strategy: Strategy, link: PairLink, fairness: FairnessConfig
-) -> Optional[AllocationDecision]:
-    """Strategy decision for one candidate; None means serve both as OMA."""
-    if strategy is Strategy.OMA:
-        return None
-    if strategy is Strategy.NEAR_FAR:
-        return near_far_decision(link)
-    if strategy is Strategy.OPTIMAL:
-        return solve_optimal(link, fairness)
-    if strategy is Strategy.SUBOPTIMAL:
-        return solve_suboptimal(link, fairness)
-    if strategy is Strategy.UPPER_BOUND:
-        return allocate_fixed_bound(link, AllocationSource.UPPER_BOUND)
-    if strategy is Strategy.LOWER_BOUND:
-        return allocate_fixed_bound(link, AllocationSource.LOWER_BOUND)
-    raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def _mean(values: list[float]) -> Optional[float]:
@@ -308,9 +264,10 @@ def evaluate_strategies(
         single_rates = [oma_rate(u.gamma) for u in singles]
         for strat in strategies:
             a = acc[strat]
+            decide = DECISIONS[strat]
             for link, (ros, row) in zip(links, oma_pairs):
-                decision = _decide(strat, link, fairness)
-                if decision is not None and decision.mode is DecisionMode.NOMA_PAIRED:
+                decision = decide(link, fairness)
+                if decision is not None and decision.allocation is not None:
                     r_s, r_w = noma_rates(link, decision.allocation)
                     a["pairs"] += 1
                 else:
@@ -384,8 +341,8 @@ def run_campaign(
     cfg: NetworkConfig,
     sweep: Sequence[tuple[float, float]],
     strategies: Sequence[Strategy],
-    tau: float = 0.5,
-    solver_tol: float = 1e-9,
+    tau: float = FairnessConfig.tau,
+    solver_tol: float = FairnessConfig.solver_tol,
     threads: int = 1,
 ) -> list[ResultRow]:
     """Average per-trial metrics over cfg.trials for every (alpha, beta) point.

@@ -1,13 +1,13 @@
-"""Candidate matching shared by every strategy, and the near-far decision.
+"""Candidate matching shared by every strategy.
 
 All strategies see the same candidates, so comparisons isolate gating and
 power allocation: a cell's users are sorted by descending channel gain
 (ties broken by user id for reproducibility) and the i-th from the front is
 matched with the i-th from the back; an odd user out is served OMA.
 
-:mod:`noma_fair.netsim` decides each candidate with one function per
-strategy: the gated solvers of :mod:`noma_fair.allocator`, or the ungated
-:func:`near_far_decision` defined here.
+:mod:`noma_fair.netsim` then decides each candidate through
+:data:`noma_fair.allocator.DECISIONS`.  :func:`near_far_decision` lives in
+:mod:`noma_fair.allocator` and is re-exported here under its old path.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .allocator import AllocationDecision, DecisionMode, _diagnostics
-from .rates import AllocationSource, PairLink, PowerAllocation
+from .allocator import near_far_decision
 
 __all__ = ["UserChannel", "candidate_pairs", "near_far_decision"]
 
@@ -60,15 +59,3 @@ def candidate_pairs(
             cands.append((second, first))
     singles = [users[n // 2]] if n % 2 else []
     return cands, singles
-
-
-def near_far_decision(link: PairLink) -> AllocationDecision:
-    """Ungated delta_ub allocation used by the near-far baseline.
-
-    No rate guarantee for the strong user: with rising imperfection its NOMA
-    rate can fall below its OMA rate, which is exactly the failure mode the
-    gated strategies avoid.
-    """
-    diag = _diagnostics(link)
-    alloc = PowerAllocation.split(diag.bounds.delta_ub, AllocationSource.NEAR_FAR)
-    return AllocationDecision(DecisionMode.NOMA_PAIRED, alloc, None, diag)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "Strategy",
     "AllocationSource",
     "PairLink",
     "PowerAllocation",
@@ -44,14 +45,18 @@ def linear_to_db(value: float) -> float:
     return 10.0 * math.log10(value)
 
 
-class AllocationSource(str, enum.Enum):
-    """Provenance of a power split."""
+class Strategy(str, enum.Enum):
+    """How a candidate pair is served, and the provenance of its power split."""
 
     OPTIMAL = "optimal"
     SUBOPTIMAL = "suboptimal"
     UPPER_BOUND = "upper_bound"
     LOWER_BOUND = "lower_bound"
     NEAR_FAR = "near_far"
+    OMA = "oma"
+
+
+AllocationSource = Strategy  # the name perfbench/trace.py imports
 
 
 def _require_positive_finite(name: str, value: float) -> None:
@@ -84,29 +89,20 @@ class PairLink:
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Downlink power split: ``delta_s`` to the strong user, ``delta_w`` to the weak.
-
-    ``delta_w`` always equals ``1 - delta_s`` bit-exactly; use
-    :meth:`split` instead of spelling out both fields.
-    """
+    """Downlink power split: ``delta_s`` to the strong user, the rest to the weak."""
 
     delta_s: float
-    delta_w: float
-    source: AllocationSource
+    source: Strategy
 
     def __post_init__(self) -> None:
         if not (0.0 < self.delta_s < 1.0):
             raise ValueError(f"delta_s must lie in (0, 1), got {self.delta_s!r}")
         if not (0.0 < self.delta_w < 1.0):
             raise ValueError(f"delta_w must lie in (0, 1), got {self.delta_w!r}")
-        if self.delta_w != 1.0 - self.delta_s:
-            raise ValueError(
-                f"power split must sum to one: delta_w={self.delta_w!r} != 1 - {self.delta_s!r}"
-            )
 
-    @classmethod
-    def split(cls, delta_s: float, source: AllocationSource) -> "PowerAllocation":
-        return cls(delta_s=delta_s, delta_w=1.0 - delta_s, source=source)
+    @property
+    def delta_w(self) -> float:
+        return 1.0 - self.delta_s
 
 
 def oma_rate(gamma):

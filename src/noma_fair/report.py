@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .allocator import DecisionMode, solve_optimal, solve_suboptimal
+from .allocator import DECISIONS
 from .bounds import beta_star
 from .fairness import FairnessConfig
-from .rates import AllocationSource, PairLink, db_to_linear
+from .rates import PairLink, Strategy, db_to_linear
 
 __all__ = [
     "METRIC_NAMES",
@@ -99,24 +99,24 @@ def emit_delta_sweep(
     links_db: Sequence[tuple[float, float]],
     betas: Sequence[Union[float, str]],
     alphas: Sequence[float],
-    tau: float = 0.5,
-    solver_tol: float = 1e-9,
-    solver: AllocationSource = AllocationSource.OPTIMAL,
+    tau: float = FairnessConfig.tau,
+    solver_tol: float = FairnessConfig.solver_tol,
+    solver: Strategy = Strategy.OPTIMAL,
 ) -> list[ResultRow]:
     """Per-(alpha, beta, link) power-split rows.
 
     ``links_db`` holds (gamma_s_db, gamma_w_db) pairs.  Each point gets
     delta_lb, delta_ub and msd_satisfied rows, plus a delta_s row whenever
     the solver admits the pair.  ``betas`` entries may be numeric or the
-    :data:`BETA_STAR_TOKEN` string.
+    :data:`BETA_STAR_TOKEN` string.  ``solver`` is Strategy.OPTIMAL or
+    SUBOPTIMAL.
     """
     links_db, betas, alphas = list(links_db), list(betas), list(alphas)
     if not links_db or not betas or not alphas:
         raise ValueError("links, betas and alphas must all be non-empty")
-    solve = {
-        AllocationSource.OPTIMAL: solve_optimal,
-        AllocationSource.SUBOPTIMAL: solve_suboptimal,
-    }[solver]
+    if solver not in (Strategy.OPTIMAL, Strategy.SUBOPTIMAL):
+        raise ValueError(f"solver must be optimal or suboptimal, got {solver!r}")
+    solve = DECISIONS[solver]
     rows: list[ResultRow] = []
     for gs_db, gw_db in links_db:
         gamma_s = db_to_linear(gs_db)
@@ -141,7 +141,7 @@ def emit_delta_sweep(
                     "delta_ub": diag.bounds.delta_ub,
                     "msd_satisfied": 1.0 if diag.criterion.satisfied else 0.0,
                 }
-                if decision.mode is DecisionMode.NOMA_PAIRED:
+                if decision.allocation is not None:
                     values["delta_s"] = decision.allocation.delta_s
                 for metric, value in values.items():
                     rows.append(

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from noma_fair.allocator import (
-    AllocationDecision,
     DecisionMode,
     allocate_fixed_bound,
     solve_optimal,
@@ -11,8 +10,8 @@ from noma_fair.allocator import (
 from noma_fair.bounds import beta_star, delta_lower_bound, delta_upper_bound, msd_threshold
 from noma_fair.fairness import FairnessConfig, alpha_throughput, utility
 from noma_fair.rates import (
-    AllocationSource,
     PairLink,
+    Strategy,
     db_to_linear,
     noma_rates,
     oma_rate,
@@ -79,7 +78,7 @@ class TestSolveOptimal:
         link = PairLink(gamma_s=GS, gamma_w=GW, beta=0.05)
         d = solve_optimal(link, FairnessConfig(alpha=1.0))
         assert d.diagnostics.criterion.satisfied
-        assert d.diagnostics.beta_ratio == pytest.approx(0.05 / BETA_STAR)
+        assert d.diagnostics.criterion.beta_star == BETA_STAR
         assert d.diagnostics.bounds.feasible
 
     def test_matches_dense_grid_oracle(self):
@@ -125,7 +124,7 @@ class TestSolveSuboptimal:
         link = PairLink(gamma_s=GS, gamma_w=GW, beta=0.0)
         d = solve_suboptimal(link, FairnessConfig(alpha=3.0, tau=0.5))
         assert d.allocation.delta_s == delta_lower_bound(GS, 0.0)
-        assert d.allocation.source is AllocationSource.SUBOPTIMAL
+        assert d.allocation.source is Strategy.SUBOPTIMAL
 
     def test_small_ratio_low_alpha_takes_upper_bound(self):
         link = PairLink(gamma_s=GS, gamma_w=GW, beta=0.0)
@@ -137,6 +136,15 @@ class TestSolveSuboptimal:
         for alpha in [0.5, 3.0]:
             d = solve_suboptimal(link, FairnessConfig(alpha=alpha, tau=0.5))
             assert d.allocation.delta_s == delta_upper_bound(GW)
+
+    def test_ratio_threshold_switches_at_tau(self):
+        # beta/beta_star just below tau = 0.5 keeps delta_lb at alpha > 1;
+        # just above it moves the split to delta_ub.
+        cfg = FairnessConfig(alpha=3.0, tau=0.5)
+        below = solve_suboptimal(PairLink(gamma_s=GS, gamma_w=GW, beta=0.49 * BETA_STAR), cfg)
+        above = solve_suboptimal(PairLink(gamma_s=GS, gamma_w=GW, beta=0.51 * BETA_STAR), cfg)
+        assert below.allocation.delta_s == below.diagnostics.bounds.delta_lb
+        assert above.allocation.delta_s == above.diagnostics.bounds.delta_ub
 
     def test_alpha_one_counts_as_low(self):
         link = PairLink(gamma_s=GS, gamma_w=GW, beta=0.0)
@@ -168,29 +176,23 @@ class TestSolveSuboptimal:
 class TestAllocateFixedBound:
     def test_upper(self):
         link = PairLink(gamma_s=GS, gamma_w=GW, beta=0.02)
-        d = allocate_fixed_bound(link, AllocationSource.UPPER_BOUND)
+        d = allocate_fixed_bound(link, Strategy.UPPER_BOUND)
         assert d.allocation.delta_s == delta_upper_bound(GW)
-        assert d.allocation.source is AllocationSource.UPPER_BOUND
+        assert d.allocation.source is Strategy.UPPER_BOUND
         assert d.objective is None
 
     def test_lower(self):
         link = PairLink(gamma_s=GS, gamma_w=GW, beta=0.02)
-        d = allocate_fixed_bound(link, AllocationSource.LOWER_BOUND)
+        d = allocate_fixed_bound(link, Strategy.LOWER_BOUND)
         assert d.allocation.delta_s == delta_lower_bound(GS, 0.02)
 
     def test_gate(self):
         link = PairLink(gamma_s=3.0, gamma_w=3.0, beta=0.0)
-        d = allocate_fixed_bound(link, AllocationSource.UPPER_BOUND)
+        d = allocate_fixed_bound(link, Strategy.UPPER_BOUND)
         assert d.mode is DecisionMode.OMA_FALLBACK
 
     def test_rejects_non_bound_source(self):
         link = PairLink(gamma_s=GS, gamma_w=GW, beta=0.0)
         with pytest.raises(ValueError):
-            allocate_fixed_bound(link, AllocationSource.OPTIMAL)
+            allocate_fixed_bound(link, Strategy.OPTIMAL)
 
-
-def test_decision_consistency_enforced():
-    link = PairLink(gamma_s=GS, gamma_w=GW, beta=0.0)
-    diag = solve_optimal(link, FairnessConfig(alpha=1.0)).diagnostics
-    with pytest.raises(ValueError):
-        AllocationDecision(DecisionMode.NOMA_PAIRED, None, None, diag)

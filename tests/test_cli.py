@@ -1,11 +1,14 @@
+import inspect
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from noma_fair.cli import SETTINGS, main, parse_config_file
-from noma_fair.netsim import NetworkConfig, drop_network
-from noma_fair.report import format_value, parse_campaign_csv
+from noma_fair.cli import SETTINGS, build_parser, main, parse_config_file
+from noma_fair.fairness import FairnessConfig
+from noma_fair.netsim import NetworkConfig, drop_network, run_campaign
+from noma_fair.report import emit_delta_sweep, format_value, parse_campaign_csv
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -294,6 +297,19 @@ class TestSettingsTable:
                 assert plain(parser(text)) == plain(default), key
         assert len(SETTINGS["strategies"][1]) == 6
         assert SETTINGS["threads"][1] is None
+
+    def test_pair_and_sweep_defaults_are_the_fairness_defaults(self):
+        want = {f.name: f.default for f in fields(FairnessConfig) if f.name != "alpha"}
+        parser = build_parser()
+        pair = parser.parse_args(
+            ["pair", "--gamma-s-db", "9", "--gamma-w-db", "2", "--beta", "0", "--alpha", "1"]
+        )
+        sweep = parser.parse_args(["sweep", "--axis", "alpha", "--values", "1", "--out", "s"])
+        for args in (pair, sweep):
+            assert {key: getattr(args, key) for key in want} == want
+        for fn in (run_campaign, emit_delta_sweep):
+            params = inspect.signature(fn).parameters
+            assert {key: params[key].default for key in want} == want, fn.__name__
 
 
 class TestConfigFile:

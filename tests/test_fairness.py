@@ -88,6 +88,18 @@ class TestAlphaThroughput:
             assert abs(alpha_throughput(r_s, r_w, 1.0 - 1e-6) - gm) < 1e-4
             assert abs(alpha_throughput(r_s, r_w, 1.0 + 1e-6) - gm) < 1e-4
 
+    @pytest.mark.parametrize("gap", [1e-2, 1e-6, 1e-10, 1e-15])
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_accurate_next_to_alpha_one(self, gap, side):
+        # The log-sum-exp form divides its rounding error by 1 - alpha; at
+        # alpha = 1 - 1e-15 it was 8% off and left [min, max] for equal rates.
+        alpha = 1.0 + side * gap
+        for r_s, r_w in [(0.5, 0.7), (2.37, 2.37), (9.5, 1e-4)]:
+            with mpmath.workdps(60):
+                p = 1 - mpmath.mpf(alpha)
+                mean = ((mpmath.mpf(r_s) ** p + mpmath.mpf(r_w) ** p) / 2) ** (1 / p)
+            assert alpha_throughput(r_s, r_w, alpha) == pytest.approx(float(mean), rel=1e-13)
+
     def test_large_alpha_stays_finite(self):
         assert math.isfinite(alpha_throughput(9.5, 1e-4, 35.0))
 

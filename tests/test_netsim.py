@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from noma_fair import netsim
 from noma_fair.fairness import FairnessConfig
 from noma_fair.netsim import (
     NetworkConfig,
@@ -17,7 +18,6 @@ from noma_fair.netsim import (
     received_power_mw,
     run_campaign,
     run_trial,
-    sinr_matrix,
 )
 from noma_fair.rates import oma_rate
 
@@ -82,12 +82,21 @@ class TestComputeSinrs:
             assert u.serving_bs_id == 0
             assert u.gamma == pytest.approx(tx_mw * u.channel_gain / noise_mw, rel=1e-12)
 
-    def test_association_tie_breaks_to_lower_station_id(self):
+    def test_association_tie_breaks_to_lower_station_id(self, monkeypatch):
         prx = np.array([[2.0, 2.0], [1.0, 3.0]])
-        sinr = sinr_matrix(prx, noise_mw=0.5)
-        assert sinr[0, 0] == sinr[0, 1]
-        assert int(np.argmax(sinr[0])) == 0
-        assert int(np.argmax(sinr[1])) == 1
+        monkeypatch.setattr(netsim, "received_power_mw", lambda network, cfg: prx)
+        cfg = NetworkConfig(trials=1, seed=5, noise_power_dbm=10 * math.log10(0.5))
+        net = NetworkRealization(
+            bs_xy=np.array([[0.2, 0.2], [0.7, 0.7]]),
+            user_xy=np.array([[0.4, 0.4], [0.6, 0.6]]),
+            side_km=1.0,
+            seed=5,
+            trial_index=0,
+        )
+        users = compute_sinrs(net, cfg)
+        assert [u.serving_bs_id for u in users] == [0, 1]
+        assert users[0].gamma == pytest.approx(2.0 / (0.5 + 2.0), rel=1e-12)
+        assert users[1].gamma == pytest.approx(3.0 / (0.5 + 1.0), rel=1e-12)
 
     def test_independent_recomputation_of_sinrs(self):
         # Straight-line recomputation from the (reproducible) power matrix.

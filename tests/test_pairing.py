@@ -4,11 +4,11 @@ from noma_fair.allocator import DecisionMode, solve_optimal, solve_suboptimal
 from noma_fair.bounds import beta_star, delta_upper_bound, msd_threshold
 from noma_fair.fairness import FairnessConfig
 from noma_fair.pairing import UserChannel, candidate_pairs, near_far_decision
-from noma_fair.rates import AllocationSource, PairLink
+from noma_fair.rates import PairLink, Strategy
 
 from _oracles import grid_feasible
 
-SOLVERS = {AllocationSource.OPTIMAL: solve_optimal, AllocationSource.SUBOPTIMAL: solve_suboptimal}
+SOLVERS = {Strategy.OPTIMAL: solve_optimal, Strategy.SUBOPTIMAL: solve_suboptimal}
 
 
 def user(uid, gamma, gain=None):
@@ -78,7 +78,7 @@ class TestNearFar:
         assert (strong.user_id, weak.user_id) == (1, 2)
         assert not decision.diagnostics.criterion.satisfied
         assert decision.mode is DecisionMode.NOMA_PAIRED
-        assert decision.allocation.source is AllocationSource.NEAR_FAR
+        assert decision.allocation.source is Strategy.NEAR_FAR
         assert decision.allocation.delta_s == decision.diagnostics.bounds.delta_ub
         assert decision.allocation.delta_s == delta_upper_bound(9.5)
 

@@ -1,0 +1,74 @@
+"""Property tests of the decision table over the paper's link domain.
+
+gamma_w in [0.1, 100], gamma_s / gamma_w in [1, 1000], beta in [0, 1] and
+alpha in [0, 25].  Hypothesis runs derandomized, so every run draws the
+same cases.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from noma_fair.allocator import DECISIONS, DecisionMode
+from noma_fair.bounds import allocation_bounds, pairing_criterion
+from noma_fair.fairness import FairnessConfig, alpha_throughput
+from noma_fair.rates import PairLink, Strategy, noma_rates, oma_rate
+
+GATED = (Strategy.OPTIMAL, Strategy.SUBOPTIMAL, Strategy.UPPER_BOUND, Strategy.LOWER_BOUND)
+
+links = st.builds(
+    lambda gw, ratio, beta: PairLink(gamma_s=gw * ratio, gamma_w=gw, beta=beta),
+    st.floats(0.1, 100.0),
+    st.floats(1.0, 1000.0),
+    st.floats(0.0, 1.0),
+)
+alphas = st.floats(0.0, 25.0)
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+
+
+def test_one_decision_per_strategy():
+    assert len(DECISIONS) == len(Strategy)
+    assert set(DECISIONS) == set(Strategy)
+
+
+@PROPERTY
+@given(links, alphas)
+def test_every_decision_keeps_its_promises(link, alpha):
+    cfg = FairnessConfig(alpha=alpha)
+    crit = pairing_criterion(link.gamma_s, link.gamma_w)
+    bounds = allocation_bounds(link)
+    oma = (oma_rate(link.gamma_s), oma_rate(link.gamma_w))
+    for strategy, decide in DECISIONS.items():
+        decision = decide(link, cfg)
+        if strategy is Strategy.OMA:
+            assert decision is None
+            continue
+        paired = decision.allocation is not None
+        assert decision.mode is (DecisionMode.NOMA_PAIRED if paired else DecisionMode.OMA_FALLBACK)
+        if strategy is Strategy.NEAR_FAR:
+            assert paired and decision.allocation.delta_s == bounds.delta_ub
+        else:
+            assert strategy in GATED
+            assert paired == (crit.satisfied and link.beta < crit.beta_star), strategy
+        if not paired:
+            continue
+        assert decision.allocation.source is strategy
+        if strategy in GATED:
+            assert bounds.delta_lb <= decision.allocation.delta_s <= bounds.delta_ub, strategy
+            r_s, r_w = noma_rates(link, decision.allocation)
+            assert r_s >= oma[0] - 1e-12 and r_w >= oma[1] - 1e-12, strategy
+
+
+@PROPERTY
+@given(links, alphas, st.floats(0.0, 25.0))
+def test_alpha_throughput_is_a_mean_that_falls_with_alpha(link, alpha, step):
+    cfg = FairnessConfig(alpha=alpha)
+    for strategy, decide in DECISIONS.items():
+        decision = decide(link, cfg)
+        if decision is None or decision.allocation is None:
+            r_s, r_w = oma_rate(link.gamma_s), oma_rate(link.gamma_w)
+        else:
+            r_s, r_w = noma_rates(link, decision.allocation)
+        lo, hi = min(r_s, r_w), max(r_s, r_w)
+        t = alpha_throughput(r_s, r_w, alpha)
+        assert lo * (1 - 1e-12) <= t <= hi * (1 + 1e-12), strategy
+        assert alpha_throughput(r_s, r_w, alpha + step) <= t * (1 + 1e-12), strategy

@@ -6,9 +6,9 @@ import pytest
 
 from noma_fair.bounds import beta_star, delta_lower_bound, delta_upper_bound
 from noma_fair.rates import (
-    AllocationSource,
     PairLink,
     PowerAllocation,
+    Strategy,
     db_to_linear,
     noma_rates,
     noma_sinrs,
@@ -19,7 +19,7 @@ from _oracles import sample_ordered_pairs
 
 
 def alloc(delta_s):
-    return PowerAllocation.split(delta_s, AllocationSource.OPTIMAL)
+    return PowerAllocation(delta_s, Strategy.OPTIMAL)
 
 
 class TestOmaRate:
@@ -105,13 +105,11 @@ class TestValidation:
     @pytest.mark.parametrize("delta", [0.0, 1.0, -0.2, 1.5])
     def test_power_allocation_range(self, delta):
         with pytest.raises(ValueError):
-            PowerAllocation.split(delta, AllocationSource.OPTIMAL)
+            PowerAllocation(delta, Strategy.OPTIMAL)
 
     def test_power_split_sums_to_one(self):
-        a = PowerAllocation.split(0.3, AllocationSource.NEAR_FAR)
+        a = PowerAllocation(0.3, Strategy.NEAR_FAR)
         assert a.delta_w == 1.0 - 0.3
-        with pytest.raises(ValueError):
-            PowerAllocation(delta_s=0.3, delta_w=0.6, source=AllocationSource.NEAR_FAR)
 
 
 class TestProperties:
