@@ -1,8 +1,9 @@
 """Power-split decisions for a candidate NOMA pair, and the one table of them.
 
 Three decisions share one admission gate: the pairing criterion must hold
-and the SIC imperfection must stay below ``beta_star``, or the pair is
-served OMA.
+and the split interval [delta_lb, delta_ub] must be nonempty
+(``delta_lb < delta_ub``, which is ``beta < beta_star`` away from rounding),
+or the pair is served OMA.  An admitted split always lies in that interval.
 
 * :func:`solve_optimal` maximizes the summed alpha-fair utility of the two
   NOMA rates over the feasible interval [delta_lb, delta_ub].
@@ -106,7 +107,7 @@ def _diagnostics(link: PairLink) -> DecisionDiagnostics:
 def _gated(link: PairLink, strategy: Strategy, pick: Callable) -> AllocationDecision:
     """The shared admission gate; ``pick(diag)`` gives an admitted pair's (delta_s, objective)."""
     diag = _diagnostics(link)
-    if not (diag.criterion.satisfied and link.beta < diag.criterion.beta_star):
+    if not (diag.criterion.satisfied and diag.bounds.delta_lb < diag.bounds.delta_ub):
         return AllocationDecision(None, None, diag)
     delta, objective = pick(diag)
     return AllocationDecision(PowerAllocation(delta, strategy), objective, diag)
@@ -180,19 +181,13 @@ def _maximize_on_interval(fn: Callable, lo: float, hi: float, tol: float) -> tup
 def solve_optimal(link: PairLink, cfg: FairnessConfig) -> AllocationDecision:
     """Maximize the pair's summed alpha-fair utility over the feasible splits.
 
-    Returns an OMA fallback when the pairing criterion fails or the link's
-    imperfection reaches beta_star.  Otherwise the returned split lies in
+    Returns an OMA fallback when the pairing criterion fails or the split
+    interval is empty.  Otherwise the returned split lies in
     [delta_lb, delta_ub], located to within ``cfg.solver_tol``, which keeps
     both NOMA rates at or above their OMA counterparts by construction.
     """
 
     def pick(diag: DecisionDiagnostics) -> tuple[float, float]:
-        if not diag.bounds.feasible:
-            # The admission gate guarantees a nonempty interval; reaching this
-            # branch indicates a numerical fault, not a rejectable pair.
-            raise RuntimeError(
-                f"inconsistent state: pairing admitted but interval empty for {link!r}"
-            )
         fn = _objective_fn(link, cfg.alpha)
         return _maximize_on_interval(
             fn, diag.bounds.delta_lb, diag.bounds.delta_ub, cfg.solver_tol

@@ -10,6 +10,11 @@ Three closed forms govern whether and how a pair can be served:
   criterion and the largest imperfection for which the feasible interval
   ``(delta_lb, delta_ub)`` is nonempty.
 
+A pair is admitted when the criterion holds and ``delta_lb < delta_ub``.
+Since delta_lb rises strictly in beta and meets delta_ub at beta_star, the
+second test is ``beta < beta_star`` away from rounding; testing the interval
+itself keeps every admitted split inside the interval the solvers search.
+
 Each bound is the exact root of the corresponding rate equality, so a pair
 allocated exactly at a bound earns rate equality rather than a violation;
 endpoint splits are therefore admissible.
@@ -21,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rates import PairLink
+from .rates import PairLink, _require_positive_finite
 
 __all__ = [
-    "FEASIBILITY_TOL",
     "AllocationBounds",
     "PairingCriterion",
     "delta_upper_bound",
@@ -35,38 +39,26 @@ __all__ = [
     "allocation_bounds",
 ]
 
-# Interval widths below this are treated as empty to absorb floating-point
-# noise when beta sits essentially at beta_star.
-FEASIBILITY_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class AllocationBounds:
-    """Feasible interval for the strong user's power fraction."""
+    """Split interval for the strong user's power; empty unless delta_lb < delta_ub."""
 
     delta_lb: float
     delta_ub: float
-    feasible: bool
 
 
 @dataclass(frozen=True)
 class PairingCriterion:
     """Pairing admissibility summary for a (gamma_s, gamma_w) pair.
 
-    ``satisfied`` reflects only the SINR-difference test; callers must gate
-    on ``beta < beta_star`` separately.  ``beta_star`` may be negative when
-    no imperfection level admits the pair; it is reported as-is.
+    ``satisfied`` is the SINR-difference test alone; admission also needs a
+    nonempty split interval (see the module docstring).  ``beta_star`` may be
+    negative when no imperfection level admits the pair; it is reported as-is.
     """
 
     msd_threshold: float
     beta_star: float
     satisfied: bool
-
-
-def _check_sinr(name, value) -> None:
-    arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def delta_upper_bound(gamma_w):
@@ -75,7 +67,7 @@ def delta_upper_bound(gamma_w):
     Equals (sqrt(1+g) - 1)/g, evaluated as 1/(1 + sqrt(1+g)) which is the
     same quantity without cancellation for small g.  Always in (0, 1/2].
     """
-    _check_sinr("gamma_w", gamma_w)
+    _require_positive_finite("gamma_w", gamma_w)
     out = 1.0 / (1.0 + np.sqrt(1.0 + np.asarray(gamma_w, dtype=float)))
     return float(out) if out.ndim == 0 else out
 
@@ -87,7 +79,7 @@ def delta_lower_bound(gamma_s, beta):
     evaluated with (sqrt(1+g)-1)/g rewritten as 1/(1+sqrt(1+g)) for
     stability.  Strictly increasing in beta.
     """
-    _check_sinr("gamma_s", gamma_s)
+    _require_positive_finite("gamma_s", gamma_s)
     b = np.asarray(beta, dtype=float)
     if np.any(b < 0) or np.any(b > 1):
         raise ValueError(f"beta must lie in [0, 1], got {beta!r}")
@@ -108,8 +100,8 @@ def msd_threshold(gamma_s, gamma_w):
     with (sqrt(1+gw) - 1) expanded to gw/(sqrt(1+gw)+1) for stability at
     small gamma_w.
     """
-    _check_sinr("gamma_s", gamma_s)
-    _check_sinr("gamma_w", gamma_w)
+    _require_positive_finite("gamma_s", gamma_s)
+    _require_positive_finite("gamma_w", gamma_w)
     gs = np.asarray(gamma_s, dtype=float)
     gw = np.asarray(gamma_w, dtype=float)
     a = np.sqrt(1.0 + gs)
@@ -131,8 +123,8 @@ def beta_star(gamma_s, gamma_w):
     near-equal SINRs.  Negative for gamma_s < gamma_w (pair infeasible for
     any imperfection); zero for equal SINRs.
     """
-    _check_sinr("gamma_s", gamma_s)
-    _check_sinr("gamma_w", gamma_w)
+    _require_positive_finite("gamma_s", gamma_s)
+    _require_positive_finite("gamma_w", gamma_w)
     gs = np.asarray(gamma_s, dtype=float)
     gw = np.asarray(gamma_w, dtype=float)
     a = np.sqrt(1.0 + gs)
@@ -155,11 +147,8 @@ def pairing_criterion(gamma_s: float, gamma_w: float) -> PairingCriterion:
 
 
 def allocation_bounds(link: PairLink) -> AllocationBounds:
-    """Combine both bounds at the link's imperfection level.
-
-    The interval is flagged infeasible when its width falls below
-    :data:`FEASIBILITY_TOL`.
-    """
-    lb = delta_lower_bound(link.gamma_s, link.beta)
-    ub = delta_upper_bound(link.gamma_w)
-    return AllocationBounds(delta_lb=lb, delta_ub=ub, feasible=bool(ub - lb >= FEASIBILITY_TOL))
+    """Both bounds at the link's imperfection level."""
+    return AllocationBounds(
+        delta_lb=delta_lower_bound(link.gamma_s, link.beta),
+        delta_ub=delta_upper_bound(link.gamma_w),
+    )

@@ -33,40 +33,26 @@ from .report import (
 
 __all__ = ["main", "build_parser", "parse_config_file", "ConfigError", "SETTINGS"]
 
-THREADS_ENV_VAR = "NOMA_FAIR_THREADS"
-
 
 class ConfigError(ValueError):
     """Malformed or unknown content in a config file."""
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+def _comma_list(item):
+    """Parser of a comma list; ``item`` parses each nonblank entry."""
+    return lambda text: [item(part.strip()) for part in text.split(",") if part.strip()]
 
 
-def _beta_list(text: str) -> list:
-    """Comma list of betas; entries may be the beta_star token."""
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        out.append(part if part == BETA_STAR_TOKEN else float(part))
-    return out
+def _strategy(text: str) -> Strategy:
+    try:
+        return Strategy(text)
+    except ValueError:
+        valid = ", ".join(s.value for s in Strategy)
+        raise ValueError(f"unknown strategy {text!r}; valid: {valid}") from None
 
 
-def _strategy_list(text: str) -> list[Strategy]:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            out.append(Strategy(part))
-        except ValueError:
-            valid = ", ".join(s.value for s in Strategy)
-            raise ValueError(f"unknown strategy {part!r}; valid: {valid}") from None
-    return out
+_float_list = _comma_list(float)
+_beta_list = _comma_list(lambda text: text if text == BETA_STAR_TOKEN else float(text))
 
 
 # Config key -> dataclass field, for the settings a campaign is built from.
@@ -88,8 +74,8 @@ SETTINGS = {
     },
     "alphas": (_float_list, (1.0,)),
     "betas": (_float_list, (0.01, 0.06)),
-    "strategies": (_strategy_list, tuple(Strategy)),
-    "threads": (int, None),  # None: NOMA_FAIR_THREADS or machine parallelism
+    "strategies": (_comma_list(_strategy), tuple(Strategy)),
+    "threads": (int, None),  # None: machine parallelism
 }
 
 # Settings that `simulate` also takes as flags, with their help texts.
@@ -99,7 +85,7 @@ _SIMULATE_FLAGS = {
     "strategies": "comma list of strategies",
     "alphas": "comma list of alpha sweep values",
     "betas": "comma list of beta sweep values",
-    "threads": f"default: {THREADS_ENV_VAR} or machine parallelism",
+    "threads": "default: machine parallelism",
 }
 
 
@@ -142,15 +128,7 @@ def parse_config_file(path) -> dict:
 
 
 def _resolve_threads(flag_value: Optional[int]) -> int:
-    if flag_value is not None:
-        return max(1, flag_value)
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValueError(f"bad {THREADS_ENV_VAR} value {env!r}") from exc
-    return os.cpu_count() or 1
+    return (os.cpu_count() or 1) if flag_value is None else max(1, flag_value)
 
 
 def _format_config_value(value) -> str:
@@ -285,10 +263,7 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.axis == "beta":
-        axis_values = _beta_list(args.values)
-    else:
-        axis_values = _float_list(args.values)
+    axis_values = (_beta_list if args.axis == "beta" else _float_list)(args.values)
     if not axis_values:
         raise ValueError("--values produced an empty sweep")
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rates import _require_positive_finite
+
 __all__ = ["FairnessConfig", "utility", "alpha_throughput"]
 
 
@@ -39,8 +41,7 @@ class FairnessConfig:
             raise ValueError(f"alpha must be >= 0, got {self.alpha!r}")
         if not (0.0 < self.tau < 1.0):
             raise ValueError(f"tau must lie in (0, 1), got {self.tau!r}")
-        if not (math.isfinite(self.solver_tol) and self.solver_tol > 0):
-            raise ValueError(f"solver_tol must be positive, got {self.solver_tol!r}")
+        _require_positive_finite("solver_tol", self.solver_tol)
 
 
 def utility(x, alpha: float):
@@ -54,9 +55,8 @@ def utility(x, alpha: float):
     """
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha!r}")
+    _require_positive_finite("x", x)
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-        raise ValueError(f"utility requires positive finite rates, got {x!r}")
     if alpha == 0:
         out = arr
     elif alpha == 1:
@@ -77,11 +77,10 @@ def alpha_throughput(r_s, r_w, alpha: float):
     """
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha!r}")
+    _require_positive_finite("r_s", r_s)
+    _require_positive_finite("r_w", r_w)
     rs = np.asarray(r_s, dtype=float)
     rw = np.asarray(r_w, dtype=float)
-    for name, arr in (("r_s", rs), ("r_w", rw)):
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-            raise ValueError(f"{name} must be positive and finite, got {arr!r}")
     if alpha == 1:
         out = np.sqrt(rs * rw)
     elif abs(1.0 - alpha) < 1e-2:

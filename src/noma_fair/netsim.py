@@ -32,7 +32,7 @@ import numpy as np
 from .allocator import DECISIONS
 from .fairness import FairnessConfig, alpha_throughput
 from .pairing import UserChannel, candidate_pairs
-from .rates import PairLink, Strategy, noma_rates, oma_rate
+from .rates import PairLink, Strategy, _require_positive_finite, noma_rates, oma_rate
 from .report import ResultRow
 
 __all__ = [
@@ -60,10 +60,10 @@ def _check_fields(obj, prefix: str, positive: Sequence[str]) -> None:
     """
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
+        if f.name in positive:
+            _require_positive_finite(prefix + f.name, value)
+        elif isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{prefix}{f.name} must be finite, got {value!r}")
-        if f.name in positive and not value > 0:
-            raise ValueError(f"{prefix}{f.name} must be positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -320,20 +320,22 @@ _METRIC_FIELDS = (
 )
 
 
-def _trial_chunk(args) -> list[tuple[int, dict]]:
-    """Worker: evaluate all sweep points for a chunk of trial indices."""
-    cfg, sweep, strategies, tau, solver_tol, indices = args
+def _trial_chunk(args) -> list[list[TrialMetrics]]:
+    """Worker: each trial's metrics at every sweep point, for a chunk of trials.
+
+    A failure is re-raised naming its trial index and sweep point.
+    """
+    cfg, points, strategies, indices = args
     out = []
     for t in indices:
-        network = drop_network(cfg, t)
-        users = compute_sinrs(network, cfg)
-        point_metrics = {}
-        for alpha, beta in sweep:
-            fairness = FairnessConfig(alpha=alpha, tau=tau, solver_tol=solver_tol)
-            point_metrics[(alpha, beta)] = evaluate_strategies(
-                users, strategies, fairness, beta
-            )
-        out.append((t, point_metrics))
+        users = compute_sinrs(drop_network(cfg, t), cfg)
+        metrics = []
+        for fairness, beta in points:
+            try:
+                metrics.append(evaluate_strategies(users, strategies, fairness, beta))
+            except Exception as exc:
+                raise RuntimeError(f"trial {t}, alpha={fairness.alpha}, beta={beta}: {exc}") from exc
+        out.append(metrics)
     return out
 
 
@@ -348,38 +350,35 @@ def run_campaign(
     """Average per-trial metrics over cfg.trials for every (alpha, beta) point.
 
     The channel realization of trial t is shared by all sweep points, and
-    aggregation runs in trial order, so the result is bit-identical for any
-    ``threads`` setting.
+    aggregation runs in trial order (chunks are contiguous and come back in
+    order), so the result is bit-identical for any ``threads`` setting.
     """
     if not sweep or not strategies:
         raise ValueError("sweep and strategies must be non-empty")
+    if not all(0.0 <= beta <= 1.0 for _, beta in sweep):
+        raise ValueError(f"betas must lie in [0, 1], got {sorted({b for _, b in sweep})}")
     strategies = list(strategies)
-    indices = list(range(cfg.trials))
-    workers = max(1, min(int(threads), len(indices)))
+    points = [(FairnessConfig(alpha=a, tau=tau, solver_tol=solver_tol), b) for a, b in sweep]
+    workers = max(1, min(int(threads), cfg.trials))
+    jobs = [
+        (cfg, points, strategies, [int(t) for t in part])
+        for part in np.array_split(np.arange(cfg.trials), workers)
+    ]
     if workers == 1:
-        chunks = [_trial_chunk((cfg, sweep, strategies, tau, solver_tol, indices))]
+        done = [_trial_chunk(jobs[0])]
     else:
-        splits = [
-            [int(t) for t in part] for part in np.array_split(indices, workers) if len(part)
-        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(
-                pool.map(
-                    _trial_chunk,
-                    [(cfg, sweep, strategies, tau, solver_tol, part) for part in splits],
-                )
-            )
-    by_trial = dict(item for chunk in chunks for item in chunk)
-    ordered = [by_trial[t] for t in indices]
+            done = list(pool.map(_trial_chunk, jobs))
+    ordered = [trial for chunk in done for trial in chunk]
 
     rows = []
-    for alpha, beta in sweep:
+    for i, (alpha, beta) in enumerate(sweep):
         for strat in strategies:
             for metric, attr in _METRIC_FIELDS:
                 values = [
-                    getattr(m[(alpha, beta)].per_strategy[strat], attr)
-                    for m in ordered
-                    if getattr(m[(alpha, beta)].per_strategy[strat], attr) is not None
+                    getattr(trial[i].per_strategy[strat], attr)
+                    for trial in ordered
+                    if getattr(trial[i].per_strategy[strat], attr) is not None
                 ]
                 if not values:
                     continue

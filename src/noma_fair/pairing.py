@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .allocator import near_far_decision
+from .rates import _require_positive_finite
 
 __all__ = ["UserChannel", "candidate_pairs", "near_far_decision"]
 
@@ -30,12 +31,8 @@ class UserChannel:
     channel_gain: float
 
     def __post_init__(self) -> None:
-        if not self.gamma > 0:
-            raise ValueError(f"user {self.user_id}: SINR must be positive, got {self.gamma!r}")
-        if not self.channel_gain > 0:
-            raise ValueError(
-                f"user {self.user_id}: channel gain must be positive, got {self.channel_gain!r}"
-            )
+        _require_positive_finite(f"user {self.user_id}: gamma", self.gamma)
+        _require_positive_finite(f"user {self.user_id}: channel_gain", self.channel_gain)
 
 
 def candidate_pairs(

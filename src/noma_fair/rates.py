@@ -59,8 +59,15 @@ class Strategy(str, enum.Enum):
 AllocationSource = Strategy  # the name perfbench/trace.py imports
 
 
-def _require_positive_finite(name: str, value: float) -> None:
-    if not math.isfinite(value) or value <= 0:
+def _require_positive_finite(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless the scalar or every array entry
+    is positive and finite.  Plain floats skip numpy's per-call cost."""
+    if isinstance(value, float):
+        ok = math.isfinite(value) and value > 0
+    else:
+        arr = np.asarray(value, dtype=float)
+        ok = bool(np.all(np.isfinite(arr)) and np.all(arr > 0))
+    if not ok:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
@@ -111,11 +118,9 @@ def oma_rate(gamma):
     Accepts a scalar or ndarray of linear SINRs.  The 1/2 accounts for the
     multiplexing loss of serving each user on half the subchannel.
     """
-    arr = np.asarray(gamma, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-        raise ValueError(f"SINR must be positive and finite, got {gamma!r}")
-    out = 0.5 * np.log2(1.0 + arr)
-    return float(out) if np.isscalar(gamma) or arr.ndim == 0 else out
+    _require_positive_finite("gamma", gamma)
+    out = 0.5 * np.log2(1.0 + np.asarray(gamma, dtype=float))
+    return float(out) if out.ndim == 0 else out
 
 
 def noma_sinr_strong(gamma_s, beta, delta_s):

@@ -187,26 +187,24 @@ def emit_campaign_csv(rows: Sequence[ResultRow], path) -> Path:
     return path
 
 
+def _parse_cell(key: str, text: str):
+    """A CSV cell's value: str, int for trials, float, or None if empty."""
+    if key in ("strategy", "metric"):
+        return text
+    if key == "trials":
+        return int(text)
+    return float(text) if text else None
+
+
 def emit_campaign_json(rows: Sequence[ResultRow], path) -> Path:
-    """JSON mirror of the CSV: same rows, same order, same 9-digit precision."""
+    """JSON mirror of the CSV: each object is a CSV row's cells, parsed back."""
     if not rows:
         raise ValueError("no rows to emit")
     path = Path(path)
-    payload = []
-    for row in sort_rows(rows):
-        payload.append(
-            {
-                "alpha": float(format_value(row.alpha)),
-                "beta": float(format_value(row.beta)),
-                "gamma_s_db": float(format_value(row.gamma_s_db)) if row.gamma_s_db is not None else None,
-                "gamma_w_db": float(format_value(row.gamma_w_db)) if row.gamma_w_db is not None else None,
-                "strategy": row.strategy,
-                "metric": row.metric,
-                "value": float(format_value(row.value)),
-                "trials": int(row.trials),
-                "stderr": float(format_value(row.stderr)),
-            }
-        )
+    payload = [
+        {key: _parse_cell(key, text) for key, text in zip(CSV_HEADER, _row_strings(row))}
+        for row in sort_rows(rows)
+    ]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -220,19 +218,7 @@ def parse_campaign_csv(path) -> list[ResultRow]:
         header = tuple(next(reader))
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header {header!r} in {path}")
-        rows = []
-        for rec in reader:
-            rows.append(
-                ResultRow(
-                    alpha=float(rec[0]),
-                    beta=float(rec[1]),
-                    gamma_s_db=float(rec[2]) if rec[2] else None,
-                    gamma_w_db=float(rec[3]) if rec[3] else None,
-                    strategy=rec[4],
-                    metric=rec[5],
-                    value=float(rec[6]),
-                    trials=int(rec[7]),
-                    stderr=float(rec[8]),
-                )
-            )
-    return rows
+        return [
+            ResultRow(**{key: _parse_cell(key, text) for key, text in zip(CSV_HEADER, rec)})
+            for rec in reader
+        ]

@@ -79,7 +79,7 @@ class TestSolveOptimal:
         d = solve_optimal(link, FairnessConfig(alpha=1.0))
         assert d.diagnostics.criterion.satisfied
         assert d.diagnostics.criterion.beta_star == BETA_STAR
-        assert d.diagnostics.bounds.feasible
+        assert d.diagnostics.bounds.delta_lb < d.diagnostics.bounds.delta_ub
 
     def test_matches_dense_grid_oracle(self):
         rng = np.random.default_rng(31)

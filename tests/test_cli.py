@@ -5,9 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from noma_fair import allocator
+from noma_fair.bounds import beta_star
 from noma_fair.cli import SETTINGS, build_parser, main, parse_config_file
 from noma_fair.fairness import FairnessConfig
-from noma_fair.netsim import NetworkConfig, drop_network, run_campaign
+from noma_fair.netsim import NetworkConfig, compute_sinrs, drop_network, run_campaign
+from noma_fair.rates import Strategy, db_to_linear
 from noma_fair.report import emit_delta_sweep, format_value, parse_campaign_csv
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -62,6 +65,24 @@ class TestPairCommand:
             run(["pair", "--gamma-s-db", "9"])
         assert exc.value.code == 2
         assert "usage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver", ["optimal", "suboptimal"])
+    @pytest.mark.parametrize("margin", [1e-12, 1e-13, 1e-15, 1e-16])
+    def test_beta_just_below_beta_star(self, tmp_path, solver, margin):
+        # The gate and the solvers read the same interval, so a link next to
+        # beta_star is either paired inside it or served OMA, never an error.
+        beta = beta_star(db_to_linear(9.0), db_to_linear(2.0)) * (1 - margin)
+        out = tmp_path / "pair.json"
+        code = run(
+            ["pair", "--gamma-s-db", "9", "--gamma-w-db", "2", "--beta", repr(beta),
+             "--alpha", "3", "--solver", solver, "--json", str(out)]
+        )
+        assert code == 0
+        report = json.loads(out.read_text())
+        paired = report["delta_lb"] < report["delta_ub"]
+        assert report["mode"] == ("noma_paired" if paired else "oma_fallback")
+        if paired:
+            assert report["delta_lb"] <= report["delta_s"] <= report["delta_ub"]
 
     def test_invalid_beta_exits_2(self, capsys):
         code = run(
@@ -219,6 +240,7 @@ class TestSimulateCommand:
             ("pathloss_min_distance_km", "-1"),
             ("pathloss_min_distance_km", "0"),
             ("fading_scale", "nan"),
+            ("betas", "0.1,1.5"),
         ],
     )
     def test_bad_value_names_its_key(self, tmp_path, capsys, key, value):
@@ -238,6 +260,28 @@ class TestSimulateCommand:
         code = run(["simulate", "--config", str(cfg), "--threads", "1", "--out-dir", str(tmp_path / "o")])
         assert code == 2
         assert "all 5 trials dropped zero users" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_trial_failure_names_trial_and_point(self, tmp_path, capsys, monkeypatch, threads):
+        # Trial 3 runs in the second worker at --threads 2.
+        net = NetworkConfig(seed=5)
+        bad = {u.gamma for u in compute_sinrs(drop_network(net, 3), net)}
+        decide = allocator.DECISIONS[Strategy.SUBOPTIMAL]
+
+        def failing(link, fairness):
+            if link.gamma_s in bad and fairness.alpha == 2.0:
+                raise ArithmeticError("boom")
+            return decide(link, fairness)
+
+        monkeypatch.setitem(allocator.DECISIONS, Strategy.SUBOPTIMAL, failing)
+        code = run(
+            ["simulate", "--seed", "5", "--trials", "4", "--alphas", "1,2", "--betas", "0.05",
+             "--strategies", "suboptimal,oma", "--threads", threads,
+             "--out-dir", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert "runtime error: trial 3, alpha=2.0, beta=0.05: boom" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_strategy_exit_2(self, tmp_path):
         code = run(
@@ -351,11 +395,8 @@ class TestConfigFile:
         cfg.write_text("seed = 3  # master seed\n", encoding="utf-8")
         assert parse_config_file(cfg)["seed"] == 3
 
-    def test_env_var_threads_fallback(self, tmp_path, monkeypatch):
+    def test_threads_fallback(self):
         from noma_fair.cli import _resolve_threads
 
-        monkeypatch.setenv("NOMA_FAIR_THREADS", "5")
-        assert _resolve_threads(None) == 5
         assert _resolve_threads(2) == 2
-        monkeypatch.delenv("NOMA_FAIR_THREADS")
         assert _resolve_threads(None) >= 1

@@ -199,12 +199,13 @@ class TestRunCampaign:
         ratio = s40 / s160
         assert 1.4 < ratio < 2.9  # ideal: 2
 
-    def test_thread_count_does_not_change_results(self):
+    @pytest.mark.parametrize("threads", [2, 3, 7])  # 7 workers for 6 trials
+    def test_thread_count_does_not_change_results(self, threads):
         cfg = NetworkConfig(trials=6, seed=33)
         sweep = [(1.0, 0.01), (3.0, 0.05)]
         strategies = [Strategy.OPTIMAL, Strategy.NEAR_FAR, Strategy.OMA]
         seq = run_campaign(cfg, sweep, strategies, threads=1)
-        par = run_campaign(cfg, sweep, strategies, threads=3)
+        par = run_campaign(cfg, sweep, strategies, threads=threads)
         assert seq == par
 
     def test_empty_sweep_rejected(self):

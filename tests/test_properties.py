@@ -5,7 +5,7 @@ alpha in [0, 25].  Hypothesis runs derandomized, so every run draws the
 same cases.
 """
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from noma_fair.allocator import DECISIONS, DecisionMode
@@ -48,7 +48,7 @@ def test_every_decision_keeps_its_promises(link, alpha):
             assert paired and decision.allocation.delta_s == bounds.delta_ub
         else:
             assert strategy in GATED
-            assert paired == (crit.satisfied and link.beta < crit.beta_star), strategy
+            assert paired == (crit.satisfied and bounds.delta_lb < bounds.delta_ub), strategy
         if not paired:
             continue
         assert decision.allocation.source is strategy
@@ -56,6 +56,29 @@ def test_every_decision_keeps_its_promises(link, alpha):
             assert bounds.delta_lb <= decision.allocation.delta_s <= bounds.delta_ub, strategy
             r_s, r_w = noma_rates(link, decision.allocation)
             assert r_s >= oma[0] - 1e-12 and r_w >= oma[1] - 1e-12, strategy
+
+
+@PROPERTY
+@given(st.floats(0.1, 100.0), st.floats(1.0, 1000.0), st.integers(6, 17), alphas)
+def test_gate_and_splits_agree_next_to_beta_star(gw, ratio, k, alpha):
+    # beta = beta_star * (1 - 10^-k): the interval is a few ulps wide, empty
+    # or inverted by rounding, and every gated decision must read it alike.
+    crit = pairing_criterion(gw * ratio, gw)
+    assume(crit.satisfied)
+    link = PairLink(gamma_s=gw * ratio, gamma_w=gw, beta=crit.beta_star * (1 - 10.0**-k))
+    bounds = allocation_bounds(link)
+    cfg = FairnessConfig(alpha=alpha)
+    oma = (oma_rate(link.gamma_s), oma_rate(link.gamma_w))
+    paired = {}
+    for strategy in GATED:
+        decision = DECISIONS[strategy](link, cfg)
+        paired[strategy] = decision.allocation is not None
+        assert paired[strategy] == (bounds.delta_lb < bounds.delta_ub), strategy
+        if paired[strategy]:
+            assert bounds.delta_lb <= decision.allocation.delta_s <= bounds.delta_ub, strategy
+            r_s, r_w = noma_rates(link, decision.allocation)
+            assert r_s >= oma[0] - 1e-12 and r_w >= oma[1] - 1e-12, strategy
+    assert paired[Strategy.OPTIMAL] == paired[Strategy.SUBOPTIMAL]
 
 
 @PROPERTY

@@ -4,7 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from noma_fair.bounds import beta_star, delta_lower_bound, delta_upper_bound
+from noma_fair.bounds import beta_star, delta_lower_bound, delta_upper_bound, msd_threshold
+from noma_fair.fairness import FairnessConfig, alpha_throughput, utility
+from noma_fair.pairing import UserChannel
 from noma_fair.rates import (
     PairLink,
     PowerAllocation,
@@ -110,6 +112,39 @@ class TestValidation:
     def test_power_split_sums_to_one(self):
         a = PowerAllocation(0.3, Strategy.NEAR_FAR)
         assert a.delta_w == 1.0 - 0.3
+
+
+# Each entry: (argument name, call with the bad value in that argument, accepts arrays)
+POSITIVE_FINITE_ARGS = {
+    "oma_rate": ("gamma", oma_rate, True),
+    "delta_upper_bound": ("gamma_w", delta_upper_bound, True),
+    "delta_lower_bound": ("gamma_s", lambda v: delta_lower_bound(v, 0.1), True),
+    "msd_threshold.gamma_s": ("gamma_s", lambda v: msd_threshold(v, 1.0), True),
+    "msd_threshold.gamma_w": ("gamma_w", lambda v: msd_threshold(5.0, v), True),
+    "beta_star.gamma_s": ("gamma_s", lambda v: beta_star(v, 1.0), True),
+    "beta_star.gamma_w": ("gamma_w", lambda v: beta_star(5.0, v), True),
+    "utility": ("x", lambda v: utility(v, 2.0), True),
+    "alpha_throughput.r_s": ("r_s", lambda v: alpha_throughput(v, 1.0, 2.0), True),
+    "alpha_throughput.r_w": ("r_w", lambda v: alpha_throughput(1.0, v, 2.0), True),
+    "PairLink.gamma_s": ("gamma_s", lambda v: PairLink(gamma_s=v, gamma_w=1.0), False),
+    "PairLink.gamma_w": ("gamma_w", lambda v: PairLink(gamma_s=5.0, gamma_w=v), False),
+    "UserChannel.gamma": ("gamma", lambda v: UserChannel(0, 0, gamma=v, channel_gain=1.0), False),
+    "UserChannel.channel_gain": (
+        "channel_gain", lambda v: UserChannel(0, 0, gamma=1.0, channel_gain=v), False
+    ),
+    "FairnessConfig.solver_tol": (
+        "solver_tol", lambda v: FairnessConfig(alpha=1.0, solver_tol=v), False
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("case", POSITIVE_FINITE_ARGS)
+def test_positive_finite_check_names_its_argument(case, bad):
+    name, call, accepts_arrays = POSITIVE_FINITE_ARGS[case]
+    for value in [bad, np.array([1.0, bad])] if accepts_arrays else [bad]:
+        with pytest.raises(ValueError, match=rf"\b{name} must be positive and finite"):
+            call(value)
 
 
 class TestProperties:
