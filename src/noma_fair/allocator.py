@@ -1,26 +1,28 @@
-"""Power-split decisions for a candidate NOMA pair, and the one table of them.
+"""Power-split decisions for candidate NOMA pairs: array rules, scalar wrappers.
 
-Three decisions share one admission gate: the pairing criterion must hold
-and the split interval [delta_lb, delta_ub] must be nonempty
-(``delta_lb < delta_ub``, which is ``beta < beta_star`` away from rounding),
-or the pair is served OMA.  An admitted split always lies in that interval.
+Each rule is written once, over arrays of links, in three stages:
 
-* :func:`solve_optimal` maximizes the summed alpha-fair utility of the two
-  NOMA rates over the feasible interval [delta_lb, delta_ub].
-* :func:`solve_suboptimal` is the low-complexity endpoint rule: below the
-  imperfection-ratio threshold ``tau`` it picks delta_lb for alpha > 1 and
-  delta_ub for alpha <= 1; at or above tau it picks delta_ub regardless of
-  alpha.
-* :func:`allocate_fixed_bound` pins the split to one bound (the baseline
-  strategies evaluated against the solvers).
+* :func:`link_facts`: criterion, beta_star and delta_ub (SINRs alone).
+* :func:`gate`: delta_lb at ``beta`` (one value, or one per link) and
+  admission.  A pair is admitted when the criterion holds and the split
+  interval [delta_lb, delta_ub] is nonempty (``delta_lb < delta_ub``,
+  which is ``beta < beta_star`` away from rounding); otherwise it is
+  served OMA.  An admitted split always lies in that interval.
+* :func:`split`: every link's delta_s under one strategy.  Optimal
+  maximizes the summed alpha-fair utility of the two NOMA rates over the
+  interval.  Suboptimal is the endpoint rule: below the imperfection-ratio
+  threshold ``tau`` it picks delta_lb for alpha > 1 and delta_ub for
+  alpha <= 1; at or above tau, delta_ub for any alpha.  Upper_bound and
+  lower_bound pin the split to one bound; near_far takes delta_ub ungated.
 
-The fourth, :func:`near_far_decision`, is ungated.  :data:`DECISIONS` maps
-every :class:`~noma_fair.rates.Strategy` to its decision.
+:func:`solve_optimal`, :func:`solve_suboptimal`, :func:`allocate_fixed_bound`
+and :func:`near_far_decision` run the same stages on arrays of size 1;
+:data:`DECISIONS` maps every :class:`~noma_fair.rates.Strategy` to one.
 
 The 1-D objective is continuous on a compact interval but need not be
 concave, so the optimal solver runs a coarse grid scan followed by
-golden-section refinement of every near-best bracket; this is robust to
-multimodality without derivative machinery.
+golden-section refinement of every near-best bracket, one admitted link at
+a time; this is robust to multimodality without derivative machinery.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ import numpy as np
 from .bounds import (
     AllocationBounds,
     PairingCriterion,
-    allocation_bounds,
+    delta_lower_bound,
+    delta_upper_bound,
     pairing_criterion,
 )
 from .fairness import FairnessConfig, utility
@@ -43,6 +46,7 @@ from .rates import (
     PairLink,
     PowerAllocation,
     Strategy,
+    _require_split,
     noma_sinr_strong,
     noma_sinr_weak,
 )
@@ -51,6 +55,11 @@ __all__ = [
     "DecisionMode",
     "DecisionDiagnostics",
     "AllocationDecision",
+    "LinkFacts",
+    "Gate",
+    "link_facts",
+    "gate",
+    "split",
     "solve_optimal",
     "solve_suboptimal",
     "allocate_fixed_bound",
@@ -97,23 +106,40 @@ class AllocationDecision:
         return DecisionMode.OMA_FALLBACK if self.allocation is None else DecisionMode.NOMA_PAIRED
 
 
-def _diagnostics(link: PairLink) -> DecisionDiagnostics:
-    return DecisionDiagnostics(
-        bounds=allocation_bounds(link),
-        criterion=pairing_criterion(link.gamma_s, link.gamma_w),
-    )
+@dataclass(frozen=True)
+class LinkFacts:
+    """Per-link arrays that depend on (gamma_s, gamma_w) alone."""
+
+    gamma_s: np.ndarray
+    gamma_w: np.ndarray
+    criterion: PairingCriterion  # of arrays
+    delta_ub: np.ndarray
 
 
-def _gated(link: PairLink, strategy: Strategy, pick: Callable) -> AllocationDecision:
-    """The shared admission gate; ``pick(diag)`` gives an admitted pair's (delta_s, objective)."""
-    diag = _diagnostics(link)
-    if not (diag.criterion.satisfied and diag.bounds.delta_lb < diag.bounds.delta_ub):
-        return AllocationDecision(None, None, diag)
-    delta, objective = pick(diag)
-    return AllocationDecision(PowerAllocation(delta, strategy), objective, diag)
+@dataclass(frozen=True)
+class Gate:
+    """The links' admission at one imperfection level."""
+
+    links: LinkFacts
+    beta: np.ndarray  # 0-d, or one value per link
+    delta_lb: np.ndarray
+    admitted: np.ndarray
 
 
-def _objective_fn(link: PairLink, alpha: float) -> Callable:
+def link_facts(gamma_s, gamma_w) -> LinkFacts:
+    """Criterion and delta_ub of 1-D arrays of links, strong SINR first."""
+    gs, gw = np.asarray(gamma_s, dtype=float), np.asarray(gamma_w, dtype=float)
+    return LinkFacts(gs, gw, pairing_criterion(gs, gw), delta_upper_bound(gw))
+
+
+def gate(links: LinkFacts, beta) -> Gate:
+    """delta_lb at ``beta`` and the admission mask: criterion and delta_lb < delta_ub."""
+    delta_lb = delta_lower_bound(links.gamma_s, beta)
+    admitted = links.criterion.satisfied & (delta_lb < links.delta_ub)
+    return Gate(links, np.asarray(beta, dtype=float), delta_lb, admitted)
+
+
+def _objective_fn(gamma_s: float, gamma_w: float, beta: float, alpha: float) -> Callable:
     """Summed alpha-fair utility of the two NOMA rates, as a function of delta_s.
 
     Vectorized over delta_s.  Positive rates are guaranteed on
@@ -122,8 +148,8 @@ def _objective_fn(link: PairLink, alpha: float) -> Callable:
     """
 
     def obj(delta_s):
-        r_s = np.log2(1.0 + noma_sinr_strong(link.gamma_s, link.beta, delta_s))
-        r_w = np.log2(1.0 + noma_sinr_weak(link.gamma_w, delta_s))
+        r_s = np.log2(1.0 + noma_sinr_strong(gamma_s, beta, delta_s))
+        r_w = np.log2(1.0 + noma_sinr_weak(gamma_w, delta_s))
         return utility(r_s, alpha) + utility(r_w, alpha)
 
     return obj
@@ -178,6 +204,63 @@ def _maximize_on_interval(fn: Callable, lo: float, hi: float, tol: float) -> tup
     return delta, top
 
 
+def split(
+    g: Gate, strategy: Strategy, cfg: Optional[FairnessConfig]
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Every link's delta_s under ``strategy``, NaN where it is served OMA.
+
+    The second value is the summed utility the optimal solver reached, one
+    per link (NaN where rejected); None for every other strategy.  ``cfg``
+    is read by the optimal and suboptimal rules only.
+    """
+    lb, ub = g.delta_lb, g.links.delta_ub
+    paired = g.admitted
+    objective = None
+    if strategy is Strategy.OPTIMAL:
+        pick, objective = np.full(lb.shape, np.nan), np.full(lb.shape, np.nan)
+        gs, gw = g.links.gamma_s, g.links.gamma_w
+        beta = np.broadcast_to(g.beta, lb.shape)
+        for i in np.flatnonzero(paired):
+            fn = _objective_fn(float(gs[i]), float(gw[i]), float(beta[i]), cfg.alpha)
+            pick[i], objective[i] = _maximize_on_interval(fn, float(lb[i]), float(ub[i]), cfg.solver_tol)
+    elif strategy is Strategy.SUBOPTIMAL:
+        # Rejected links may have beta_star <= 0; their picks are dropped.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            low = (g.beta / g.links.criterion.beta_star < cfg.tau) & (cfg.alpha > 1)
+        pick = np.where(low, lb, ub)
+    elif strategy is Strategy.UPPER_BOUND:
+        pick = ub
+    elif strategy is Strategy.LOWER_BOUND:
+        pick = lb
+    elif strategy is Strategy.NEAR_FAR:
+        pick, paired = ub, np.ones(lb.shape, dtype=bool)
+    elif strategy is Strategy.OMA:
+        pick, paired = ub, np.zeros(lb.shape, dtype=bool)
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    _require_split(pick[paired])
+    return np.where(paired, pick, np.nan), objective
+
+
+def _decide_one(link: PairLink, strategy: Strategy, cfg) -> AllocationDecision:
+    """:func:`split` on one link, with its diagnostics and objective."""
+    g = gate(link_facts([link.gamma_s], [link.gamma_w]), link.beta)
+    delta, objective = split(g, strategy, cfg)
+    c = g.links.criterion
+    diag = DecisionDiagnostics(
+        AllocationBounds(float(g.delta_lb[0]), float(g.links.delta_ub[0])),
+        PairingCriterion(float(c.msd_threshold[0]), float(c.beta_star[0]), bool(c.satisfied[0])),
+    )
+    if np.isnan(delta[0]):
+        return AllocationDecision(None, None, diag)
+    d = float(delta[0])
+    if objective is not None:
+        objective = float(objective[0])
+    elif strategy is Strategy.SUBOPTIMAL:
+        objective = float(_objective_fn(link.gamma_s, link.gamma_w, link.beta, cfg.alpha)(d))
+    return AllocationDecision(PowerAllocation(d, strategy), objective, diag)
+
+
 def solve_optimal(link: PairLink, cfg: FairnessConfig) -> AllocationDecision:
     """Maximize the pair's summed alpha-fair utility over the feasible splits.
 
@@ -186,14 +269,7 @@ def solve_optimal(link: PairLink, cfg: FairnessConfig) -> AllocationDecision:
     [delta_lb, delta_ub], located to within ``cfg.solver_tol``, which keeps
     both NOMA rates at or above their OMA counterparts by construction.
     """
-
-    def pick(diag: DecisionDiagnostics) -> tuple[float, float]:
-        fn = _objective_fn(link, cfg.alpha)
-        return _maximize_on_interval(
-            fn, diag.bounds.delta_lb, diag.bounds.delta_ub, cfg.solver_tol
-        )
-
-    return _gated(link, Strategy.OPTIMAL, pick)
+    return _decide_one(link, Strategy.OPTIMAL, cfg)
 
 
 def solve_suboptimal(link: PairLink, cfg: FairnessConfig) -> AllocationDecision:
@@ -204,15 +280,7 @@ def solve_suboptimal(link: PairLink, cfg: FairnessConfig) -> AllocationDecision:
     otherwise delta_ub for any alpha, since a large residual imperfection
     forces the most protective split for the strong user.
     """
-
-    def pick(diag: DecisionDiagnostics) -> tuple[float, float]:
-        if link.beta / diag.criterion.beta_star < cfg.tau and cfg.alpha > 1:
-            delta = diag.bounds.delta_lb
-        else:
-            delta = diag.bounds.delta_ub
-        return delta, float(_objective_fn(link, cfg.alpha)(delta))
-
-    return _gated(link, Strategy.SUBOPTIMAL, pick)
+    return _decide_one(link, Strategy.SUBOPTIMAL, cfg)
 
 
 def allocate_fixed_bound(link: PairLink, which: Strategy) -> AllocationDecision:
@@ -220,11 +288,9 @@ def allocate_fixed_bound(link: PairLink, which: Strategy) -> AllocationDecision:
 
     ``which`` must be Strategy.UPPER_BOUND or LOWER_BOUND.
     """
-    if which is Strategy.UPPER_BOUND:
-        return _gated(link, which, lambda diag: (diag.bounds.delta_ub, None))
-    if which is Strategy.LOWER_BOUND:
-        return _gated(link, which, lambda diag: (diag.bounds.delta_lb, None))
-    raise ValueError(f"which must select a bound, got {which!r}")
+    if which not in (Strategy.UPPER_BOUND, Strategy.LOWER_BOUND):
+        raise ValueError(f"which must select a bound, got {which!r}")
+    return _decide_one(link, which, None)
 
 
 def near_far_decision(link: PairLink) -> AllocationDecision:
@@ -234,8 +300,7 @@ def near_far_decision(link: PairLink) -> AllocationDecision:
     rate can fall below its OMA rate, which is exactly the failure mode the
     gated strategies avoid.
     """
-    diag = _diagnostics(link)
-    return AllocationDecision(PowerAllocation(diag.bounds.delta_ub, Strategy.NEAR_FAR), None, diag)
+    return _decide_one(link, Strategy.NEAR_FAR, None)
 
 
 # Every strategy's decision for one candidate; None means serve both as OMA.

@@ -54,6 +54,7 @@ class PairingCriterion:
     ``satisfied`` is the SINR-difference test alone; admission also needs a
     nonempty split interval (see the module docstring).  ``beta_star`` may be
     negative when no imperfection level admits the pair; it is reported as-is.
+    Built from arrays of links, each field is an array with one entry per link.
     """
 
     msd_threshold: float
@@ -81,7 +82,7 @@ def delta_lower_bound(gamma_s, beta):
     """
     _require_positive_finite("gamma_s", gamma_s)
     b = np.asarray(beta, dtype=float)
-    if np.any(b < 0) or np.any(b > 1):
+    if not np.all((b >= 0) & (b <= 1)):
         raise ValueError(f"beta must lie in [0, 1], got {beta!r}")
     g = np.asarray(gamma_s, dtype=float)
     a = np.sqrt(1.0 + g)
@@ -136,13 +137,17 @@ def beta_star(gamma_s, gamma_w):
     return float(out) if out.ndim == 0 else out
 
 
-def pairing_criterion(gamma_s: float, gamma_w: float) -> PairingCriterion:
-    """Evaluate the SINR-difference pairing test and the imperfection bound."""
+def pairing_criterion(gamma_s, gamma_w) -> PairingCriterion:
+    """Evaluate the SINR-difference pairing test and the imperfection bound.
+
+    Scalar/ndarray transparent: arrays of links give a criterion of arrays.
+    """
     threshold = msd_threshold(gamma_s, gamma_w)
+    satisfied = np.subtract(gamma_s, gamma_w) > threshold
     return PairingCriterion(
         msd_threshold=threshold,
         beta_star=beta_star(gamma_s, gamma_w),
-        satisfied=bool((gamma_s - gamma_w) > threshold),
+        satisfied=bool(satisfied) if np.ndim(satisfied) == 0 else satisfied,
     )
 
 

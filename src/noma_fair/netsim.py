@@ -8,12 +8,18 @@ the station offering the maximum SINR, and every non-serving station
 interferes at full power on the shared subchannel.
 
 Within a trial every strategy consumes the identical channel realization
-and the identical per-cell candidate pairs, and decides each candidate
-through :data:`noma_fair.allocator.DECISIONS`, so strategy comparisons are
+and the identical candidate pairs, so strategy comparisons are
 paired-sample: candidates rejected by a gated strategy contribute their
 members' OMA rates, the pure-OMA strategy rejects everything.  Per-pair
 metrics (strong/weak rate, pair throughput, pair sum rate) are therefore
 directly comparable across strategies row by row.
+
+A trial is evaluated in array form, each quantity at the stage it depends
+on: candidates are matched (:func:`noma_fair.pairing.match`) and their
+criterion, delta_ub and OMA rates computed once per trial; delta_lb and
+admission once per beta (:func:`noma_fair.allocator.gate`); the split,
+rates and means once per (alpha, strategy)
+(:func:`noma_fair.allocator.split`).
 
 All randomness is derived from (master seed, trial index) substreams;
 trials are independent and may run in separate processes without changing
@@ -29,10 +35,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .allocator import DECISIONS
+from .allocator import Gate, gate, link_facts, split
 from .fairness import FairnessConfig, alpha_throughput
-from .pairing import UserChannel, candidate_pairs
-from .rates import PairLink, Strategy, _require_positive_finite, noma_rates, oma_rate
+from .pairing import UserChannel, match
+from .rates import Strategy, _require_positive_finite, noma_sinr_strong, noma_sinr_weak, oma_rate
 from .report import ResultRow
 
 __all__ = [
@@ -44,7 +50,7 @@ __all__ = [
     "TrialMetrics",
     "drop_network",
     "compute_sinrs",
-    "run_trial",
+    "evaluate_strategies",
     "run_campaign",
 ]
 
@@ -236,8 +242,65 @@ def compute_sinrs(network: NetworkRealization, cfg: NetworkConfig) -> list[UserC
     ]
 
 
-def _mean(values: list[float]) -> Optional[float]:
-    return float(np.mean(values)) if values else None
+def _mean(values: np.ndarray) -> Optional[float]:
+    return float(np.mean(values)) if len(values) else None
+
+
+class _Trial:
+    """One channel realization, matched once, evaluated at any sweep point.
+
+    Users sit in slots: cells ascending, and within a cell its candidates,
+    then its odd user out.  Every mean runs over its values in slot order.
+    """
+
+    def __init__(self, users: Sequence[UserChannel]):
+        self.population = len(users)
+        gamma = np.array([u.gamma for u in users], dtype=float)
+        strong, weak = match(
+            [u.serving_bs_id for u in users],
+            [u.channel_gain for u in users],
+            [u.user_id for u in users],
+            gamma,
+        )
+        self.single = weak < 0
+        self.paired = ~self.single
+        # concat(per-candidate values, per-single values)[slot_order] is in slot order.
+        self.slot_order = np.argsort(np.argsort(self.single, kind="stable"))
+        oma = oma_rate(gamma)
+        # Each slot's OMA rates: (strong, weak) of a candidate, (rate, unused) of a single.
+        self.oma = np.column_stack((oma[strong], np.where(self.single, 0.0, oma[weak])))
+        self.present = np.column_stack((np.ones_like(self.single), self.paired))
+        self.oma_strong, self.oma_weak = self.oma[self.paired].T
+        self.oma_single = self.oma[self.single, 0]
+        self.links = link_facts(gamma[strong[self.paired]], gamma[weak[self.paired]])
+        self._gates: dict[float, Gate] = {}
+
+    def evaluate(self, strategies: Sequence[Strategy], fairness: FairnessConfig, beta) -> TrialMetrics:
+        g = self._gates.get(beta)
+        if g is None:
+            g = self._gates[beta] = gate(self.links, beta)
+        gs, gw, order = self.links.gamma_s, self.links.gamma_w, self.slot_order
+        per_strategy = {}
+        for strat in dict.fromkeys(strategies):
+            delta, _ = split(g, strat, fairness)
+            admitted = ~np.isnan(delta)
+            r_s = np.where(admitted, np.log2(1.0 + noma_sinr_strong(gs, beta, delta)), self.oma_strong)
+            r_w = np.where(admitted, np.log2(1.0 + noma_sinr_weak(gw, delta)), self.oma_weak)
+            t = alpha_throughput(r_s, r_w, fairness.alpha)
+            served_oma = self.single.copy()
+            served_oma[self.paired] = ~admitted
+            pairs = int(np.count_nonzero(admitted))
+            per_strategy[strat] = StrategyMetrics(
+                mean_strong_rate=_mean(r_s),
+                mean_weak_rate=_mean(r_w),
+                mean_oma_rate=_mean(self.oma[self.present & served_oma[:, None]]),
+                # A single rate is its own power mean and sum.
+                mean_t_alpha=_mean(np.concatenate((t, self.oma_single))[order]),
+                mean_asr=_mean(np.concatenate((r_s + r_w, self.oma_single))[order]),
+                pair_count=pairs,
+                oma_count=self.population - 2 * pairs,
+            )
+        return TrialMetrics(population=self.population, per_strategy=per_strategy)
 
 
 def evaluate_strategies(
@@ -247,68 +310,7 @@ def evaluate_strategies(
     beta: float,
 ) -> TrialMetrics:
     """Run every strategy on one channel realization and aggregate metrics."""
-    cells: dict[int, list[UserChannel]] = {}
-    for u in users:
-        cells.setdefault(u.serving_bs_id, []).append(u)
-
-    acc = {
-        s: {"strong": [], "weak": [], "oma": [], "t": [], "asr": [], "pairs": 0}
-        for s in strategies
-    }
-    for bs_id in sorted(cells):
-        cands, singles = candidate_pairs(cells[bs_id])
-        links = [
-            PairLink(gamma_s=s.gamma, gamma_w=w.gamma, beta=beta) for s, w in cands
-        ]
-        oma_pairs = [(oma_rate(s.gamma), oma_rate(w.gamma)) for s, w in cands]
-        single_rates = [oma_rate(u.gamma) for u in singles]
-        for strat in strategies:
-            a = acc[strat]
-            decide = DECISIONS[strat]
-            for link, (ros, row) in zip(links, oma_pairs):
-                decision = decide(link, fairness)
-                if decision is not None and decision.allocation is not None:
-                    r_s, r_w = noma_rates(link, decision.allocation)
-                    a["pairs"] += 1
-                else:
-                    r_s, r_w = ros, row
-                    a["oma"].extend((ros, row))
-                a["strong"].append(r_s)
-                a["weak"].append(r_w)
-                a["t"].append(alpha_throughput(r_s, r_w, fairness.alpha))
-                a["asr"].append(r_s + r_w)
-            for r in single_rates:
-                a["oma"].append(r)
-                a["t"].append(r)  # power mean of a single rate is the rate
-                a["asr"].append(r)
-
-    population = len(users)
-    per_strategy = {}
-    for strat in strategies:
-        a = acc[strat]
-        per_strategy[strat] = StrategyMetrics(
-            mean_strong_rate=_mean(a["strong"]),
-            mean_weak_rate=_mean(a["weak"]),
-            mean_oma_rate=_mean(a["oma"]),
-            mean_t_alpha=_mean(a["t"]),
-            mean_asr=_mean(a["asr"]),
-            pair_count=a["pairs"],
-            oma_count=population - 2 * a["pairs"],
-        )
-    return TrialMetrics(population=population, per_strategy=per_strategy)
-
-
-def run_trial(
-    cfg: NetworkConfig,
-    trial_index: int,
-    strategies: Sequence[Strategy],
-    fairness: FairnessConfig,
-    beta: float,
-) -> TrialMetrics:
-    """Drop one network, compute SINRs, and evaluate every strategy on it."""
-    network = drop_network(cfg, trial_index)
-    users = compute_sinrs(network, cfg)
-    return evaluate_strategies(users, strategies, fairness, beta)
+    return _Trial(users).evaluate(strategies, fairness, beta)
 
 
 _METRIC_FIELDS = (
@@ -328,11 +330,11 @@ def _trial_chunk(args) -> list[list[TrialMetrics]]:
     cfg, points, strategies, indices = args
     out = []
     for t in indices:
-        users = compute_sinrs(drop_network(cfg, t), cfg)
+        trial = _Trial(compute_sinrs(drop_network(cfg, t), cfg))
         metrics = []
         for fairness, beta in points:
             try:
-                metrics.append(evaluate_strategies(users, strategies, fairness, beta))
+                metrics.append(trial.evaluate(strategies, fairness, beta))
             except Exception as exc:
                 raise RuntimeError(f"trial {t}, alpha={fairness.alpha}, beta={beta}: {exc}") from exc
         out.append(metrics)

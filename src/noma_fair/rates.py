@@ -71,6 +71,17 @@ def _require_positive_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _require_split(delta_s) -> None:
+    """Raise ValueError unless the scalar or every array entry delta_s, and
+    its complement delta_w = 1 - delta_s, lie in (0, 1)."""
+    d = np.asarray(delta_s, dtype=float)
+    for name, share in (("delta_s", d), ("delta_w", 1.0 - d)):
+        ok = (share > 0.0) & (share < 1.0)
+        if not np.all(ok):
+            got = share if share.ndim == 0 else share[~ok]
+            raise ValueError(f"{name} must lie in (0, 1), got {got.tolist()!r}")
+
+
 @dataclass(frozen=True)
 class PairLink:
     """Link state of a strong/weak pair on a shared subchannel.
@@ -102,10 +113,7 @@ class PowerAllocation:
     source: Strategy
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.delta_s < 1.0):
-            raise ValueError(f"delta_s must lie in (0, 1), got {self.delta_s!r}")
-        if not (0.0 < self.delta_w < 1.0):
-            raise ValueError(f"delta_w must lie in (0, 1), got {self.delta_w!r}")
+        _require_split(self.delta_s)
 
     @property
     def delta_w(self) -> float:

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .allocator import DECISIONS
-from .bounds import beta_star
+import numpy as np
+
+from .allocator import gate, link_facts, split
 from .fairness import FairnessConfig
 from .rates import PairLink, Strategy, db_to_linear
 
@@ -116,38 +117,45 @@ def emit_delta_sweep(
         raise ValueError("links, betas and alphas must all be non-empty")
     if solver not in (Strategy.OPTIMAL, Strategy.SUBOPTIMAL):
         raise ValueError(f"solver must be optimal or suboptimal, got {solver!r}")
-    solve = DECISIONS[solver]
+    linear = np.array([(db_to_linear(gs_db), db_to_linear(gw_db)) for gs_db, gw_db in links_db])
+    links = link_facts(linear[:, 0], linear[:, 1])
+    star = links.criterion.beta_star
+    # One decision per (beta entry, alpha) over every link; a token entry
+    # gives each link its own beta and skips links with beta_star <= 0.
+    points = []
+    for entry in betas:
+        if isinstance(entry, str):
+            if entry != BETA_STAR_TOKEN:
+                raise ValueError(f"unknown beta token {entry!r}")
+            skip = star <= 0
+            beta = np.where(skip, 0.0, star * (1.0 - _BETA_STAR_MARGIN))
+        else:
+            skip, beta = np.zeros(len(links_db), dtype=bool), float(entry)
+            for gs, gw in zip(links.gamma_s, links.gamma_w):
+                PairLink(gamma_s=float(gs), gamma_w=float(gw))  # the strong/weak ordering check
+        g = gate(links, beta)
+        fair = [FairnessConfig(alpha=alpha, tau=tau, solver_tol=solver_tol) for alpha in alphas]
+        splits = [split(g, solver, cfg)[0] for cfg in fair]
+        points.append((skip, np.broadcast_to(g.beta, skip.shape), g.delta_lb, splits))
+
     rows: list[ResultRow] = []
-    for gs_db, gw_db in links_db:
-        gamma_s = db_to_linear(gs_db)
-        gamma_w = db_to_linear(gw_db)
-        star = beta_star(gamma_s, gamma_w)
-        for entry in betas:
-            if isinstance(entry, str):
-                if entry != BETA_STAR_TOKEN:
-                    raise ValueError(f"unknown beta token {entry!r}")
-                if star <= 0:
-                    continue  # no admissible imperfection for this link
-                beta = star * (1.0 - _BETA_STAR_MARGIN)
-            else:
-                beta = float(entry)
-            link = PairLink(gamma_s=gamma_s, gamma_w=gamma_w, beta=beta)
-            for alpha in alphas:
-                cfg = FairnessConfig(alpha=alpha, tau=tau, solver_tol=solver_tol)
-                decision = solve(link, cfg)
-                diag = decision.diagnostics
+    for i, (gs_db, gw_db) in enumerate(links_db):
+        for skip, beta, delta_lb, splits in points:
+            if skip[i]:
+                continue
+            for alpha, delta_s in zip(alphas, splits):
                 values = {
-                    "delta_lb": diag.bounds.delta_lb,
-                    "delta_ub": diag.bounds.delta_ub,
-                    "msd_satisfied": 1.0 if diag.criterion.satisfied else 0.0,
+                    "delta_lb": float(delta_lb[i]),
+                    "delta_ub": float(links.delta_ub[i]),
+                    "msd_satisfied": 1.0 if links.criterion.satisfied[i] else 0.0,
                 }
-                if decision.allocation is not None:
-                    values["delta_s"] = decision.allocation.delta_s
+                if not np.isnan(delta_s[i]):
+                    values["delta_s"] = float(delta_s[i])
                 for metric, value in values.items():
                     rows.append(
                         ResultRow(
                             alpha=float(alpha),
-                            beta=beta,
+                            beta=float(beta[i]),
                             gamma_s_db=float(gs_db),
                             gamma_w_db=float(gw_db),
                             strategy=solver.value,

@@ -2,7 +2,10 @@
 
 Everything here recomputes expected values from the rate definitions by
 bisection, exhaustive scanning or high-precision differentiation, never
-from the closed forms or solvers under test.
+from the closed forms or solvers under test.  The one exception is
+:func:`evaluate_strategies_ref`, the per-pair scalar reference of the
+batched campaign kernel: it matches and aggregates on its own, and decides
+each candidate through the size-1 decisions.
 """
 
 from __future__ import annotations
@@ -10,7 +13,10 @@ from __future__ import annotations
 import mpmath
 import numpy as np
 
-from noma_fair.rates import noma_sinr_strong, noma_sinr_weak
+from noma_fair.allocator import DECISIONS
+from noma_fair.fairness import alpha_throughput
+from noma_fair.netsim import StrategyMetrics, TrialMetrics
+from noma_fair.rates import PairLink, noma_rates, noma_sinr_strong, noma_sinr_weak, oma_rate
 
 
 def oma_rate_ref(gamma):
@@ -110,3 +116,62 @@ def sample_ordered_pairs(rng, n: int, low_db: float = 0.0, high_db: float = 30.0
     g1 = 10.0 ** rng.uniform(low_db / 10.0, high_db / 10.0, n)
     g2 = 10.0 ** rng.uniform(low_db / 10.0, high_db / 10.0, n)
     return np.maximum(g1, g2), np.minimum(g1, g2)
+
+
+def candidate_pairs_ref(cell):
+    """One cell's (strong, weak) candidates and odd user out, by a Python sort."""
+    users = sorted(cell, key=lambda u: (-u.channel_gain, u.user_id))
+    n = len(users)
+    cands = []
+    for i in range(n // 2):
+        first, second = users[i], users[n - 1 - i]
+        cands.append((first, second) if first.gamma >= second.gamma else (second, first))
+    return cands, [users[n // 2]] if n % 2 else []
+
+
+def _mean(values):
+    return float(np.mean(values)) if values else None
+
+
+def evaluate_strategies_ref(users, strategies, fairness, beta) -> TrialMetrics:
+    """Every strategy on one realization, one candidate and one call at a time."""
+    cells = {}
+    for u in users:
+        cells.setdefault(u.serving_bs_id, []).append(u)
+    acc = {s: {"strong": [], "weak": [], "oma": [], "t": [], "asr": [], "pairs": 0} for s in strategies}
+    for bs_id in sorted(cells):
+        cands, singles = candidate_pairs_ref(cells[bs_id])
+        links = [PairLink(gamma_s=s.gamma, gamma_w=w.gamma, beta=beta) for s, w in cands]
+        oma_pairs = [(oma_rate(s.gamma), oma_rate(w.gamma)) for s, w in cands]
+        single_rates = [oma_rate(u.gamma) for u in singles]
+        for strat in dict.fromkeys(strategies):
+            a = acc[strat]
+            for link, (ros, row) in zip(links, oma_pairs):
+                decision = DECISIONS[strat](link, fairness)
+                if decision is not None and decision.allocation is not None:
+                    r_s, r_w = noma_rates(link, decision.allocation)
+                    a["pairs"] += 1
+                else:
+                    r_s, r_w = ros, row
+                    a["oma"].extend((ros, row))
+                a["strong"].append(r_s)
+                a["weak"].append(r_w)
+                a["t"].append(alpha_throughput(r_s, r_w, fairness.alpha))
+                a["asr"].append(r_s + r_w)
+            for r in single_rates:
+                a["oma"].append(r)
+                a["t"].append(r)
+                a["asr"].append(r)
+    per_strategy = {
+        s: StrategyMetrics(
+            mean_strong_rate=_mean(a["strong"]),
+            mean_weak_rate=_mean(a["weak"]),
+            mean_oma_rate=_mean(a["oma"]),
+            mean_t_alpha=_mean(a["t"]),
+            mean_asr=_mean(a["asr"]),
+            pair_count=a["pairs"],
+            oma_count=len(users) - 2 * a["pairs"],
+        )
+        for s, a in acc.items()
+    }
+    return TrialMetrics(population=len(users), per_strategy=per_strategy)

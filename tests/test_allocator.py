@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from noma_fair.allocator import (
+    DECISIONS,
     DecisionMode,
     allocate_fixed_bound,
+    gate,
+    link_facts,
     solve_optimal,
     solve_suboptimal,
+    split,
 )
 from noma_fair.bounds import beta_star, delta_lower_bound, delta_upper_bound, msd_threshold
 from noma_fair.fairness import FairnessConfig, alpha_throughput, utility
@@ -196,3 +200,43 @@ class TestAllocateFixedBound:
         with pytest.raises(ValueError):
             allocate_fixed_bound(link, Strategy.OPTIMAL)
 
+
+
+class TestBatchedDecision:
+    def test_equals_size_one_decisions_bit_for_bit(self):
+        # Links admitted, rejected by the criterion (equal SINRs among them),
+        # rejected by the beta gate, and a few ulps inside beta_star, each
+        # with its own beta as the sweep's beta_star token gives it.
+        rng = np.random.default_rng(606)
+        gs, gw = sample_ordered_pairs(rng, 240, -5.0, 40.0)
+        gw[:20] = gs[:20]
+        star = beta_star(gs, gw)
+        beta = rng.uniform(0.0, 0.3, gs.size)
+        beta[20:100] = np.where(star[20:100] > 0, star[20:100] * (1 - 1e-9), 0.0)
+        beta[100:120] = np.where(star[100:120] > 0, star[100:120] * (1 - 1e-15), 0.0)
+        links = link_facts(gs, gw)
+        g = gate(links, beta)
+        assert 0 < g.admitted.sum() < gs.size
+
+        def bits(values):
+            return np.asarray(values, dtype=float).tobytes()
+
+        for alpha in (0.5, 1.0, 3.0):
+            cfg = FairnessConfig(alpha=alpha)
+            for strategy in Strategy:
+                delta, _ = split(g, strategy, cfg)
+                one = [
+                    DECISIONS[strategy](PairLink(gamma_s=gs[i], gamma_w=gw[i], beta=beta[i]), cfg)
+                    for i in range(gs.size)
+                ]
+                if strategy is Strategy.OMA:
+                    assert one == [None] * gs.size and np.isnan(delta).all()
+                    continue
+                alloc = [d.allocation for d in one]
+                assert bits(~np.isnan(delta)) == bits([a is not None for a in alloc]), strategy
+                assert bits(delta) == bits([np.nan if a is None else a.delta_s for a in alloc]), strategy
+                assert bits(g.delta_lb) == bits([d.diagnostics.bounds.delta_lb for d in one])
+                assert bits(links.delta_ub) == bits([d.diagnostics.bounds.delta_ub for d in one])
+                assert bits(links.criterion.satisfied) == bits(
+                    [d.diagnostics.criterion.satisfied for d in one]
+                )

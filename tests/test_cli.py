@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from noma_fair import allocator
+from noma_fair import netsim
 from noma_fair.bounds import beta_star
 from noma_fair.cli import SETTINGS, build_parser, main, parse_config_file
 from noma_fair.fairness import FairnessConfig
@@ -266,14 +266,14 @@ class TestSimulateCommand:
         # Trial 3 runs in the second worker at --threads 2.
         net = NetworkConfig(seed=5)
         bad = {u.gamma for u in compute_sinrs(drop_network(net, 3), net)}
-        decide = allocator.DECISIONS[Strategy.SUBOPTIMAL]
+        split = netsim.split
 
-        def failing(link, fairness):
-            if link.gamma_s in bad and fairness.alpha == 2.0:
+        def failing(gate, strategy, fairness):
+            if bad.intersection(gate.links.gamma_s.tolist()) and fairness.alpha == 2.0:
                 raise ArithmeticError("boom")
-            return decide(link, fairness)
+            return split(gate, strategy, fairness)
 
-        monkeypatch.setitem(allocator.DECISIONS, Strategy.SUBOPTIMAL, failing)
+        monkeypatch.setattr(netsim, "split", failing)
         code = run(
             ["simulate", "--seed", "5", "--trials", "4", "--alphas", "1,2", "--betas", "0.05",
              "--strategies", "suboptimal,oma", "--threads", threads,
@@ -293,10 +293,13 @@ class TestSimulateCommand:
 class TestPairSweepAgreement:
     @pytest.mark.parametrize("solver", ["optimal", "suboptimal"])
     def test_pair_report_matches_sweep_rows(self, tmp_path, solver):
-        # Admitted at low beta, rejected by the beta gate, and rejected by
-        # the pairing criterion (close SINRs).
-        alphas, betas = ("0.5", "3"), ("0", "0.04", "0.3")
-        for gs_db, gw_db in (("9", "2"), ("12", "0"), ("4", "3.5")):
+        # Admitted at low beta, rejected by the beta gate, rejected by the
+        # pairing criterion (close SINRs), and admitted just inside beta_star
+        # through the token.  Equal SINRs have beta_star = 0, so their token
+        # rows are skipped.
+        alphas, betas = ("0.5", "3"), ("0", "0.04", "0.3", "beta_star")
+        links = (("9", "2"), ("12", "0"), ("4", "3.5"), ("5", "5"))
+        for gs_db, gw_db in links:
             base = tmp_path / f"sweep_{gs_db}_{gw_db}"
             code = run(
                 ["sweep", "--axis", "beta", "--values", ",".join(betas),
@@ -306,8 +309,16 @@ class TestPairSweepAgreement:
             assert code == 0
             rows = parse_campaign_csv(base.with_suffix(".csv"))
             swept = {(r.alpha, r.beta, r.metric): r.value for r in rows}
+            star = beta_star(db_to_linear(float(gs_db)), db_to_linear(float(gw_db)))
+            assert {r.beta for r in rows} - {0.0, 0.04, 0.3} == (
+                {float(format_value(star * (1 - 1e-9)))} if star > 0 else set()
+            )
             for alpha in alphas:
                 for beta in betas:
+                    if beta == "beta_star":
+                        if star <= 0:
+                            continue
+                        beta = repr(star * (1 - 1e-9))
                     report_path = tmp_path / "pair.json"
                     code = run(
                         ["pair", "--gamma-s-db", gs_db, "--gamma-w-db", gw_db, "--beta", beta,
@@ -317,9 +328,15 @@ class TestPairSweepAgreement:
                     report = json.loads(report_path.read_text())
                     for metric in ("delta_lb", "delta_ub", "msd_satisfied", "delta_s"):
                         want = report.get(metric)
-                        got = swept.get((float(alpha), float(beta), metric))
+                        got = swept.get((float(alpha), float(format_value(float(beta))), metric))
                         assert got == (None if want is None else float(format_value(want)))
             assert {r.metric for r in rows} >= {"delta_lb", "delta_ub", "msd_satisfied"}
+        # One sweep over every link gives each link's rows, in link order.
+        links = [(float(gs_db), float(gw_db)) for gs_db, gw_db in links]
+        args = ([0.0, 0.04, 0.3, "beta_star"], [0.5, 3.0])
+        assert emit_delta_sweep(links, *args, solver=Strategy(solver)) == [
+            row for link in links for row in emit_delta_sweep([link], *args, solver=Strategy(solver))
+        ]
 
 
 class TestSettingsTable:

@@ -17,7 +17,6 @@ from noma_fair.netsim import (
     evaluate_strategies,
     received_power_mw,
     run_campaign,
-    run_trial,
 )
 from noma_fair.rates import oma_rate
 
@@ -120,11 +119,18 @@ class TestComputeSinrs:
         assert net.clamped_links > 0
 
 
+def first_trial(cfg, strategies, fairness, beta):
+    """Every strategy on trial 0 of ``cfg``."""
+    return evaluate_strategies(compute_sinrs(drop_network(cfg, 0), cfg), strategies, fairness, beta)
+
+
 class TestRunTrial:
+    """One trial: drop, SINRs and evaluate_strategies."""
+
     def test_oma_mean_rate_is_population_mean(self):
         cfg = NetworkConfig(trials=1, seed=9)
         users = compute_sinrs(drop_network(cfg, 0), cfg)
-        metrics = run_trial(cfg, 0, [Strategy.OMA], FairnessConfig(alpha=1.0), beta=0.0)
+        metrics = evaluate_strategies(users, [Strategy.OMA], FairnessConfig(alpha=1.0), 0.0)
         m = metrics.per_strategy[Strategy.OMA]
         expected = float(np.mean([oma_rate(u.gamma) for u in users]))
         assert m.mean_oma_rate == pytest.approx(expected, rel=1e-12)
@@ -133,15 +139,13 @@ class TestRunTrial:
 
     def test_counts_reconcile_for_all_strategies(self):
         cfg = NetworkConfig(trials=1, seed=9)
-        metrics = run_trial(cfg, 0, list(Strategy), FairnessConfig(alpha=1.0), beta=0.02)
+        metrics = first_trial(cfg, list(Strategy), FairnessConfig(alpha=1.0), 0.02)
         for m in metrics.per_strategy.values():
             assert 2 * m.pair_count + m.oma_count == metrics.population
 
     def test_perfect_sic_noma_beats_oma_throughput(self):
         cfg = NetworkConfig(trials=1, seed=9)
-        metrics = run_trial(
-            cfg, 0, [Strategy.OPTIMAL, Strategy.OMA], FairnessConfig(alpha=1.0), beta=0.0
-        )
+        metrics = first_trial(cfg, [Strategy.OPTIMAL, Strategy.OMA], FairnessConfig(alpha=1.0), 0.0)
         assert (
             metrics.per_strategy[Strategy.OPTIMAL].mean_t_alpha
             >= metrics.per_strategy[Strategy.OMA].mean_t_alpha
@@ -149,9 +153,7 @@ class TestRunTrial:
 
     def test_near_far_strong_users_suffer_at_large_beta(self):
         cfg = NetworkConfig(trials=1, seed=9)
-        metrics = run_trial(
-            cfg, 0, [Strategy.NEAR_FAR, Strategy.OMA], FairnessConfig(alpha=1.0), beta=0.3
-        )
+        metrics = first_trial(cfg, [Strategy.NEAR_FAR, Strategy.OMA], FairnessConfig(alpha=1.0), 0.3)
         assert (
             metrics.per_strategy[Strategy.NEAR_FAR].mean_strong_rate
             < metrics.per_strategy[Strategy.OMA].mean_strong_rate
@@ -159,8 +161,8 @@ class TestRunTrial:
 
     def test_weak_rates_independent_of_beta_for_fixed_split(self):
         cfg = NetworkConfig(trials=1, seed=13)
-        low = run_trial(cfg, 0, [Strategy.NEAR_FAR], FairnessConfig(alpha=1.0), beta=0.01)
-        high = run_trial(cfg, 0, [Strategy.NEAR_FAR], FairnessConfig(alpha=1.0), beta=0.09)
+        low = first_trial(cfg, [Strategy.NEAR_FAR], FairnessConfig(alpha=1.0), 0.01)
+        high = first_trial(cfg, [Strategy.NEAR_FAR], FairnessConfig(alpha=1.0), 0.09)
         assert (
             low.per_strategy[Strategy.NEAR_FAR].mean_weak_rate
             == high.per_strategy[Strategy.NEAR_FAR].mean_weak_rate
@@ -177,10 +179,10 @@ class TestRunTrial:
 
 
 class TestRunCampaign:
-    def test_single_point_single_trial_matches_run_trial(self):
+    def test_single_point_single_trial_matches_evaluate_strategies(self):
         cfg = NetworkConfig(trials=1, seed=21)
         rows = run_campaign(cfg, [(1.0, 0.02)], [Strategy.OMA, Strategy.NEAR_FAR])
-        metrics = run_trial(cfg, 0, [Strategy.OMA, Strategy.NEAR_FAR], FairnessConfig(alpha=1.0), 0.02)
+        metrics = first_trial(cfg, [Strategy.OMA, Strategy.NEAR_FAR], FairnessConfig(alpha=1.0), 0.02)
         by_key = {(r.strategy, r.metric): r for r in rows}
         oma = metrics.per_strategy[Strategy.OMA]
         assert by_key[("oma", "t_alpha")].value == oma.mean_t_alpha

@@ -1,17 +1,22 @@
 """Property tests of the decision table over the paper's link domain.
 
 gamma_w in [0.1, 100], gamma_s / gamma_w in [1, 1000], beta in [0, 1] and
-alpha in [0, 25].  Hypothesis runs derandomized, so every run draws the
-same cases.
+alpha in [0, 25].  The batched campaign kernel is checked against its
+per-pair scalar reference on small drawn cells.  Hypothesis runs
+derandomized, so every run draws the same cases.
 """
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from noma_fair.allocator import DECISIONS, DecisionMode
-from noma_fair.bounds import allocation_bounds, pairing_criterion
+from noma_fair.bounds import allocation_bounds, beta_star, pairing_criterion
 from noma_fair.fairness import FairnessConfig, alpha_throughput
+from noma_fair.netsim import evaluate_strategies
+from noma_fair.pairing import UserChannel
 from noma_fair.rates import PairLink, Strategy, noma_rates, oma_rate
+
+from _oracles import candidate_pairs_ref, evaluate_strategies_ref
 
 GATED = (Strategy.OPTIMAL, Strategy.SUBOPTIMAL, Strategy.UPPER_BOUND, Strategy.LOWER_BOUND)
 
@@ -95,3 +100,48 @@ def test_alpha_throughput_is_a_mean_that_falls_with_alpha(link, alpha, step):
         t = alpha_throughput(r_s, r_w, alpha)
         assert lo * (1 - 1e-12) <= t <= hi * (1 + 1e-12), strategy
         assert alpha_throughput(r_s, r_w, alpha + step) <= t * (1 + 1e-12), strategy
+
+
+@st.composite
+def drops(draw):
+    """Users of 0-4 cells of 0-7 users each, listed in a drawn order.
+
+    Gains come partly from a small pool, so that equal gains with different
+    user ids occur; SINRs are drawn apart from the gains, so that the gain
+    order often disagrees with the SINR order.
+    """
+    cells = draw(st.lists(st.integers(0, 9), unique=True, max_size=4))
+    cell_of = [c for c in cells for _ in range(draw(st.integers(0, 7)))]
+    n = len(cell_of)
+    ids = draw(st.permutations(range(n)))
+    gains = st.sampled_from([1e-10, 3e-10, 1e-9]) | st.floats(1e-12, 1e-6)
+    gammas = st.sampled_from([1.0, 5.0]) | st.floats(0.1, 1000.0)
+    users = [
+        UserChannel(user_id=ids[i], serving_bs_id=c, gamma=draw(gammas), channel_gain=draw(gains))
+        for i, c in enumerate(cell_of)
+    ]
+    return draw(st.permutations(users))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(
+    drops(),
+    st.sampled_from([0.0, 1 - 1e-3, 1.0, 1 + 1e-3, 25.0]) | alphas,
+    st.just("edge") | st.sampled_from([0.0, 0.01, 0.04, 0.08, 0.2]) | st.floats(0.0, 1.0),
+    st.integers(0, 13),
+)
+def test_batched_kernel_equals_scalar_reference(users, alpha, beta, pick):
+    if beta == "edge":
+        # beta_star * (1 - 1e-12) of a drawn candidate: a few-ulp interval.
+        cells = {}
+        for u in users:
+            cells.setdefault(u.serving_bs_id, []).append(u)
+        cands = [c for cell in cells.values() for c in candidate_pairs_ref(cell)[0]]
+        stars = [b for b in (beta_star(s.gamma, w.gamma) for s, w in cands) if b > 0]
+        assume(stars)
+        beta = stars[pick % len(stars)] * (1 - 1e-12)
+    cfg = FairnessConfig(alpha=alpha)
+    strategies = list(Strategy)
+    assert evaluate_strategies(users, strategies, cfg, beta) == evaluate_strategies_ref(
+        users, strategies, cfg, beta
+    )
