@@ -19,10 +19,12 @@ Each rule is written once, over arrays of links, in three stages:
 and :func:`near_far_decision` run the same stages on arrays of size 1;
 :data:`DECISIONS` maps every :class:`~noma_fair.rates.Strategy` to one.
 
-The 1-D objective is continuous on a compact interval but need not be
-concave, so the optimal solver runs a coarse grid scan followed by
-golden-section refinement of every near-best bracket, one admitted link at
-a time; this is robust to multimodality without derivative machinery.
+The 1-D objective, :func:`summed_utility`, is continuous on a compact
+interval but need not be concave, so the optimal solver runs a coarse grid
+scan followed by golden-section refinement of every near-best bracket; this
+is robust to multimodality without derivative machinery.  Every admitted
+link of a call is solved at once: the grids in blocks of links, the
+brackets of all links in lock step.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ __all__ = [
     "link_facts",
     "gate",
     "split",
+    "summed_utility",
     "solve_optimal",
     "solve_suboptimal",
     "allocate_fixed_bound",
@@ -68,6 +71,8 @@ __all__ = [
 ]
 
 _GRID_POINTS = 1000
+# Links per grid evaluation, which bounds the (links x points) temporaries.
+_GRID_BLOCK = 8
 # Grid maxima within this slack of the best are all refined (multimodal guard).
 _BRACKET_SLACK = 1e-9
 
@@ -139,68 +144,93 @@ def gate(links: LinkFacts, beta) -> Gate:
     return Gate(links, np.asarray(beta, dtype=float), delta_lb, admitted)
 
 
-def _objective_fn(gamma_s: float, gamma_w: float, beta: float, alpha: float) -> Callable:
-    """Summed alpha-fair utility of the two NOMA rates, as a function of delta_s.
+def summed_utility(gamma_s, gamma_w, beta, delta_s, alpha: float):
+    """Summed alpha-fair utility U(R_s) + U(R_w) of the two NOMA rates.
 
-    Vectorized over delta_s.  Positive rates are guaranteed on
-    [delta_lb, delta_ub] because the endpoints already achieve the (positive)
-    OMA rates.
+    Array-transparent: the link arrays and ``delta_s`` broadcast together.
+    Positive rates are guaranteed on [delta_lb, delta_ub] because the
+    endpoints already achieve the (positive) OMA rates.
     """
-
-    def obj(delta_s):
-        r_s = np.log2(1.0 + noma_sinr_strong(gamma_s, beta, delta_s))
-        r_w = np.log2(1.0 + noma_sinr_weak(gamma_w, delta_s))
-        return utility(r_s, alpha) + utility(r_w, alpha)
-
-    return obj
+    r_s = np.log2(1.0 + noma_sinr_strong(gamma_s, beta, delta_s))
+    r_w = np.log2(1.0 + noma_sinr_weak(gamma_w, delta_s))
+    return utility(r_s, alpha) + utility(r_w, alpha)
 
 
-def _golden_max(fn: Callable, lo: float, hi: float, tol: float) -> float:
-    """Golden-section search for the maximizer of fn on [lo, hi]."""
+def _golden_max(fn: Callable, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
+    """Golden-section maximizer of ``fn`` on every bracket [lo, hi] in lock step.
+
+    ``fn`` maps an array of splits, one per bracket, to their values.  Each
+    bracket's result is read off after its own number of steps, counted
+    with ``math.log`` as a one-bracket search counts them (``np.log`` may
+    differ in the last bit); brackets already read off keep stepping with
+    the rest, and their further steps are discarded.  A bracket no wider
+    than ``tol`` returns its midpoint.
+    """
     dist = hi - lo
-    if dist <= tol:
-        return 0.5 * (lo + hi)
-    n = int(math.ceil(math.log(tol / dist) / math.log(_INV_PHI)))
+    out = 0.5 * (lo + hi)
+    # The step after which each bracket is read off; -1 keeps the midpoint.
+    last = np.array(
+        [math.ceil(math.log(tol / w) / math.log(_INV_PHI)) - 1 if w > tol else -1 for w in dist.tolist()],
+        dtype=int,
+    )
+    reads = set(last.tolist())
     c = lo + _INV_PHI_SQ * dist
     d = lo + _INV_PHI * dist
-    yc = fn(c)
-    yd = fn(d)
-    for _ in range(max(n - 1, 0)):
-        if yc > yd:
-            hi, d, yd = d, c, yc
-            dist *= _INV_PHI
-            c = lo + _INV_PHI_SQ * dist
-            yc = fn(c)
-        else:
-            lo, c, yc = c, d, yd
-            dist *= _INV_PHI
-            d = lo + _INV_PHI * dist
-            yd = fn(d)
-    return 0.5 * (lo + d) if yc > yd else 0.5 * (c + hi)
+    yc, yd = fn(np.stack((c, d)))
+    for k in range(last.max(initial=-1) + 1):
+        if k:
+            left = yc > yd  # keep [lo, d], else keep [c, hi]
+            lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+            kept, y_kept = np.where(left, c, d), np.where(left, yc, yd)
+            dist = dist * _INV_PHI
+            new = lo + np.where(left, _INV_PHI_SQ, _INV_PHI) * dist
+            y_new = fn(new)
+            c, yc = np.where(left, new, kept), np.where(left, y_new, y_kept)
+            d, yd = np.where(left, kept, new), np.where(left, y_kept, y_new)
+        if k in reads:
+            best = np.where(yc > yd, 0.5 * (lo + d), 0.5 * (c + hi))
+            out = np.where(last == k, best, out)
+    return out
 
 
-def _maximize_on_interval(fn: Callable, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Grid scan plus golden-section refinement; returns (delta_s, objective).
+def _maximize_on_interval(gs, gw, beta, alpha: float, lo, hi, tol: float):
+    """Grid scan plus golden-section refinement of every link at once.
 
-    Every grid bracket within _BRACKET_SLACK of the best value is refined and
-    the global best kept; exact ties go to the smaller delta_s, which favors
-    the weak user.
+    Returns (delta_s, objective), one per link.  Each link's grid of
+    _GRID_POINTS splits is scanned; every local grid peak within
+    _BRACKET_SLACK of the link's best is refined, and the endpoints enter
+    as exact candidates (golden section only returns interior points, which
+    loses real objective on boundary maxima where the slope does not
+    vanish).  The best refined value is kept; values within 1e-12 of it tie
+    and go to the smallest delta_s, which favors the weak user.
     """
-    xs = np.linspace(lo, hi, _GRID_POINTS)
-    ys = fn(xs)
-    best = float(np.max(ys))
-    last = len(xs) - 1
-    # The endpoints enter as exact candidates: golden section only ever
-    # returns interior points, which loses real objective on boundary maxima
-    # where the slope does not vanish.
-    refined = [(float(ys[0]), float(xs[0])), (float(ys[last]), float(xs[last]))]
-    for i in np.flatnonzero(ys >= best - _BRACKET_SLACK):
-        if 0 < i < last and (ys[i] < ys[i - 1] or ys[i] < ys[i + 1]):
-            continue  # not a local peak, its bracket is covered by a neighbor
-        x = _golden_max(fn, xs[max(i - 1, 0)], xs[min(i + 1, last)], tol)
-        refined.append((float(fn(x)), float(x)))
-    top = max(v for v, _ in refined)
-    delta = min(x for v, x in refined if v >= top - 1e-12)
+    last = _GRID_POINTS - 1
+    ends_x, ends_y, links, lows, highs = [], [], [], [], []
+    for start in range(0, lo.size, _GRID_BLOCK):
+        rows = slice(start, start + _GRID_BLOCK)
+        xs = np.linspace(lo[rows], hi[rows], _GRID_POINTS, axis=1)
+        ys = summed_utility(gs[rows, None], gw[rows, None], beta[rows, None], xs, alpha)
+        link, i = np.nonzero(ys >= (ys.max(axis=1) - _BRACKET_SLACK)[:, None])
+        below, above = np.maximum(i - 1, 0), np.minimum(i + 1, last)
+        # An interior point below a neighbor is not a peak: the neighbor's
+        # bracket covers it.
+        at = ys[link, i]
+        peak = (i == 0) | (i == last) | ((at >= ys[link, below]) & (at >= ys[link, above]))
+        link, below, above = link[peak], below[peak], above[peak]
+        links.append(start + link)
+        lows.append(xs[link, below])
+        highs.append(xs[link, above])
+        ends_x.append(xs[:, [0, last]])
+        ends_y.append(ys[:, [0, last]])
+    link, ends_x, ends_y = np.concatenate(links), np.concatenate(ends_x), np.concatenate(ends_y)
+    on = (gs[link], gw[link], beta[link])
+    x = _golden_max(lambda d: summed_utility(*on, d, alpha), np.concatenate(lows), np.concatenate(highs), tol)
+    y = summed_utility(*on, x, alpha)
+    top = ends_y.max(axis=1)
+    np.maximum.at(top, link, y)
+    tie = top - 1e-12
+    delta = np.where(ends_y >= tie[:, None], ends_x, np.inf).min(axis=1)
+    np.minimum.at(delta, link, np.where(y >= tie[link], x, np.inf))
     return delta, top
 
 
@@ -218,11 +248,12 @@ def split(
     objective = None
     if strategy is Strategy.OPTIMAL:
         pick, objective = np.full(lb.shape, np.nan), np.full(lb.shape, np.nan)
-        gs, gw = g.links.gamma_s, g.links.gamma_w
-        beta = np.broadcast_to(g.beta, lb.shape)
-        for i in np.flatnonzero(paired):
-            fn = _objective_fn(float(gs[i]), float(gw[i]), float(beta[i]), cfg.alpha)
-            pick[i], objective[i] = _maximize_on_interval(fn, float(lb[i]), float(ub[i]), cfg.solver_tol)
+        on = np.flatnonzero(paired)
+        if on.size:
+            beta = np.broadcast_to(g.beta, lb.shape)[on]
+            pick[on], objective[on] = _maximize_on_interval(
+                g.links.gamma_s[on], g.links.gamma_w[on], beta, cfg.alpha, lb[on], ub[on], cfg.solver_tol
+            )
     elif strategy is Strategy.SUBOPTIMAL:
         # Rejected links may have beta_star <= 0; their picks are dropped.
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -257,7 +288,7 @@ def _decide_one(link: PairLink, strategy: Strategy, cfg) -> AllocationDecision:
     if objective is not None:
         objective = float(objective[0])
     elif strategy is Strategy.SUBOPTIMAL:
-        objective = float(_objective_fn(link.gamma_s, link.gamma_w, link.beta, cfg.alpha)(d))
+        objective = summed_utility(link.gamma_s, link.gamma_w, link.beta, d, cfg.alpha)
     return AllocationDecision(PowerAllocation(d, strategy), objective, diag)
 
 
@@ -266,8 +297,13 @@ def solve_optimal(link: PairLink, cfg: FairnessConfig) -> AllocationDecision:
 
     Returns an OMA fallback when the pairing criterion fails or the split
     interval is empty.  Otherwise the returned split lies in
-    [delta_lb, delta_ub], located to within ``cfg.solver_tol``, which keeps
-    both NOMA rates at or above their OMA counterparts by construction.
+    [delta_lb, delta_ub], which keeps both NOMA rates at or above their OMA
+    counterparts by construction.  It is the best of the two endpoints and
+    of every near-best grid peak refined by golden section until its bracket
+    is no wider than ``cfg.solver_tol``.  The search compares objective
+    values, which are flat to second order at an interior optimum, so there
+    the split is placed only to about the square root of the rounding error:
+    interior optima have been measured up to 5.4e-8 from the exact maximizer.
     """
     return _decide_one(link, Strategy.OPTIMAL, cfg)
 

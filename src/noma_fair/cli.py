@@ -39,8 +39,20 @@ class ConfigError(ValueError):
 
 
 def _comma_list(item):
-    """Parser of a comma list; ``item`` parses each nonblank entry."""
-    return lambda text: [item(part.strip()) for part in text.split(",") if part.strip()]
+    """Parser of a comma list; ``item`` parses each nonblank entry.
+
+    A repeated entry (``1,1.0`` counts) is rejected: it would repeat every
+    row it produces.
+    """
+
+    def parse(text):
+        entries = [item(part.strip()) for part in text.split(",") if part.strip()]
+        repeated = [e for i, e in enumerate(entries) if e in entries[:i]]
+        if repeated:
+            raise ValueError(f"repeated entry {repeated[0]!r}")
+        return entries
+
+    return parse
 
 
 def _strategy(text: str) -> Strategy:
@@ -89,9 +101,10 @@ _SIMULATE_FLAGS = {
 }
 
 
-def _parse_setting(key: str, text: str):
+def _parse(key: str, parse, text: str):
+    """``parse(text)``; a ValueError is re-raised naming ``key``."""
     try:
-        return SETTINGS[key][0](text)
+        return parse(text)
     except ValueError as exc:
         raise ValueError(f"bad value for {key!r}: {exc}") from exc
 
@@ -121,7 +134,7 @@ def parse_config_file(path) -> dict:
         if key not in SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            parsed[key] = _parse_setting(key, value.strip())
+            parsed[key] = _parse(key, SETTINGS[key][0], value.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return parsed
@@ -263,12 +276,12 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    axis_values = (_beta_list if args.axis == "beta" else _float_list)(args.values)
+    axis_values = _parse("values", _beta_list if args.axis == "beta" else _float_list, args.values)
     if not axis_values:
         raise ValueError("--values produced an empty sweep")
 
-    alphas = _float_list(args.alphas)
-    betas = _beta_list(args.betas)
+    alphas = _parse("alphas", _float_list, args.alphas)
+    betas = _parse("betas", _beta_list, args.betas)
     if args.axis == "alpha":
         alphas = axis_values
     elif args.axis == "beta":
@@ -322,7 +335,7 @@ def _cmd_simulate(args) -> int:
         settings = parse_config_file(args.config)
     for key in _SIMULATE_FLAGS:
         if getattr(args, key) is not None:
-            settings[key] = _parse_setting(key, getattr(args, key))
+            settings[key] = _parse(key, SETTINGS[key][0], getattr(args, key))
     values = {key: settings.get(key, default) for key, (_, default) in SETTINGS.items()}
     values["threads"] = _resolve_threads(values["threads"])
 

@@ -29,7 +29,7 @@ class FairnessConfig:
 
     alpha:      fairness exponent, >= 0 (alpha = 1 uses the log branch).
     tau:        imperfection-ratio threshold of the sub-optimal rule, in (0, 1).
-    solver_tol: absolute tolerance on the optimal power fraction.
+    solver_tol: width at which the optimal solver stops narrowing a bracket.
     """
 
     alpha: float

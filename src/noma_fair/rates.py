@@ -66,7 +66,8 @@ def _require_positive_finite(name: str, value) -> None:
         ok = math.isfinite(value) and value > 0
     else:
         arr = np.asarray(value, dtype=float)
-        ok = bool(np.all(np.isfinite(arr)) and np.all(arr > 0))
+        # NaN fails both comparisons; an empty array passes.
+        ok = bool(arr.min(initial=math.inf) > 0 and arr.max(initial=0.0) < math.inf)
     if not ok:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 

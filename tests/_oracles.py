@@ -2,13 +2,17 @@
 
 Everything here recomputes expected values from the rate definitions by
 bisection, exhaustive scanning or high-precision differentiation, never
-from the closed forms or solvers under test.  The one exception is
-:func:`evaluate_strategies_ref`, the per-pair scalar reference of the
-batched campaign kernel: it matches and aggregates on its own, and decides
-each candidate through the size-1 decisions.
+from the closed forms or solvers under test.  Two exceptions are the
+scalar references of batched code, which must agree with it bit for bit:
+:func:`evaluate_strategies_ref`, the per-pair reference of the campaign
+kernel (it matches and aggregates on its own, and decides each candidate
+through the size-1 decisions), and :func:`maximize_on_interval_ref`, the
+one-link-at-a-time grid and golden-section search of the optimal split.
 """
 
 from __future__ import annotations
+
+import math
 
 import mpmath
 import numpy as np
@@ -109,6 +113,59 @@ def alpha_fair_slope_ref(gamma_s, gamma_w, beta, delta_s, alpha, dps: int = 40) 
                 mpmath.mpf(delta_s),
             )
         )
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def golden_max_ref(fn, lo, hi, tol):
+    """Golden-section search for the maximizer of fn on [lo, hi], one point per step."""
+    dist = hi - lo
+    if dist <= tol:
+        return 0.5 * (lo + hi)
+    n = int(math.ceil(math.log(tol / dist) / math.log(_INV_PHI)))
+    c = lo + _INV_PHI_SQ * dist
+    d = lo + _INV_PHI * dist
+    yc = fn(c)
+    yd = fn(d)
+    for _ in range(max(n - 1, 0)):
+        if yc > yd:
+            hi, d, yd = d, c, yc
+            dist *= _INV_PHI
+            c = lo + _INV_PHI_SQ * dist
+            yc = fn(c)
+        else:
+            lo, c, yc = c, d, yd
+            dist *= _INV_PHI
+            d = lo + _INV_PHI * dist
+            yd = fn(d)
+    return 0.5 * (lo + d) if yc > yd else 0.5 * (c + hi)
+
+
+def maximize_on_interval_ref(fn, lo, hi, tol, points=1000, slack=1e-9):
+    """One link's grid scan plus golden-section refinement.
+
+    Returns (delta_s, objective, brackets), ``brackets`` the (lo, hi) of
+    every refined grid bracket.  Every grid peak within ``slack`` of the best
+    value is refined, the endpoints enter as exact candidates, and values
+    within 1e-12 of the best tie to the smallest delta_s.
+    """
+    xs = np.linspace(lo, hi, points)
+    ys = fn(xs)
+    best = float(np.max(ys))
+    last = len(xs) - 1
+    refined = [(float(ys[0]), float(xs[0])), (float(ys[last]), float(xs[last]))]
+    brackets = []
+    for i in np.flatnonzero(ys >= best - slack):
+        if 0 < i < last and (ys[i] < ys[i - 1] or ys[i] < ys[i + 1]):
+            continue  # not a local peak, its bracket is covered by a neighbor
+        brackets.append((xs[max(i - 1, 0)], xs[min(i + 1, last)]))
+        x = golden_max_ref(fn, *brackets[-1], tol)
+        refined.append((float(fn(x)), float(x)))
+    top = max(v for v, _ in refined)
+    delta = min(x for v, x in refined if v >= top - 1e-12)
+    return delta, top, brackets
 
 
 def sample_ordered_pairs(rng, n: int, low_db: float = 0.0, high_db: float = 30.0):

@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+from noma_fair import allocator
 from noma_fair.allocator import (
+    _GRID_BLOCK,
+    _GRID_POINTS,
     DECISIONS,
     DecisionMode,
     allocate_fixed_bound,
@@ -240,3 +245,45 @@ class TestBatchedDecision:
                 assert bits(links.criterion.satisfied) == bits(
                     [d.diagnostics.criterion.satisfied for d in one]
                 )
+
+    def test_optimal_solver_stays_batched(self, monkeypatch):
+        # One split(OPTIMAL) call evaluates the objective once per grid block
+        # of links, then in lock step over every bracket: the count must not
+        # grow with the links beyond the block term and the spread of the
+        # brackets' golden-section step counts.
+        calls = []
+        objective = allocator.summed_utility
+
+        def counted(*args):
+            calls.append(1)
+            return objective(*args)
+
+        monkeypatch.setattr(allocator, "summed_utility", counted)
+        rng = np.random.default_rng(64)
+        gs, gw = sample_ordered_pairs(rng, 400, 0.0, 30.0)
+        links = link_facts(gs, gw)
+        keep = np.flatnonzero(links.criterion.satisfied)[:64]
+        assert keep.size == 64
+        gs, gw = gs[keep], gw[keep]
+        beta = rng.uniform(0.0, 0.9, 64) * beta_star(gs, gw)
+        cfg = FairnessConfig(alpha=1.0)
+
+        def count(n):
+            g = gate(link_facts(gs[:n], gw[:n]), beta[:n])
+            assert g.admitted.all()
+            calls.clear()
+            split(g, Strategy.OPTIMAL, cfg)
+            return len(calls), g.links.delta_ub - g.delta_lb
+
+        one, _ = count(1)
+        many, width = count(64)
+        # A grid bracket is one or two grid steps wide.
+        step = width / (_GRID_POINTS - 1)
+        steps = [
+            math.ceil(math.log(cfg.solver_tol / w) / math.log(allocator._INV_PHI)) - 1
+            for w in np.concatenate((step, 2 * step))
+        ]
+        spread = max(steps) - min(steps)
+        assert many < 64
+        assert count(_GRID_BLOCK)[0] - one <= spread
+        assert many - one <= spread + 64 // _GRID_BLOCK - 1

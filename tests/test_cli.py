@@ -147,6 +147,23 @@ class TestSweepCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags, key",
+        [
+            (["--axis", "alpha", "--values", "1,2,1.0"], "values"),
+            (["--axis", "beta", "--values", "0.1,beta_star,beta_star"], "values"),
+            (["--axis", "gamma-s", "--values", "4,6,4"], "values"),
+            (["--axis", "beta", "--values", "0.1", "--alphas", "1,3,3"], "alphas"),
+            (["--axis", "alpha", "--values", "1", "--betas", "0,0.0"], "betas"),
+        ],
+    )
+    def test_repeated_entry_names_its_key(self, tmp_path, capsys, flags, key):
+        base = tmp_path / "x"
+        code = run(["sweep", *flags, "--gamma-s-db", "9", "--gamma-w-db", "2", "--out", str(base)])
+        assert code == 2
+        assert f"bad value for {key!r}: repeated entry" in capsys.readouterr().err
+        assert not base.with_suffix(".csv").exists()
+
     def test_missing_fixed_gamma_exit_2(self, tmp_path):
         code = run(
             ["sweep", "--axis", "alpha", "--values", "1", "--gamma-w-db", "2",
@@ -241,6 +258,10 @@ class TestSimulateCommand:
             ("pathloss_min_distance_km", "0"),
             ("fading_scale", "nan"),
             ("betas", "0.1,1.5"),
+            ("strategies", "oma,oma"),
+            ("strategies", "near_far,suboptimal,near_far"),
+            ("alphas", "1,1.0"),
+            ("betas", "0.1,0.05,0.10"),
         ],
     )
     def test_bad_value_names_its_key(self, tmp_path, capsys, key, value):

@@ -2,21 +2,31 @@
 
 gamma_w in [0.1, 100], gamma_s / gamma_w in [1, 1000], beta in [0, 1] and
 alpha in [0, 25].  The batched campaign kernel is checked against its
-per-pair scalar reference on small drawn cells.  Hypothesis runs
-derandomized, so every run draws the same cases.
+per-pair scalar reference on small drawn cells, and the batched optimal
+solver against its per-link reference on drawn sets of links.  Hypothesis
+runs derandomized, so every run draws the same cases.
 """
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from noma_fair.allocator import DECISIONS, DecisionMode
+from noma_fair.allocator import (
+    _GRID_BLOCK,
+    DECISIONS,
+    DecisionMode,
+    gate,
+    link_facts,
+    split,
+    summed_utility,
+)
 from noma_fair.bounds import allocation_bounds, beta_star, pairing_criterion
 from noma_fair.fairness import FairnessConfig, alpha_throughput
 from noma_fair.netsim import evaluate_strategies
 from noma_fair.pairing import UserChannel
 from noma_fair.rates import PairLink, Strategy, noma_rates, oma_rate
 
-from _oracles import candidate_pairs_ref, evaluate_strategies_ref
+from _oracles import candidate_pairs_ref, evaluate_strategies_ref, maximize_on_interval_ref
 
 GATED = (Strategy.OPTIMAL, Strategy.SUBOPTIMAL, Strategy.UPPER_BOUND, Strategy.LOWER_BOUND)
 
@@ -145,3 +155,54 @@ def test_batched_kernel_equals_scalar_reference(users, alpha, beta, pick):
     assert evaluate_strategies(users, strategies, cfg, beta) == evaluate_strategies_ref(
         users, strategies, cfg, beta
     )
+
+
+def test_batched_optimal_split_equals_per_link_reference():
+    # Every drawn set of links is solved in one split() call and compared
+    # link by link, with ==, against the one-link-at-a-time search.
+    # beta is a drawn fraction of each link's beta_star, up to
+    # beta_star * (1 - 1e-12), whose few-ulp intervals make every bracket
+    # narrower than solver_tol.
+    seen = {"links": 0, "several_brackets": 0, "narrow_brackets": 0, "several_blocks": 0}
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(
+        st.integers(1, 48).flatmap(
+            lambda n: st.lists(
+                st.tuples(
+                    st.floats(0.1, 100.0),
+                    st.floats(1.0, 1000.0),
+                    st.sampled_from([0.0, 0.5, 1 - 1e-12]) | st.floats(0.0, 1 - 1e-12),
+                ),
+                min_size=n,
+                max_size=n,
+            )
+        ),
+        st.sampled_from([0.0, 1 - 1e-3, 1.0, 1 + 1e-3, 25.0]) | alphas,
+        st.sampled_from([1e-9, 1e-9, 1e-6, 1e-3]),  # the default tol, twice as often
+    )
+    def check(drawn, alpha, tol):
+        gw, ratio, share = (np.array(column) for column in zip(*drawn))
+        gs = gw * ratio
+        links = link_facts(gs, gw)
+        beta = np.minimum(share * np.maximum(links.criterion.beta_star, 0.0), 1.0)
+        g = gate(links, beta)
+        delta, value = split(g, Strategy.OPTIMAL, FairnessConfig(alpha=alpha, solver_tol=tol))
+        seen["several_blocks"] += int(np.count_nonzero(g.admitted) > _GRID_BLOCK)
+        for i in range(len(drawn)):
+            if not g.admitted[i]:
+                assert np.isnan(delta[i]) and np.isnan(value[i])
+                continue
+            args = float(gs[i]), float(gw[i]), float(beta[i])
+            want_delta, want_value, brackets = maximize_on_interval_ref(
+                lambda d: summed_utility(*args, d, alpha), float(g.delta_lb[i]), float(links.delta_ub[i]), tol
+            )
+            assert (delta[i], value[i]) == (want_delta, want_value), (args, alpha, tol)
+            seen["links"] += 1
+            seen["several_brackets"] += len(brackets) > 1
+            seen["narrow_brackets"] += any(hi - lo <= tol for lo, hi in brackets)
+
+    check()
+    # The draws must reach multi-peak links, the no-iteration branch and
+    # calls that span several grid blocks.
+    assert min(seen.values()) >= 20, seen

@@ -138,13 +138,18 @@ POSITIVE_FINITE_ARGS = {
 }
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("case", POSITIVE_FINITE_ARGS)
 def test_positive_finite_check_names_its_argument(case, bad):
     name, call, accepts_arrays = POSITIVE_FINITE_ARGS[case]
     for value in [bad, np.array([1.0, bad])] if accepts_arrays else [bad]:
         with pytest.raises(ValueError, match=rf"\b{name} must be positive and finite"):
             call(value)
+
+
+def test_positive_finite_check_passes_an_empty_array():
+    assert utility(np.array([]), 2.0).shape == (0,)
+    assert oma_rate(np.zeros((0, 3))).shape == (0, 3)
 
 
 class TestProperties:
