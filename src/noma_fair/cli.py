@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -214,6 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     for key, help_text in _SIMULATE_FLAGS.items():
         sim.add_argument(f"--{key}", default=None, help=help_text)
     sim.add_argument("--out-dir", type=Path, required=True)
+    for cmd in (sweep, sim):  # a comma list may start with a negative number
+        cmd._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

@@ -5,7 +5,8 @@ on a square window with toroidal wrap-around (standard practice to avoid
 boundary bias).  Channel gain to every station is log-distance pathloss
 times unit-mean exponential (Rayleigh power) fading; users associate with
 the station offering the maximum SINR, and every non-serving station
-interferes at full power on the shared subchannel.
+interferes at full power on the shared subchannel.  Received powers are
+computed for row blocks of users, so no users x stations matrix is built.
 
 Within a trial every strategy consumes the identical channel realization
 and the identical candidate pairs, so strategy comparisons are
@@ -58,6 +59,10 @@ __all__ = [
 _GEOMETRY_STREAM = 0
 _FADING_STREAM = 1
 
+# compute_sinrs takes users in row blocks of about this many (user, station)
+# entries, so that a block's float64 buffers stay in cache.
+_BLOCK_ENTRIES = 1 << 14
+
 
 def _check_fields(obj, prefix: str, positive: Sequence[str]) -> None:
     """Reject non-finite float fields and non-positive ``positive`` fields.
@@ -87,10 +92,6 @@ class PathlossModel:
 
     def __post_init__(self) -> None:
         _check_fields(self, "pathloss_", positive=("min_distance_km",))
-
-    def loss_db(self, distance_km):
-        d = np.maximum(distance_km, self.min_distance_km)
-        return self.intercept_db + self.slope_db * np.log10(d)
 
 
 @dataclass(frozen=True)
@@ -186,27 +187,6 @@ def drop_network(cfg: NetworkConfig, trial_index: int) -> NetworkRealization:
     )
 
 
-def toroidal_distances(a_xy: np.ndarray, b_xy: np.ndarray, side: float) -> np.ndarray:
-    """Pairwise wrap-around distances, shape (len(a), len(b))."""
-    delta = np.abs(a_xy[:, None, :] - b_xy[None, :, :])
-    delta = np.minimum(delta, side - delta)
-    return np.hypot(delta[..., 0], delta[..., 1])
-
-
-def received_power_mw(network: NetworkRealization, cfg: NetworkConfig) -> np.ndarray:
-    """Per-(user, station) received power in mW, fading included.
-
-    Draws the fading matrix from the trial's dedicated substream, so the
-    realization is reproducible independently of how it is consumed.
-    """
-    dist = toroidal_distances(network.user_xy, network.bs_xy, network.side_km)
-    network.clamped_links = int(np.sum(dist < cfg.pathloss.min_distance_km))
-    rng = np.random.default_rng([network.seed, network.trial_index, _FADING_STREAM])
-    fading = rng.exponential(cfg.fading_scale, size=dist.shape)
-    gains = 10.0 ** (-cfg.pathloss.loss_db(dist) / 10.0) * fading
-    return 10.0 ** (cfg.tx_power_dbm / 10.0) * gains
-
-
 def compute_sinrs(network: NetworkRealization, cfg: NetworkConfig) -> list[UserChannel]:
     """Associate users by maximum SINR and report their link state.
 
@@ -215,30 +195,59 @@ def compute_sinrs(network: NetworkRealization, cfg: NetworkConfig) -> list[UserC
     and no SINR matrix is needed.  Association ties go to the lowest station
     id.  The reported channel gain is pathloss times fading toward the
     serving station (transmit power excluded).
+
+    Users go in row blocks of about ``_BLOCK_ENTRIES`` entries, computed in
+    place in buffers reused across blocks, so memory is bounded by the block,
+    not by users x stations.  The fading draws continue block after block in
+    the trial's one substream, and every entry and row sum goes through the
+    full-matrix form's operations, so the result is bit-identical to it.
     """
-    n_users = len(network.user_xy)
+    n_users, n_bs = len(network.user_xy), len(network.bs_xy)
     if n_users == 0:
         return []
-    prx = received_power_mw(network, cfg)
-    noise_mw = 10.0 ** (cfg.noise_power_dbm / 10.0)
-    serving = np.argmax(prx, axis=1)
-    rows = np.arange(n_users)
-    # Sum the non-serving columns directly; the error stays relative to the
-    # interference instead of to the (possibly dominant) serving power.
-    masked = prx.copy()
-    masked[rows, serving] = 0.0
-    interference = masked.sum(axis=1)
-    gamma = prx[rows, serving] / (noise_mw + interference)
+    pl = cfg.pathloss
     tx_mw = 10.0 ** (cfg.tx_power_dbm / 10.0)
-    gains = prx[rows, serving] / tx_mw
+    noise_mw = 10.0 ** (cfg.noise_power_dbm / 10.0)
+    rng = np.random.default_rng([network.seed, network.trial_index, _FADING_STREAM])
+    step = max(1, _BLOCK_ENTRIES // n_bs)
+    buffers = np.empty((3, min(step, n_users), n_bs))
+    serving = np.empty(n_users, dtype=np.intp)
+    power = np.empty(n_users)
+    interference = np.empty(n_users)
+    network.clamped_links = 0
+    for lo in range(0, n_users, step):
+        block = slice(lo, lo + step)
+        users = network.user_xy[block]
+        p, dy, scratch = buffers[:, : len(users)]
+        # Wrap-around distance, one axis at a time.
+        for d, axis in ((p, 0), (dy, 1)):
+            np.subtract(users[:, axis, None], network.bs_xy[:, axis], out=d)
+            np.abs(d, out=d)
+            np.subtract(network.side_km, d, out=scratch)
+            np.minimum(d, scratch, out=d)
+        np.hypot(p, dy, out=p)
+        network.clamped_links += int(np.count_nonzero(p < pl.min_distance_km))
+        # Received power tx_mw * 10^(-PL(d) / 10) * fading, PL(d) in dB.
+        np.maximum(p, pl.min_distance_km, out=p)
+        np.log10(p, out=p)
+        np.multiply(pl.slope_db, p, out=p)
+        np.add(pl.intercept_db, p, out=p)
+        np.negative(p, out=p)
+        np.divide(p, 10.0, out=p)
+        np.power(10.0, p, out=p)
+        p *= rng.exponential(cfg.fading_scale, size=p.shape)
+        np.multiply(tx_mw, p, out=p)
+        rows, best = np.arange(len(users)), np.argmax(p, axis=1)
+        serving[block], power[block] = best, p[rows, best]
+        # Sum the non-serving columns directly; the error stays relative to the
+        # interference instead of to the (possibly dominant) serving power.
+        p[rows, best] = 0.0
+        p.sum(axis=1, out=interference[block])
+    gamma = power / (noise_mw + interference)
+    gains = power / tx_mw
     return [
-        UserChannel(
-            user_id=int(u),
-            serving_bs_id=int(serving[u]),
-            gamma=float(gamma[u]),
-            channel_gain=float(gains[u]),
-        )
-        for u in rows
+        UserChannel(user_id=u, serving_bs_id=s, gamma=g, channel_gain=c)
+        for u, (s, g, c) in enumerate(zip(serving.tolist(), gamma.tolist(), gains.tolist()))
     ]
 
 
@@ -325,18 +334,20 @@ _METRIC_FIELDS = (
 def _trial_chunk(args) -> list[list[TrialMetrics]]:
     """Worker: each trial's metrics at every sweep point, for a chunk of trials.
 
-    A failure is re-raised naming its trial index and sweep point.
+    A failure is re-raised naming its trial index and, past the SINRs, its sweep point.
     """
     cfg, points, strategies, indices = args
     out = []
     for t in indices:
-        trial = _Trial(compute_sinrs(drop_network(cfg, t), cfg))
-        metrics = []
-        for fairness, beta in points:
-            try:
+        point = ""  # the drop and SINRs serve every sweep point
+        try:
+            trial = _Trial(compute_sinrs(drop_network(cfg, t), cfg))
+            metrics = []
+            for fairness, beta in points:
+                point = f", alpha={fairness.alpha}, beta={beta}"
                 metrics.append(trial.evaluate(strategies, fairness, beta))
-            except Exception as exc:
-                raise RuntimeError(f"trial {t}, alpha={fairness.alpha}, beta={beta}: {exc}") from exc
+        except Exception as exc:
+            raise RuntimeError(f"trial {t}{point}: {exc}") from exc
         out.append(metrics)
     return out
 

@@ -2,12 +2,14 @@
 
 Everything here recomputes expected values from the rate definitions by
 bisection, exhaustive scanning or high-precision differentiation, never
-from the closed forms or solvers under test.  Two exceptions are the
-scalar references of batched code, which must agree with it bit for bit:
+from the closed forms or solvers under test.  Three exceptions are the
+references of batched code, which must agree with it bit for bit:
 :func:`evaluate_strategies_ref`, the per-pair reference of the campaign
 kernel (it matches and aggregates on its own, and decides each candidate
-through the size-1 decisions), and :func:`maximize_on_interval_ref`, the
-one-link-at-a-time grid and golden-section search of the optimal split.
+through the size-1 decisions), :func:`maximize_on_interval_ref`, the
+one-link-at-a-time grid and golden-section search of the optimal split,
+and :func:`compute_sinrs_ref`, the full users x stations matrix form of
+the row-blocked SINRs.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ import numpy as np
 
 from noma_fair.allocator import DECISIONS
 from noma_fair.fairness import alpha_throughput
-from noma_fair.netsim import StrategyMetrics, TrialMetrics
+from noma_fair.netsim import (
+    _FADING_STREAM,
+    NetworkConfig,
+    NetworkRealization,
+    StrategyMetrics,
+    TrialMetrics,
+)
+from noma_fair.pairing import UserChannel
 from noma_fair.rates import PairLink, noma_rates, noma_sinr_strong, noma_sinr_weak, oma_rate
 
 
@@ -232,3 +241,51 @@ def evaluate_strategies_ref(users, strategies, fairness, beta) -> TrialMetrics:
         for s, a in acc.items()
     }
     return TrialMetrics(population=len(users), per_strategy=per_strategy)
+
+
+def toroidal_distances_ref(a_xy: np.ndarray, b_xy: np.ndarray, side: float) -> np.ndarray:
+    """Pairwise wrap-around distances, shape (len(a), len(b))."""
+    delta = np.abs(a_xy[:, None, :] - b_xy[None, :, :])
+    delta = np.minimum(delta, side - delta)
+    return np.hypot(delta[..., 0], delta[..., 1])
+
+
+def received_power_mw_ref(network: NetworkRealization, cfg: NetworkConfig) -> np.ndarray:
+    """Per-(user, station) received power in mW, fading included.
+
+    Draws the fading matrix from the trial's dedicated substream in one call.
+    """
+    dist = toroidal_distances_ref(network.user_xy, network.bs_xy, network.side_km)
+    network.clamped_links = int(np.sum(dist < cfg.pathloss.min_distance_km))
+    rng = np.random.default_rng([network.seed, network.trial_index, _FADING_STREAM])
+    fading = rng.exponential(cfg.fading_scale, size=dist.shape)
+    pl = cfg.pathloss
+    loss_db = pl.intercept_db + pl.slope_db * np.log10(np.maximum(dist, pl.min_distance_km))
+    gains = 10.0 ** (-loss_db / 10.0) * fading
+    return 10.0 ** (cfg.tx_power_dbm / 10.0) * gains
+
+
+def compute_sinrs_ref(network: NetworkRealization, cfg: NetworkConfig) -> list[UserChannel]:
+    """Max-power association and SINRs from the full users x stations matrix."""
+    n_users = len(network.user_xy)
+    if n_users == 0:
+        return []
+    prx = received_power_mw_ref(network, cfg)
+    noise_mw = 10.0 ** (cfg.noise_power_dbm / 10.0)
+    serving = np.argmax(prx, axis=1)
+    rows = np.arange(n_users)
+    masked = prx.copy()
+    masked[rows, serving] = 0.0
+    interference = masked.sum(axis=1)
+    gamma = prx[rows, serving] / (noise_mw + interference)
+    tx_mw = 10.0 ** (cfg.tx_power_dbm / 10.0)
+    gains = prx[rows, serving] / tx_mw
+    return [
+        UserChannel(
+            user_id=int(u),
+            serving_bs_id=int(serving[u]),
+            gamma=float(gamma[u]),
+            channel_gain=float(gains[u]),
+        )
+        for u in rows
+    ]

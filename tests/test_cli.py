@@ -164,6 +164,19 @@ class TestSweepCommand:
         assert f"bad value for {key!r}: repeated entry" in capsys.readouterr().err
         assert not base.with_suffix(".csv").exists()
 
+    def test_values_may_start_with_a_negative_number(self, tmp_path):
+        # argparse alone reads "-5,-2,0" as an unknown flag.
+        a, b = tmp_path / "a" / "x", tmp_path / "b" / "x"
+        flags = ["--axis", "gamma-w", "--gamma-s-db", "9"]
+        assert run(["sweep", *flags, "--values", "-5,-2,0", "--out", str(a)]) == 0
+        assert run(["sweep", *flags, "--values=-5,-2,0", "--out", str(b)]) == 0
+        for suffix in (".csv", ".json"):
+            assert a.with_suffix(suffix).read_bytes() == b.with_suffix(suffix).read_bytes()
+        manifest = (a.parent / "x.manifest.txt").read_text(encoding="utf-8")
+        assert manifest.replace(str(a), str(b)) == (b.parent / "x.manifest.txt").read_text(encoding="utf-8")
+        rows = parse_campaign_csv(a.with_suffix(".csv"))
+        assert sorted({r.gamma_w_db for r in rows}) == [-5.0, -2.0, 0.0]
+
     def test_missing_fixed_gamma_exit_2(self, tmp_path):
         code = run(
             ["sweep", "--axis", "alpha", "--values", "1", "--gamma-w-db", "2",
@@ -302,6 +315,24 @@ class TestSimulateCommand:
         )
         assert code == 1
         assert "runtime error: trial 3, alpha=2.0, beta=0.05: boom" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_sinr_failure_names_its_trial(self, tmp_path, capsys, threads):
+        # A 4000 dB/decade slope overflows the received powers of users
+        # within 1 km of a station; the drop and SINRs precede every sweep point.
+        cfg = tmp_path / "steep.cfg"
+        cfg.write_text(
+            "pathloss_slope_db = 4000\narea_km2 = 100\nbs_density = 0.02\ntrials = 2\n",
+            encoding="utf-8",
+        )
+        code = run(
+            ["simulate", "--config", str(cfg), "--threads", threads, "--out-dir", str(tmp_path / "o")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "runtime error: trial 0: user 891: gamma must be positive and finite, got 0.0" in err
         assert not (tmp_path / "o").exists()
 
     def test_unknown_strategy_exit_2(self, tmp_path):

@@ -1,9 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from noma_fair import netsim
 from noma_fair.fairness import FairnessConfig
 from noma_fair.netsim import (
     NetworkConfig,
@@ -15,10 +15,11 @@ from noma_fair.netsim import (
     compute_sinrs,
     drop_network,
     evaluate_strategies,
-    received_power_mw,
     run_campaign,
 )
 from noma_fair.rates import oma_rate
+
+from _oracles import received_power_mw_ref
 
 SMALL = NetworkConfig(trials=4, seed=7)
 
@@ -82,9 +83,17 @@ class TestComputeSinrs:
             assert u.gamma == pytest.approx(tx_mw * u.channel_gain / noise_mw, rel=1e-12)
 
     def test_association_tie_breaks_to_lower_station_id(self, monkeypatch):
+        # At 0 dBm and a flat 0 dB pathloss the received powers are exactly
+        # the fading draws, which here hand out the rows of prx.
         prx = np.array([[2.0, 2.0], [1.0, 3.0]])
-        monkeypatch.setattr(netsim, "received_power_mw", lambda network, cfg: prx)
-        cfg = NetworkConfig(trials=1, seed=5, noise_power_dbm=10 * math.log10(0.5))
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedFading(prx))
+        cfg = NetworkConfig(
+            trials=1,
+            seed=5,
+            tx_power_dbm=0.0,
+            noise_power_dbm=10 * math.log10(0.5),
+            pathloss=PathlossModel(intercept_db=0.0, slope_db=0.0),
+        )
         net = NetworkRealization(
             bs_xy=np.array([[0.2, 0.2], [0.7, 0.7]]),
             user_xy=np.array([[0.4, 0.4], [0.6, 0.6]]),
@@ -102,7 +111,7 @@ class TestComputeSinrs:
         cfg = NetworkConfig(trials=1, seed=11)
         net = drop_network(cfg, 0)
         users = compute_sinrs(net, cfg)
-        prx = received_power_mw(net, cfg)  # same substream, same matrix
+        prx = received_power_mw_ref(net, cfg)  # same substream, same matrix
         noise_mw = 10 ** (cfg.noise_power_dbm / 10)
         rng = np.random.default_rng(0)
         for u in (users[i] for i in rng.choice(len(users), size=min(100, len(users)), replace=False)):
@@ -117,6 +126,34 @@ class TestComputeSinrs:
         net = drop_network(cfg, 0)
         compute_sinrs(net, cfg)
         assert net.clamped_links > 0
+
+    def test_memory_stays_below_one_users_by_stations_matrix(self):
+        # A 36 km^2 drop: about 4,300 users x 930 stations, a 31 MB matrix.
+        cfg = NetworkConfig(trials=1, seed=1, area_km2=36.0)
+        net = drop_network(cfg, 0)
+        matrix_bytes = 8 * len(net.user_xy) * len(net.bs_xy)
+        tracemalloc.start()
+        try:
+            users = compute_sinrs(net, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(users) == len(net.user_xy)
+        assert peak < matrix_bytes, (peak, matrix_bytes)
+
+
+class _FixedFading:
+    """Stands in for the fading generator: each draw is the next rows of ``values``."""
+
+    def __init__(self, values):
+        self.values = values
+        self.taken = 0
+
+    def exponential(self, scale, size):
+        rows = self.values[self.taken : self.taken + size[0]]
+        self.taken += size[0]
+        assert rows.shape == size
+        return scale * rows
 
 
 def first_trial(cfg, strategies, fairness, beta):

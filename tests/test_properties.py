@@ -2,8 +2,9 @@
 
 gamma_w in [0.1, 100], gamma_s / gamma_w in [1, 1000], beta in [0, 1] and
 alpha in [0, 25].  The batched campaign kernel is checked against its
-per-pair scalar reference on small drawn cells, and the batched optimal
-solver against its per-link reference on drawn sets of links.  Hypothesis
+per-pair scalar reference on small drawn cells, the batched optimal solver
+against its per-link reference on drawn sets of links, and the row-blocked
+SINRs against the full-matrix reference on drawn windows.  Hypothesis
 runs derandomized, so every run draws the same cases.
 """
 
@@ -22,11 +23,23 @@ from noma_fair.allocator import (
 )
 from noma_fair.bounds import allocation_bounds, beta_star, pairing_criterion
 from noma_fair.fairness import FairnessConfig, alpha_throughput
-from noma_fair.netsim import evaluate_strategies
+from noma_fair.netsim import (
+    _BLOCK_ENTRIES,
+    NetworkConfig,
+    NetworkRealization,
+    PathlossModel,
+    compute_sinrs,
+    evaluate_strategies,
+)
 from noma_fair.pairing import UserChannel
 from noma_fair.rates import PairLink, Strategy, noma_rates, oma_rate
 
-from _oracles import candidate_pairs_ref, evaluate_strategies_ref, maximize_on_interval_ref
+from _oracles import (
+    candidate_pairs_ref,
+    compute_sinrs_ref,
+    evaluate_strategies_ref,
+    maximize_on_interval_ref,
+)
 
 GATED = (Strategy.OPTIMAL, Strategy.SUBOPTIMAL, Strategy.UPPER_BOUND, Strategy.LOWER_BOUND)
 
@@ -206,3 +219,48 @@ def test_batched_optimal_split_equals_per_link_reference():
     # The draws must reach multi-peak links, the no-iteration branch and
     # calls that span several grid blocks.
     assert min(seen.values()) >= 20, seen
+
+
+def test_blocked_sinrs_equal_full_matrix_reference():
+    # Each drawn window is computed block by block and compared, with ==,
+    # against the full users x stations matrix.  The user count is drawn
+    # relative to the block of the drawn station count.
+    seen = {"no_users": 0, "one_user": 0, "block-1": 0, "block": 0, "block+1": 0,
+            "several": 0, "one_station": 0, "clamped": 0}
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(
+        st.integers(1, 400),
+        st.sampled_from(["no_users", "one_user", "block-1", "block", "block+1", "several"]),
+        st.integers(2, 4),
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.2, 1.0, 6.0]),
+        st.sampled_from([1e-3, 0.05, 0.3]),
+        st.sampled_from([1.0, 0.4]),
+        st.integers(0, 2**32 - 1),
+    )
+    def check(n_bs, shape, blocks, partial, side, min_km, fading_scale, seed):
+        step = max(1, _BLOCK_ENTRIES // n_bs)
+        n_users = {
+            "no_users": 0,
+            "one_user": 1,
+            "block-1": step - 1,
+            "block": step,
+            "block+1": step + 1,
+            "several": blocks * step + int(partial * (step - 1)),
+        }[shape]
+        cfg = NetworkConfig(fading_scale=fading_scale, pathloss=PathlossModel(min_distance_km=min_km))
+        rng = np.random.default_rng(seed)
+        bs_xy, user_xy = rng.uniform(0.0, side, (n_bs, 2)), rng.uniform(0.0, side, (n_users, 2))
+        blocked, full = (
+            NetworkRealization(bs_xy, user_xy, side, seed=seed % 1000, trial_index=seed % 7, resamples=2)
+            for _ in range(2)
+        )
+        assert compute_sinrs(blocked, cfg) == compute_sinrs_ref(full, cfg)
+        assert (blocked.clamped_links, blocked.resamples) == (full.clamped_links, full.resamples)
+        seen[shape] += 1
+        seen["one_station"] += n_bs == 1 and n_users > 0
+        seen["clamped"] += blocked.clamped_links > 0
+
+    check()
+    assert min(seen.values()) >= 5, seen
