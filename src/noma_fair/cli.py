@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -25,12 +26,7 @@ from .allocator import DECISIONS
 from .fairness import FairnessConfig, alpha_throughput, utility
 from .netsim import NetworkConfig, PathlossModel, run_campaign
 from .rates import PairLink, Strategy, db_to_linear, noma_rates, oma_rate
-from .report import (
-    BETA_STAR_TOKEN,
-    emit_campaign_csv,
-    emit_campaign_json,
-    emit_delta_sweep,
-)
+from .report import BETA_STAR_TOKEN, emit_artifacts, emit_delta_sweep
 
 __all__ = ["main", "build_parser", "parse_config_file", "ConfigError", "SETTINGS"]
 
@@ -64,8 +60,24 @@ def _strategy(text: str) -> Strategy:
         raise ValueError(f"unknown strategy {text!r}; valid: {valid}") from None
 
 
+def _alpha(text: str) -> float:
+    alpha = float(text)
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be >= 0, got {alpha!r}")
+    return alpha
+
+
+def _beta(text: str) -> float:
+    beta = float(text)
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"beta must lie in [0, 1], got {beta!r}")
+    return beta
+
+
 _float_list = _comma_list(float)
-_beta_list = _comma_list(lambda text: text if text == BETA_STAR_TOKEN else float(text))
+_alpha_list = _comma_list(_alpha)
+_beta_list = _comma_list(_beta)
+_sweep_beta_list = _comma_list(lambda text: text if text == BETA_STAR_TOKEN else _beta(text))
 
 
 # Config key -> dataclass field, for the settings a campaign is built from.
@@ -85,8 +97,8 @@ SETTINGS = {
         key: (_TYPES[f.type], f.default)
         for key, f in {**_NETWORK_KEYS, **_PATHLOSS_KEYS, **_FAIRNESS_KEYS}.items()
     },
-    "alphas": (_float_list, (1.0,)),
-    "betas": (_float_list, (0.01, 0.06)),
+    "alphas": (_alpha_list, (1.0,)),
+    "betas": (_beta_list, (0.01, 0.06)),
     "strategies": (_comma_list(_strategy), tuple(Strategy)),
     "threads": (int, None),  # None: machine parallelism
 }
@@ -279,12 +291,13 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    axis_values = _parse("values", _beta_list if args.axis == "beta" else _float_list, args.values)
+    axis_parse = {"alpha": _alpha_list, "beta": _sweep_beta_list}.get(args.axis, _float_list)
+    axis_values = _parse("values", axis_parse, args.values)
     if not axis_values:
         raise ValueError("--values produced an empty sweep")
 
-    alphas = _parse("alphas", _float_list, args.alphas)
-    betas = _parse("betas", _beta_list, args.betas)
+    alphas = _parse("alphas", _alpha_list, args.alphas)
+    betas = _parse("betas", _sweep_beta_list, args.betas)
     if args.axis == "alpha":
         alphas = axis_values
     elif args.axis == "beta":
@@ -313,8 +326,7 @@ def _cmd_sweep(args) -> int:
         base = base.with_suffix("")
     csv_path = base.with_suffix(".csv")
     json_path = base.with_suffix(".json")
-    emit_campaign_csv(rows, csv_path)
-    emit_campaign_json(rows, json_path)
+    emit_artifacts(rows, csv_path, json_path)
     keys = ("axis", "values", "alphas", "betas", "gamma_s_db", "gamma_w_db", "tau", "solver",
             "solver_tol")
     settings = {key: getattr(args, key) for key in keys}
@@ -361,8 +373,7 @@ def _cmd_simulate(args) -> int:
     csv_path = out_dir / "campaign.csv"
     json_path = out_dir / "campaign.json"
     manifest_path = out_dir / "manifest.txt"
-    emit_campaign_csv(rows, csv_path)
-    emit_campaign_json(rows, json_path)
+    emit_artifacts(rows, csv_path, json_path)
     command = f"noma-fair simulate --config {manifest_path} --out-dir {out_dir}"
     write_manifest(manifest_path, values, [csv_path.name, json_path.name], command)
     print(f"wrote {csv_path}")

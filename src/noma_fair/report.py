@@ -9,6 +9,12 @@ rows sorted by (alpha, beta, strategy, metric) with the link SINRs as final
 tie-breakers, and all floats printed with 9 significant digits, which makes
 output byte-stable and round-trippable.  A JSON mirror (array of objects,
 same rows and precision) accompanies every CSV for programmatic consumers.
+
+A row set is sorted once and each distinct value of a column formatted
+once; both artifacts are written from that one rendering.  The JSON mirror
+is written as text directly, with the bytes ``json.dump(indent=2)`` gives
+for the CSV cells parsed back.  The row-by-row writers it replaces are kept
+as the reference in ``tests/_oracles.py``.
 """
 
 from __future__ import annotations
@@ -17,8 +23,9 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -36,6 +43,7 @@ __all__ = [
     "emit_delta_sweep",
     "emit_campaign_csv",
     "emit_campaign_json",
+    "emit_artifacts",
     "parse_campaign_csv",
 ]
 
@@ -120,21 +128,24 @@ def emit_delta_sweep(
     linear = np.array([(db_to_linear(gs_db), db_to_linear(gw_db)) for gs_db, gw_db in links_db])
     links = link_facts(linear[:, 0], linear[:, 1])
     star = links.criterion.beta_star
+    for entry in betas:
+        if isinstance(entry, str) and entry != BETA_STAR_TOKEN:
+            raise ValueError(f"unknown beta token {entry!r}")
+    if not all(isinstance(entry, str) for entry in betas):
+        # A numeric beta applies to every link, so each must be ordered.
+        for gs, gw in zip(links.gamma_s, links.gamma_w):
+            PairLink(gamma_s=float(gs), gamma_w=float(gw))  # the strong/weak ordering check
+    fair = [FairnessConfig(alpha=alpha, tau=tau, solver_tol=solver_tol) for alpha in alphas]
     # One decision per (beta entry, alpha) over every link; a token entry
     # gives each link its own beta and skips links with beta_star <= 0.
     points = []
     for entry in betas:
         if isinstance(entry, str):
-            if entry != BETA_STAR_TOKEN:
-                raise ValueError(f"unknown beta token {entry!r}")
             skip = star <= 0
             beta = np.where(skip, 0.0, star * (1.0 - _BETA_STAR_MARGIN))
         else:
             skip, beta = np.zeros(len(links_db), dtype=bool), float(entry)
-            for gs, gw in zip(links.gamma_s, links.gamma_w):
-                PairLink(gamma_s=float(gs), gamma_w=float(gw))  # the strong/weak ordering check
         g = gate(links, beta)
-        fair = [FairnessConfig(alpha=alpha, tau=tau, solver_tol=solver_tol) for alpha in alphas]
         splits = [split(g, solver, cfg)[0] for cfg in fair]
         points.append((skip, np.broadcast_to(g.beta, skip.shape), g.delta_lb, splits))
 
@@ -168,55 +179,84 @@ def emit_delta_sweep(
     return rows
 
 
-def _row_strings(row: ResultRow) -> list[str]:
-    return [
-        format_value(row.alpha),
-        format_value(row.beta),
-        format_value(row.gamma_s_db) if row.gamma_s_db is not None else "",
-        format_value(row.gamma_w_db) if row.gamma_w_db is not None else "",
-        row.strategy,
-        row.metric,
-        format_value(row.value),
-        str(int(row.trials)),
-        format_value(row.stderr),
-    ]
+# The JSON mirror's object for one row, written as json.dump(indent=2) would.
+_JSON_OBJECT = "  {\n" + ",\n".join(f'    "{key}": %s' for key in CSV_HEADER) + "\n  }"
+_TEXT_KEYS = ("strategy", "metric")
+
+
+def _cell_texts(key: str, value) -> tuple[str, str]:
+    """A cell's CSV text and the JSON text of what that CSV text parses back to."""
+    if key in _TEXT_KEYS:
+        return value, json.dumps(value)
+    if key == "trials":
+        text = str(int(value))
+        return text, text
+    if value is None:  # a campaign row's link SINRs
+        return "", "null"
+    text = format_value(value)
+    return text, json.dumps(float(text))
+
+
+def _render(rows: Sequence[ResultRow]) -> tuple[Iterator[tuple[str, ...]], Iterator[tuple[str, ...]]]:
+    """The sorted rows' CSV cell texts and JSON value texts, row by row.
+
+    Each distinct value of a column is formatted once.  A float zero (and
+    None) is keyed by its repr: -0.0 and 0.0 hash alike but print "-0"
+    and "0".  Refuses empty input, so no emitter touches disk for it.
+    """
+    if not rows:
+        raise ValueError("no rows to emit")
+    ordered = sort_rows(rows)
+    csv_columns, json_columns = [], []
+    for key in CSV_HEADER:
+        values = list(map(attrgetter(key), ordered))
+        memo_keys = values if key in _TEXT_KEYS else [v or repr(v) for v in values]
+        texts = {k: _cell_texts(key, v) for k, v in dict(zip(memo_keys, values)).items()}
+        csv_columns.append([texts[k][0] for k in memo_keys])
+        json_columns.append([texts[k][1] for k in memo_keys])
+    # Rows are zipped as they are written, so no row tuple outlives its write.
+    return zip(*csv_columns), zip(*json_columns)
+
+
+def _write_csv(cells: Iterator[tuple[str, ...]], path: Path) -> Path:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        writer.writerows(cells)
+    return path
+
+
+def _write_json(cells: Iterator[tuple[str, ...]], path: Path) -> Path:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("[\n" + _JSON_OBJECT % next(cells))
+        fh.writelines(map((",\n" + _JSON_OBJECT).__mod__, cells))
+        fh.write("\n]\n")
+    return path
 
 
 def emit_campaign_csv(rows: Sequence[ResultRow], path) -> Path:
     """Write sorted rows as UTF-8 CSV.  Refuses empty input before touching disk."""
-    if not rows:
-        raise ValueError("no rows to emit")
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for row in sort_rows(rows):
-            writer.writerow(_row_strings(row))
-    return path
-
-
-def _parse_cell(key: str, text: str):
-    """A CSV cell's value: str, int for trials, float, or None if empty."""
-    if key in ("strategy", "metric"):
-        return text
-    if key == "trials":
-        return int(text)
-    return float(text) if text else None
+    return _write_csv(_render(rows)[0], Path(path))
 
 
 def emit_campaign_json(rows: Sequence[ResultRow], path) -> Path:
     """JSON mirror of the CSV: each object is a CSV row's cells, parsed back."""
-    if not rows:
-        raise ValueError("no rows to emit")
-    path = Path(path)
-    payload = [
-        {key: _parse_cell(key, text) for key, text in zip(CSV_HEADER, _row_strings(row))}
-        for row in sort_rows(rows)
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    return path
+    return _write_json(_render(rows)[1], Path(path))
+
+
+def emit_artifacts(rows: Sequence[ResultRow], csv_path, json_path) -> tuple[Path, Path]:
+    """Both artifacts of one row set from a single rendering."""
+    csv_cells, json_cells = _render(rows)
+    return _write_csv(csv_cells, Path(csv_path)), _write_json(json_cells, Path(json_path))
+
+
+def _parse_cell(key: str, text: str):
+    """A CSV cell's value: str, int for trials, float, or None if empty."""
+    if key in _TEXT_KEYS:
+        return text
+    if key == "trials":
+        return int(text)
+    return float(text) if text else None
 
 
 def parse_campaign_csv(path) -> list[ResultRow]:

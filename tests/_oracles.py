@@ -2,18 +2,23 @@
 
 Everything here recomputes expected values from the rate definitions by
 bisection, exhaustive scanning or high-precision differentiation, never
-from the closed forms or solvers under test.  Three exceptions are the
-references of batched code, which must agree with it bit for bit:
-:func:`evaluate_strategies_ref`, the per-pair reference of the campaign
-kernel (it matches and aggregates on its own, and decides each candidate
-through the size-1 decisions), :func:`maximize_on_interval_ref`, the
-one-link-at-a-time grid and golden-section search of the optimal split,
-and :func:`compute_sinrs_ref`, the full users x stations matrix form of
-the row-blocked SINRs.
+from the closed forms or solvers under test.  The exceptions are the
+references of batched or rewritten code, which must agree with it bit for
+bit: :func:`evaluate_strategies_ref`, the per-pair reference of the
+campaign kernel (it matches and aggregates on its own, and decides each
+candidate through the size-1 decisions), :func:`maximize_on_interval_ref`,
+the one-link-at-a-time grid and golden-section search of the optimal
+split, :func:`compute_sinrs_ref`, the full users x stations matrix form of
+the row-blocked SINRs, and :func:`emit_campaign_csv_ref` and
+:func:`emit_campaign_json_ref`, the row-by-row CSV writer and the
+``json.dump(indent=2)`` of the parsed-back cells that the single-rendering
+emitters replace.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 
 import mpmath
@@ -30,6 +35,7 @@ from noma_fair.netsim import (
 )
 from noma_fair.pairing import UserChannel
 from noma_fair.rates import PairLink, noma_rates, noma_sinr_strong, noma_sinr_weak, oma_rate
+from noma_fair.report import CSV_HEADER, format_value, sort_rows
 
 
 def oma_rate_ref(gamma):
@@ -289,3 +295,45 @@ def compute_sinrs_ref(network: NetworkRealization, cfg: NetworkConfig) -> list[U
         )
         for u in rows
     ]
+
+
+def _row_strings_ref(row) -> list[str]:
+    return [
+        format_value(row.alpha),
+        format_value(row.beta),
+        format_value(row.gamma_s_db) if row.gamma_s_db is not None else "",
+        format_value(row.gamma_w_db) if row.gamma_w_db is not None else "",
+        row.strategy,
+        row.metric,
+        format_value(row.value),
+        str(int(row.trials)),
+        format_value(row.stderr),
+    ]
+
+
+def _parse_cell_ref(key: str, text: str):
+    if key in ("strategy", "metric"):
+        return text
+    if key == "trials":
+        return int(text)
+    return float(text) if text else None
+
+
+def emit_campaign_csv_ref(rows, path) -> None:
+    """Sorted rows written one csv.writer row at a time."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for row in sort_rows(rows):
+            writer.writerow(_row_strings_ref(row))
+
+
+def emit_campaign_json_ref(rows, path) -> None:
+    """``json.dump(indent=2)`` of each sorted row's CSV cells, parsed back."""
+    payload = [
+        {key: _parse_cell_ref(key, text) for key, text in zip(CSV_HEADER, _row_strings_ref(row))}
+        for row in sort_rows(rows)
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")

@@ -164,6 +164,24 @@ class TestSweepCommand:
         assert f"bad value for {key!r}: repeated entry" in capsys.readouterr().err
         assert not base.with_suffix(".csv").exists()
 
+    @pytest.mark.parametrize(
+        "flags, key",
+        [
+            (["--axis", "beta", "--values", "0.1", "--alphas", "-1"], "alphas"),
+            (["--axis", "beta", "--values", "0.1", "--alphas", "nan"], "alphas"),
+            (["--axis", "alpha", "--values", "1", "--betas", "1.5"], "betas"),
+            (["--axis", "alpha", "--values", "1", "--betas", "beta_star,-0.1"], "betas"),
+            (["--axis", "alpha", "--values=-1,2"], "values"),
+            (["--axis", "beta", "--values", "0.1,1.5"], "values"),
+        ],
+    )
+    def test_bad_alpha_or_beta_names_its_key(self, tmp_path, capsys, flags, key):
+        base = tmp_path / "x"
+        code = run(["sweep", *flags, "--gamma-s-db", "9", "--gamma-w-db", "2", "--out", str(base)])
+        assert code == 2
+        assert f"error: bad value for {key!r}: " in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_values_may_start_with_a_negative_number(self, tmp_path):
         # argparse alone reads "-5,-2,0" as an unknown flag.
         a, b = tmp_path / "a" / "x", tmp_path / "b" / "x"
@@ -275,6 +293,10 @@ class TestSimulateCommand:
             ("strategies", "near_far,suboptimal,near_far"),
             ("alphas", "1,1.0"),
             ("betas", "0.1,0.05,0.10"),
+            ("alphas", "-1"),
+            ("alphas", "1,nan"),
+            ("alphas", "inf"),
+            ("betas", "-0.5"),
         ],
     )
     def test_bad_value_names_its_key(self, tmp_path, capsys, key, value):
@@ -284,6 +306,16 @@ class TestSimulateCommand:
         code = run(["simulate", "--config", str(cfg), "--threads", "1", "--out-dir", str(out)])
         assert code == 2
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value", [("alphas", "-1,2"), ("alphas", "nan"), ("betas", "0.1,1.5")]
+    )
+    def test_bad_alpha_or_beta_flag_names_its_key(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "o"
+        code = run(["simulate", "--trials", "1", f"--{flag}", value, "--threads", "1", "--out-dir", str(out)])
+        assert code == 2
+        assert f"error: bad value for {flag!r}: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_all_trials_empty_says_why(self, tmp_path, capsys):

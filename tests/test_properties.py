@@ -4,9 +4,12 @@ gamma_w in [0.1, 100], gamma_s / gamma_w in [1, 1000], beta in [0, 1] and
 alpha in [0, 25].  The batched campaign kernel is checked against its
 per-pair scalar reference on small drawn cells, the batched optimal solver
 against its per-link reference on drawn sets of links, and the row-blocked
-SINRs against the full-matrix reference on drawn windows.  Hypothesis
-runs derandomized, so every run draws the same cases.
+SINRs against the full-matrix reference on drawn windows, and the
+single-rendering CSV/JSON emitters against the row-by-row writers on drawn
+row sets.  Hypothesis runs derandomized, so every run draws the same cases.
 """
+
+import math
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -33,10 +36,13 @@ from noma_fair.netsim import (
 )
 from noma_fair.pairing import UserChannel
 from noma_fair.rates import PairLink, Strategy, noma_rates, oma_rate
+from noma_fair.report import METRIC_NAMES, ResultRow, emit_campaign_csv, emit_campaign_json
 
 from _oracles import (
     candidate_pairs_ref,
     compute_sinrs_ref,
+    emit_campaign_csv_ref,
+    emit_campaign_json_ref,
     evaluate_strategies_ref,
     maximize_on_interval_ref,
 )
@@ -264,3 +270,58 @@ def test_blocked_sinrs_equal_full_matrix_reference():
 
     check()
     assert min(seen.values()) >= 5, seen
+
+
+def test_emitters_equal_row_by_row_reference(tmp_path):
+    # Each drawn row set is written by both emitters and by the row-by-row
+    # references, and the bytes compared with ==.  Values come from small
+    # pools so that sort keys repeat and -0.0 meets 0.0 in one column.
+    special = [0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, 1e-10, 1.23456789e11]
+    numbers = st.sampled_from(special) | st.floats(allow_nan=True, allow_infinity=True)
+    keys = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0])
+    rows = st.builds(
+        ResultRow,
+        alpha=keys,
+        beta=keys | numbers,
+        gamma_s_db=st.none() | numbers,
+        gamma_w_db=st.none() | keys,
+        strategy=st.sampled_from(["oma", "near_far", "optimal", "sous-optimal \u00e9\u03b1", 'a,"b"']),
+        metric=st.sampled_from(METRIC_NAMES),
+        value=numbers,
+        trials=st.integers(1, 10**6),
+        stderr=numbers,
+    )
+    cases = ("signed_zeros", "nan", "inf", "-inf", "none_gamma", "integral", "1e-10",
+             "1.23456789e+11", "trials>1", "non_ascii", "duplicate_keys")
+    seen = dict.fromkeys(cases, 0)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.lists(rows, min_size=1, max_size=24))
+    def check(drawn):
+        for emit, ref, suffix in (
+            (emit_campaign_csv, emit_campaign_csv_ref, ".csv"),
+            (emit_campaign_json, emit_campaign_json_ref, ".json"),
+        ):
+            got, want = tmp_path / ("got" + suffix), tmp_path / ("want" + suffix)
+            emit(drawn, got)
+            ref(drawn, want)
+            assert got.read_bytes() == want.read_bytes(), drawn
+        floats = [v for r in drawn for v in (r.alpha, r.beta, r.gamma_s_db, r.gamma_w_db, r.value, r.stderr)]
+        columns = [[getattr(r, key) for r in drawn] for key in ("alpha", "beta", "value", "stderr")]
+        seen["signed_zeros"] += any(
+            {math.copysign(1.0, v) for v in column if v == 0.0} == {1.0, -1.0} for column in columns
+        )
+        seen["nan"] += any(v != v for v in floats if v is not None)
+        seen["inf"] += math.inf in floats
+        seen["-inf"] += -math.inf in floats
+        seen["none_gamma"] += None in floats
+        seen["integral"] += 1.0 in floats
+        seen["1e-10"] += 1e-10 in floats
+        seen["1.23456789e+11"] += 1.23456789e11 in floats
+        seen["trials>1"] += any(r.trials > 1 for r in drawn)
+        seen["non_ascii"] += any(not r.strategy.isascii() for r in drawn)
+        sort_keys = [(r.alpha, r.beta, r.strategy, r.metric) for r in drawn]
+        seen["duplicate_keys"] += len(set(sort_keys)) < len(sort_keys)
+
+    check()
+    assert min(seen.values()) >= 50, seen

@@ -9,6 +9,7 @@ from noma_fair.report import (
     CSV_HEADER,
     METRIC_NAMES,
     ResultRow,
+    emit_artifacts,
     emit_campaign_csv,
     emit_campaign_json,
     emit_delta_sweep,
@@ -158,3 +159,21 @@ class TestJsonMirror:
     def test_zero_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_campaign_json([], tmp_path / "out.json")
+
+
+class TestEmitArtifacts:
+    def test_same_bytes_as_the_single_emitters(self, tmp_path):
+        rows = emit_delta_sweep([(9.0, 2.0), (4.0, 1.0)], [0.0, BETA_STAR_TOKEN], [0.5, 3.0])
+        rows += [make_row(), make_row(gamma_s_db=-0.0, value=-0.0, strategy="\u00e9", trials=1)]
+        random.Random(3).shuffle(rows)
+        both = emit_artifacts(rows, tmp_path / "a.csv", tmp_path / "a.json")
+        assert both == (tmp_path / "a.csv", tmp_path / "a.json")
+        emit_campaign_csv(rows, tmp_path / "b.csv")
+        emit_campaign_json(rows, tmp_path / "b.json")
+        for suffix in ("csv", "json"):
+            assert (tmp_path / f"a.{suffix}").read_bytes() == (tmp_path / f"b.{suffix}").read_bytes()
+
+    def test_zero_rows_creates_no_file(self, tmp_path):
+        with pytest.raises(ValueError):
+            emit_artifacts([], tmp_path / "a.csv", tmp_path / "a.json")
+        assert not any(tmp_path.iterdir())
