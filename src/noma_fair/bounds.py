@@ -130,10 +130,7 @@ def beta_star(gamma_s, gamma_w):
     gw = np.asarray(gamma_w, dtype=float)
     a = np.sqrt(1.0 + gs)
     b = np.sqrt(1.0 + gw)
-    denom = gs * b * (a + b)
-    if np.any(denom == 0):
-        raise ValueError("singular input: beta_star denominator vanished")
-    out = (gs - gw) / denom
+    out = (gs - gw) / (gs * b * (a + b))
     return float(out) if out.ndim == 0 else out
 
 

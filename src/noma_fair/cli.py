@@ -25,7 +25,7 @@ from . import __version__
 from .allocator import DECISIONS
 from .fairness import FairnessConfig, alpha_throughput, utility
 from .netsim import NetworkConfig, PathlossModel, run_campaign
-from .rates import PairLink, Strategy, db_to_linear, noma_rates, oma_rate
+from .rates import PairLink, Strategy, _require_positive_finite, db_to_linear, noma_rates, oma_rate
 from .report import BETA_STAR_TOKEN, emit_artifacts, emit_delta_sweep
 
 __all__ = ["main", "build_parser", "parse_config_file", "ConfigError", "SETTINGS"]
@@ -74,7 +74,14 @@ def _beta(text: str) -> float:
     return beta
 
 
-_float_list = _comma_list(float)
+def _sinr_db(text) -> float:
+    """A dB SINR whose linear ratio is positive and finite."""
+    value = float(text)
+    _require_positive_finite(f"the linear ratio of {value!r} dB", db_to_linear(value))
+    return value
+
+
+_sinr_db_list = _comma_list(_sinr_db)
 _alpha_list = _comma_list(_alpha)
 _beta_list = _comma_list(_beta)
 _sweep_beta_list = _comma_list(lambda text: text if text == BETA_STAR_TOKEN else _beta(text))
@@ -167,18 +174,24 @@ def _format_config_value(value) -> str:
     return str(value)
 
 
-def write_manifest(path, settings: dict, artifacts: Sequence[str], command: str) -> None:
-    """Key-value manifest; re-running the recorded command from it reproduces
-    the artifacts byte-exactly."""
+def _write_run(rows, paths: tuple[Path, Path, Path], settings: dict, command: str) -> int:
+    """Write a run's CSV and JSON artifacts and its key-value manifest, and
+    say so.  Re-running the manifest's recorded command reproduces the
+    artifacts byte-exactly."""
+    csv_path, json_path, manifest_path = paths
+    manifest_path.parent.mkdir(parents=True, exist_ok=True)
+    emit_artifacts(rows, csv_path, json_path)
     lines = [
         "# noma-fair run manifest",
         f"# reproduce: {command}",
-        f"# artifacts: {' '.join(artifacts)}",
+        f"# artifacts: {csv_path.name} {json_path.name}",
         f"version = {__version__}",
+        *(f"{key} = {_format_config_value(settings[key])}" for key in sorted(settings)),
     ]
-    for key in sorted(settings):
-        lines.append(f"{key} = {_format_config_value(settings[key])}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    manifest_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for path in paths:
+        print(f"wrote {path}")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,7 +304,7 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    axis_parse = {"alpha": _alpha_list, "beta": _sweep_beta_list}.get(args.axis, _float_list)
+    axis_parse = {"alpha": _alpha_list, "beta": _sweep_beta_list}.get(args.axis, _sinr_db_list)
     axis_values = _parse("values", axis_parse, args.values)
     if not axis_values:
         raise ValueError("--values produced an empty sweep")
@@ -321,12 +334,8 @@ def _cmd_sweep(args) -> int:
     if not rows:
         raise ValueError("sweep produced no rows (all links infeasible at beta_star)")
     base = args.out
-    base.parent.mkdir(parents=True, exist_ok=True)
     if base.suffix == ".csv":
         base = base.with_suffix("")
-    csv_path = base.with_suffix(".csv")
-    json_path = base.with_suffix(".json")
-    emit_artifacts(rows, csv_path, json_path)
     keys = ("axis", "values", "alphas", "betas", "gamma_s_db", "gamma_w_db", "tau", "solver",
             "solver_tol")
     settings = {key: getattr(args, key) for key in keys}
@@ -336,12 +345,9 @@ def _cmd_sweep(args) -> int:
         for key in (*keys, "out")
         if getattr(args, key) is not None
     )
-    manifest_path = base.parent / (base.name + ".manifest.txt")
-    write_manifest(manifest_path, settings, [csv_path.name, json_path.name], command)
-    print(f"wrote {csv_path}")
-    print(f"wrote {json_path}")
-    print(f"wrote {manifest_path}")
-    return 0
+    paths = (base.with_suffix(".csv"), base.with_suffix(".json"),
+             base.with_name(base.name + ".manifest.txt"))
+    return _write_run(rows, paths, settings, command)
 
 
 def _cmd_simulate(args) -> int:
@@ -369,17 +375,9 @@ def _cmd_simulate(args) -> int:
     )
 
     out_dir = args.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "campaign.csv"
-    json_path = out_dir / "campaign.json"
-    manifest_path = out_dir / "manifest.txt"
-    emit_artifacts(rows, csv_path, json_path)
-    command = f"noma-fair simulate --config {manifest_path} --out-dir {out_dir}"
-    write_manifest(manifest_path, values, [csv_path.name, json_path.name], command)
-    print(f"wrote {csv_path}")
-    print(f"wrote {json_path}")
-    print(f"wrote {manifest_path}")
-    return 0
+    paths = (out_dir / "campaign.csv", out_dir / "campaign.json", out_dir / "manifest.txt")
+    command = f"noma-fair simulate --config {paths[2]} --out-dir {out_dir}"
+    return _write_run(rows, paths, values, command)
 
 
 _COMMANDS = {"pair": _cmd_pair, "sweep": _cmd_sweep, "simulate": _cmd_simulate}
@@ -389,6 +387,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for key in ("gamma_s_db", "gamma_w_db"):  # the SINR flags of pair and sweep
+            if getattr(args, key, None) is not None:
+                _parse(key, _sinr_db, getattr(args, key))
         return _COMMANDS[args.command](args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

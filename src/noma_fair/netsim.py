@@ -39,7 +39,9 @@ import numpy as np
 from .allocator import Gate, gate, link_facts, split
 from .fairness import FairnessConfig, alpha_throughput
 from .pairing import UserChannel, match
-from .rates import Strategy, _require_positive_finite, noma_sinr_strong, noma_sinr_weak, oma_rate
+from .rates import (
+    Strategy, _require_positive_finite, db_to_linear, noma_sinr_strong, noma_sinr_weak, oma_rate
+)
 from .report import ResultRow
 
 __all__ = [
@@ -110,6 +112,9 @@ class NetworkConfig:
         _check_fields(
             self, "", positive=("bs_density", "user_density", "area_km2", "fading_scale")
         )
+        _require_positive_finite("tx_power_dbm in mW", db_to_linear(self.tx_power_dbm))
+        if db_to_linear(self.noise_power_dbm) == math.inf:
+            raise ValueError("noise_power_dbm in mW must be finite, got inf")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
@@ -206,8 +211,8 @@ def compute_sinrs(network: NetworkRealization, cfg: NetworkConfig) -> list[UserC
     if n_users == 0:
         return []
     pl = cfg.pathloss
-    tx_mw = 10.0 ** (cfg.tx_power_dbm / 10.0)
-    noise_mw = 10.0 ** (cfg.noise_power_dbm / 10.0)
+    tx_mw = db_to_linear(cfg.tx_power_dbm)
+    noise_mw = db_to_linear(cfg.noise_power_dbm)
     rng = np.random.default_rng([network.seed, network.trial_index, _FADING_STREAM])
     step = max(1, _BLOCK_ENTRIES // n_bs)
     buffers = np.empty((3, min(step, n_users), n_bs))

@@ -36,7 +36,11 @@ __all__ = [
 
 
 def db_to_linear(value_db: float) -> float:
-    return 10.0 ** (value_db / 10.0)
+    """10^(value_db / 10); a float that overflows gives inf rather than raising."""
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def linear_to_db(value: float) -> float:

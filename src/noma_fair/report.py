@@ -31,7 +31,7 @@ import numpy as np
 
 from .allocator import gate, link_facts, split
 from .fairness import FairnessConfig
-from .rates import PairLink, Strategy, db_to_linear
+from .rates import Strategy, db_to_linear
 
 __all__ = [
     "METRIC_NAMES",
@@ -128,54 +128,44 @@ def emit_delta_sweep(
     linear = np.array([(db_to_linear(gs_db), db_to_linear(gw_db)) for gs_db, gw_db in links_db])
     links = link_facts(linear[:, 0], linear[:, 1])
     star = links.criterion.beta_star
-    for entry in betas:
-        if isinstance(entry, str) and entry != BETA_STAR_TOKEN:
-            raise ValueError(f"unknown beta token {entry!r}")
-    if not all(isinstance(entry, str) for entry in betas):
-        # A numeric beta applies to every link, so each must be ordered.
-        for gs, gw in zip(links.gamma_s, links.gamma_w):
-            PairLink(gamma_s=float(gs), gamma_w=float(gw))  # the strong/weak ordering check
     fair = [FairnessConfig(alpha=alpha, tau=tau, solver_tol=solver_tol) for alpha in alphas]
-    # One decision per (beta entry, alpha) over every link; a token entry
-    # gives each link its own beta and skips links with beta_star <= 0.
-    points = []
+    metrics = ("delta_lb", "delta_ub", "msd_satisfied", "delta_s")
+    delta_ub = links.delta_ub.tolist()
+    msd_satisfied = links.criterion.satisfied.astype(float).tolist()
+    misordered = np.flatnonzero(links.gamma_s < links.gamma_w).tolist()
+    # One decision per (beta entry, alpha) over every link, turned into
+    # per-link lists once; a token entry gives each link its own beta and
+    # skips links with beta_star <= 0.
+    decisions = []
     for entry in betas:
-        if isinstance(entry, str):
+        if not isinstance(entry, str):
+            if misordered:  # a numeric beta applies to every link, so each must be ordered
+                gs_db, gw_db = links_db[misordered[0]]
+                raise ValueError("strong/weak ordering violated: "
+                                 f"gamma_s {gs_db!r} dB < gamma_w {gw_db!r} dB")
+            skip, beta = np.zeros(len(links_db), dtype=bool), float(entry)
+        elif entry == BETA_STAR_TOKEN:
             skip = star <= 0
             beta = np.where(skip, 0.0, star * (1.0 - _BETA_STAR_MARGIN))
         else:
-            skip, beta = np.zeros(len(links_db), dtype=bool), float(entry)
+            raise ValueError(f"unknown beta token {entry!r}")
         g = gate(links, beta)
-        splits = [split(g, solver, cfg)[0] for cfg in fair]
-        points.append((skip, np.broadcast_to(g.beta, skip.shape), g.delta_lb, splits))
+        skip, beta = skip.tolist(), np.broadcast_to(g.beta, skip.shape).tolist()
+        delta_lb = g.delta_lb.tolist()
+        for alpha, cfg in zip(alphas, fair):
+            values = list(zip(delta_lb, delta_ub, msd_satisfied, split(g, solver, cfg)[0].tolist()))
+            decisions.append((float(alpha), skip, beta, values))
 
     rows: list[ResultRow] = []
     for i, (gs_db, gw_db) in enumerate(links_db):
-        for skip, beta, delta_lb, splits in points:
-            if skip[i]:
-                continue
-            for alpha, delta_s in zip(alphas, splits):
-                values = {
-                    "delta_lb": float(delta_lb[i]),
-                    "delta_ub": float(links.delta_ub[i]),
-                    "msd_satisfied": 1.0 if links.criterion.satisfied[i] else 0.0,
-                }
-                if not np.isnan(delta_s[i]):
-                    values["delta_s"] = float(delta_s[i])
-                for metric, value in values.items():
-                    rows.append(
-                        ResultRow(
-                            alpha=float(alpha),
-                            beta=float(beta[i]),
-                            gamma_s_db=float(gs_db),
-                            gamma_w_db=float(gw_db),
-                            strategy=solver.value,
-                            metric=metric,
-                            value=value,
-                            trials=1,
-                            stderr=0.0,
-                        )
-                    )
+        link = (float(gs_db), float(gw_db), solver.value)
+        for alpha, skip, beta, values in decisions:
+            if not skip[i]:
+                rows += [
+                    ResultRow(alpha, beta[i], *link, metric, value, 1, 0.0)
+                    for metric, value in zip(metrics, values[i])
+                    if not math.isnan(value)  # no delta_s for a rejected pair
+                ]
     return rows
 
 

@@ -195,12 +195,47 @@ class TestSweepCommand:
         rows = parse_campaign_csv(a.with_suffix(".csv"))
         assert sorted({r.gamma_w_db for r in rows}) == [-5.0, -2.0, 0.0]
 
+    def test_misordered_link_is_named_in_db(self, tmp_path, capsys):
+        base = tmp_path / "x"
+        argv = ["sweep", "--axis", "gamma-s", "--values=0,5", "--gamma-w-db", "2", "--out", str(base)]
+        assert run([*argv, "--betas", "0"]) == 2
+        assert "strong/weak ordering violated: gamma_s 0.0 dB < gamma_w 2.0 dB" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+        # The token alone skips the misordered link (beta_star < 0).
+        assert run([*argv, "--betas", "beta_star"]) == 0
+        rows = parse_campaign_csv(base.with_suffix(".csv"))
+        assert rows and {(r.gamma_s_db, r.gamma_w_db) for r in rows} == {(5.0, 2.0)}
+
     def test_missing_fixed_gamma_exit_2(self, tmp_path):
         code = run(
             ["sweep", "--axis", "alpha", "--values", "1", "--gamma-w-db", "2",
              "--out", str(tmp_path / "x")]
         )
         assert code == 2
+
+
+_PAIR_FLAGS = ["--beta", "0", "--alpha", "1"]
+_ALPHA_SWEEP_FLAGS = ["--axis", "alpha", "--values", "1"]
+
+
+@pytest.mark.parametrize("value", ["4000", "-4000", "nan", "inf"])
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["pair", *_PAIR_FLAGS, "--gamma-s-db={}", "--gamma-w-db", "2"], "gamma_s_db"),
+        (["pair", *_PAIR_FLAGS, "--gamma-s-db", "9", "--gamma-w-db={}"], "gamma_w_db"),
+        (["sweep", *_ALPHA_SWEEP_FLAGS, "--gamma-s-db={}", "--gamma-w-db", "2"], "gamma_s_db"),
+        (["sweep", *_ALPHA_SWEEP_FLAGS, "--gamma-s-db", "9", "--gamma-w-db={}"], "gamma_w_db"),
+        (["sweep", "--axis", "gamma-s", "--values={}", "--gamma-w-db", "2"], "values"),
+        (["sweep", "--axis", "gamma-w", "--values={}", "--gamma-s-db", "9"], "values"),
+    ],
+)
+def test_sinr_db_must_give_a_positive_finite_ratio(tmp_path, capsys, argv, key, value):
+    # 4000 dB overflows the linear ratio and -4000 dB underflows it to zero.
+    out = ["--json", str(tmp_path / "pair.json")] if argv[0] == "pair" else ["--out", str(tmp_path / "x")]
+    assert run([arg.format(value) for arg in argv] + out) == 2
+    assert f"error: bad value for {key!r}: " in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 class TestSimulateCommand:
@@ -288,6 +323,9 @@ class TestSimulateCommand:
             ("pathloss_min_distance_km", "-1"),
             ("pathloss_min_distance_km", "0"),
             ("fading_scale", "nan"),
+            ("tx_power_dbm", "4000"),
+            ("tx_power_dbm", "-4000"),
+            ("noise_power_dbm", "4000"),
             ("betas", "0.1,1.5"),
             ("strategies", "oma,oma"),
             ("strategies", "near_far,suboptimal,near_far"),

@@ -74,6 +74,12 @@ class TestDeltaSweep:
         rows = emit_delta_sweep([(3.0, 3.0)], [BETA_STAR_TOKEN], [1.0])
         assert rows == []
 
+    def test_misordered_link_only_with_the_token(self):
+        # A numeric beta applies to every link; the token skips a link with beta_star < 0.
+        with pytest.raises(ValueError, match="gamma_s 0.0 dB < gamma_w 2.0 dB"):
+            emit_delta_sweep([(0.0, 2.0)], [0.0], [1.0])
+        assert emit_delta_sweep([(0.0, 2.0)], [BETA_STAR_TOKEN], [1.0]) == []
+
     def test_rejected_pair_has_no_split_row(self):
         rows = emit_delta_sweep([(3.0, 3.0)], [0.0], [1.0])
         metrics = {r.metric for r in rows}
