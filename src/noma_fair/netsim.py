@@ -18,9 +18,10 @@ directly comparable across strategies row by row.
 A trial is evaluated in array form, each quantity at the stage it depends
 on: candidates are matched (:func:`noma_fair.pairing.match`) and their
 criterion, delta_ub and OMA rates computed once per trial; delta_lb and
-admission once per beta (:func:`noma_fair.allocator.gate`); the split,
-rates and means once per (alpha, strategy)
-(:func:`noma_fair.allocator.split`).
+admission once per beta (:func:`noma_fair.allocator.gate`); the splits
+of every strategy (:func:`noma_fair.allocator.split`), their rates and
+means once per sweep point, as one strategies x metrics array.  The
+campaign stacks these arrays over trials and aggregates their columns.
 
 All randomness is derived from (master seed, trial index) substreams;
 trials are independent and may run in separate processes without changing
@@ -32,6 +33,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -113,8 +115,7 @@ class NetworkConfig:
             self, "", positive=("bs_density", "user_density", "area_km2", "fading_scale")
         )
         _require_positive_finite("tx_power_dbm in mW", db_to_linear(self.tx_power_dbm))
-        if db_to_linear(self.noise_power_dbm) == math.inf:
-            raise ValueError("noise_power_dbm in mW must be finite, got inf")
+        _require_positive_finite("noise_power_dbm in mW", db_to_linear(self.noise_power_dbm))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
@@ -256,8 +257,9 @@ def compute_sinrs(network: NetworkRealization, cfg: NetworkConfig) -> list[UserC
     ]
 
 
-def _mean(values: np.ndarray) -> Optional[float]:
-    return float(np.mean(values)) if len(values) else None
+def _means(x: np.ndarray):
+    """The mean along the last axis; NaN where it holds no values."""
+    return x.mean(axis=-1) if x.shape[-1] else np.full(x.shape[:-1], np.nan)
 
 
 class _Trial:
@@ -278,8 +280,6 @@ class _Trial:
         )
         self.single = weak < 0
         self.paired = ~self.single
-        # concat(per-candidate values, per-single values)[slot_order] is in slot order.
-        self.slot_order = np.argsort(np.argsort(self.single, kind="stable"))
         oma = oma_rate(gamma)
         # Each slot's OMA rates: (strong, weak) of a candidate, (rate, unused) of a single.
         self.oma = np.column_stack((oma[strong], np.where(self.single, 0.0, oma[weak])))
@@ -289,32 +289,28 @@ class _Trial:
         self.links = link_facts(gamma[strong[self.paired]], gamma[weak[self.paired]])
         self._gates: dict[float, Gate] = {}
 
-    def evaluate(self, strategies: Sequence[Strategy], fairness: FairnessConfig, beta) -> TrialMetrics:
+    def evaluate(self, strategies: Sequence[Strategy], fairness: FairnessConfig, beta) -> np.ndarray:
+        """One row per strategy: the five means in :class:`StrategyMetrics`
+        field order, NaN where a mean has no values, then the pair count."""
         g = self._gates.get(beta)
         if g is None:
             g = self._gates[beta] = gate(self.links, beta)
-        gs, gw, order = self.links.gamma_s, self.links.gamma_w, self.slot_order
-        per_strategy = {}
-        for strat in dict.fromkeys(strategies):
-            delta, _ = split(g, strat, fairness)
-            admitted = ~np.isnan(delta)
-            r_s = np.where(admitted, np.log2(1.0 + noma_sinr_strong(gs, beta, delta)), self.oma_strong)
-            r_w = np.where(admitted, np.log2(1.0 + noma_sinr_weak(gw, delta)), self.oma_weak)
-            t = alpha_throughput(r_s, r_w, fairness.alpha)
-            served_oma = self.single.copy()
-            served_oma[self.paired] = ~admitted
-            pairs = int(np.count_nonzero(admitted))
-            per_strategy[strat] = StrategyMetrics(
-                mean_strong_rate=_mean(r_s),
-                mean_weak_rate=_mean(r_w),
-                mean_oma_rate=_mean(self.oma[self.present & served_oma[:, None]]),
-                # A single rate is its own power mean and sum.
-                mean_t_alpha=_mean(np.concatenate((t, self.oma_single))[order]),
-                mean_asr=_mean(np.concatenate((r_s + r_w, self.oma_single))[order]),
-                pair_count=pairs,
-                oma_count=self.population - 2 * pairs,
-            )
-        return TrialMetrics(population=self.population, per_strategy=per_strategy)
+        gs, gw = self.links.gamma_s, self.links.gamma_w
+        delta = np.stack([split(g, strat, fairness)[0] for strat in strategies])
+        admitted = ~np.isnan(delta)
+        r_s = np.where(admitted, np.log2(1.0 + noma_sinr_strong(gs, beta, delta)), self.oma_strong)
+        r_w = np.where(admitted, np.log2(1.0 + noma_sinr_weak(gw, delta)), self.oma_weak)
+        # Per slot; a single rate is its own power mean and sum.
+        t, asr = np.empty((2, len(delta), len(self.single)))
+        t[:, self.paired], asr[:, self.paired] = alpha_throughput(r_s, r_w, fairness.alpha), r_s + r_w
+        t[:, self.single] = asr[:, self.single] = self.oma_single
+        served_oma = np.repeat(self.single[None], len(delta), axis=0)
+        served_oma[:, self.paired] = ~admitted
+        # Each row's OMA users differ, so their rates are gathered row by row.
+        oma = [_means(self.oma[self.present & row[:, None]]) for row in served_oma]
+        return np.column_stack(
+            (_means(r_s), _means(r_w), oma, _means(t), _means(asr), np.count_nonzero(admitted, axis=1))
+        )
 
 
 def evaluate_strategies(
@@ -323,38 +319,40 @@ def evaluate_strategies(
     fairness: FairnessConfig,
     beta: float,
 ) -> TrialMetrics:
-    """Run every strategy on one channel realization and aggregate metrics."""
-    return _Trial(users).evaluate(strategies, fairness, beta)
+    """Run every strategy on one channel realization and aggregate metrics.
+
+    The object view of :meth:`_Trial.evaluate`'s table, None where a mean
+    has no values; the campaign reads the table itself.
+    """
+    trial, strategies = _Trial(users), list(dict.fromkeys(strategies))
+    per_strategy = {}
+    for strat, (*means, pairs) in zip(strategies, trial.evaluate(strategies, fairness, beta).tolist()):
+        means = [None if math.isnan(m) else m for m in means]
+        per_strategy[strat] = StrategyMetrics(*means, int(pairs), trial.population - 2 * int(pairs))
+    return TrialMetrics(trial.population, per_strategy)
 
 
-_METRIC_FIELDS = (
-    ("t_alpha", "mean_t_alpha"),
-    ("mur_strong", "mean_strong_rate"),
-    ("mur_weak", "mean_weak_rate"),
-    ("mur_oma", "mean_oma_rate"),
-    ("mean_asr", "mean_asr"),
-)
+# Campaign metric of each mean column of a trial's table.
+_METRICS = ("mur_strong", "mur_weak", "mur_oma", "t_alpha", "mean_asr")
 
 
-def _trial_chunk(args) -> list[list[TrialMetrics]]:
-    """Worker: each trial's metrics at every sweep point, for a chunk of trials.
+def _trial_chunk(args) -> np.ndarray:
+    """Worker: the (trials x points x strategies x 6) table of a chunk of trials.
 
     A failure is re-raised naming its trial index and, past the SINRs, its sweep point.
     """
     cfg, points, strategies, indices = args
-    out = []
-    for t in indices:
+    table = np.empty((len(indices), len(points), len(strategies), len(_METRICS) + 1))
+    for t, rows in zip(indices, table):
         point = ""  # the drop and SINRs serve every sweep point
         try:
             trial = _Trial(compute_sinrs(drop_network(cfg, t), cfg))
-            metrics = []
-            for fairness, beta in points:
+            for i, (fairness, beta) in enumerate(points):
                 point = f", alpha={fairness.alpha}, beta={beta}"
-                metrics.append(trial.evaluate(strategies, fairness, beta))
+                rows[i] = trial.evaluate(strategies, fairness, beta)
         except Exception as exc:
             raise RuntimeError(f"trial {t}{point}: {exc}") from exc
-        out.append(metrics)
-    return out
+    return table
 
 
 def run_campaign(
@@ -369,13 +367,18 @@ def run_campaign(
 
     The channel realization of trial t is shared by all sweep points, and
     aggregation runs in trial order (chunks are contiguous and come back in
-    order), so the result is bit-identical for any ``threads`` setting.
+    order), so the result is bit-identical for any ``threads`` setting.  A
+    repeated strategy or sweep point is rejected: it would repeat its rows.
     """
     if not sweep or not strategies:
         raise ValueError("sweep and strategies must be non-empty")
     if not all(0.0 <= beta <= 1.0 for _, beta in sweep):
         raise ValueError(f"betas must lie in [0, 1], got {sorted({b for _, b in sweep})}")
     strategies = list(strategies)
+    for what, items in ("strategy", [s.value for s in strategies]), ("sweep point", list(map(tuple, sweep))):
+        repeated = [x for k, x in enumerate(items) if x in items[:k]]
+        if repeated:
+            raise ValueError(f"repeated {what} {repeated[0]!r}")
     points = [(FairnessConfig(alpha=a, tau=tau, solver_tol=solver_tol), b) for a, b in sweep]
     workers = max(1, min(int(threads), cfg.trials))
     jobs = [
@@ -387,36 +390,18 @@ def run_campaign(
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_trial_chunk, jobs))
-    ordered = [trial for chunk in done for trial in chunk]
+    table = np.concatenate(done)
+    # Each (point, strategy, metric)'s column of trials, in row order.
+    columns = np.moveaxis(table[..., : len(_METRICS)], 0, -1).reshape(-1, len(table))
 
     rows = []
-    for i, (alpha, beta) in enumerate(sweep):
-        for strat in strategies:
-            for metric, attr in _METRIC_FIELDS:
-                values = [
-                    getattr(trial[i].per_strategy[strat], attr)
-                    for trial in ordered
-                    if getattr(trial[i].per_strategy[strat], attr) is not None
-                ]
-                if not values:
-                    continue
-                arr = np.asarray(values)
-                stderr = (
-                    float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
-                )
-                rows.append(
-                    ResultRow(
-                        alpha=alpha,
-                        beta=beta,
-                        gamma_s_db=None,
-                        gamma_w_db=None,
-                        strategy=strat.value,
-                        metric=metric,
-                        value=float(arr.mean()),
-                        trials=len(arr),
-                        stderr=stderr,
-                    )
-                )
+    for ((alpha, beta), strat, metric), column in zip(product(sweep, strategies, _METRICS), columns):
+        values = column[~np.isnan(column)]
+        n = len(values)
+        if not n:
+            continue
+        stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        rows.append(ResultRow(alpha, beta, None, None, strat.value, metric, float(values.mean()), n, stderr))
     if not rows:
         raise ValueError(f"all {cfg.trials} trials dropped zero users; no metric to report")
     return rows

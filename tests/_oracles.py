@@ -12,7 +12,8 @@ split, :func:`compute_sinrs_ref`, the full users x stations matrix form of
 the row-blocked SINRs, and :func:`emit_campaign_csv_ref` and
 :func:`emit_campaign_json_ref`, the row-by-row CSV writer and the
 ``json.dump(indent=2)`` of the parsed-back cells that the single-rendering
-emitters replace.
+emitters replace, and :func:`run_campaign_ref`, the campaign aggregated
+from per-trial :func:`evaluate_strategies_ref` objects.
 """
 
 from __future__ import annotations
@@ -25,17 +26,18 @@ import mpmath
 import numpy as np
 
 from noma_fair.allocator import DECISIONS
-from noma_fair.fairness import alpha_throughput
+from noma_fair.fairness import FairnessConfig, alpha_throughput
 from noma_fair.netsim import (
     _FADING_STREAM,
     NetworkConfig,
     NetworkRealization,
     StrategyMetrics,
     TrialMetrics,
+    drop_network,
 )
 from noma_fair.pairing import UserChannel
 from noma_fair.rates import PairLink, noma_rates, noma_sinr_strong, noma_sinr_weak, oma_rate
-from noma_fair.report import CSV_HEADER, format_value, sort_rows
+from noma_fair.report import CSV_HEADER, ResultRow, format_value, sort_rows
 
 
 def oma_rate_ref(gamma):
@@ -247,6 +249,35 @@ def evaluate_strategies_ref(users, strategies, fairness, beta) -> TrialMetrics:
         for s, a in acc.items()
     }
     return TrialMetrics(population=len(users), per_strategy=per_strategy)
+
+
+def run_campaign_ref(cfg: NetworkConfig, sweep, strategies) -> list[ResultRow]:
+    """Each trial's metric objects, then per (point, strategy, metric) the
+    mean and stderr of the values that are not None, in trial order."""
+    trials = [compute_sinrs_ref(drop_network(cfg, t), cfg) for t in range(cfg.trials)]
+    rows = []
+    for alpha, beta in sweep:
+        per_trial = [
+            evaluate_strategies_ref(users, strategies, FairnessConfig(alpha=alpha), beta).per_strategy
+            for users in trials
+        ]
+        for strat in strategies:
+            for metric, attr in (
+                ("t_alpha", "mean_t_alpha"),
+                ("mur_strong", "mean_strong_rate"),
+                ("mur_weak", "mean_weak_rate"),
+                ("mur_oma", "mean_oma_rate"),
+                ("mean_asr", "mean_asr"),
+            ):
+                values = [getattr(m[strat], attr) for m in per_trial]
+                arr = np.asarray([v for v in values if v is not None])
+                if not len(arr):
+                    continue
+                stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
+                rows.append(
+                    ResultRow(alpha, beta, None, None, strat.value, metric, float(arr.mean()), len(arr), stderr)
+                )
+    return rows
 
 
 def toroidal_distances_ref(a_xy: np.ndarray, b_xy: np.ndarray, side: float) -> np.ndarray:

@@ -326,6 +326,7 @@ class TestSimulateCommand:
             ("tx_power_dbm", "4000"),
             ("tx_power_dbm", "-4000"),
             ("noise_power_dbm", "4000"),
+            ("noise_power_dbm", "-4000"),
             ("betas", "0.1,1.5"),
             ("strategies", "oma,oma"),
             ("strategies", "near_far,suboptimal,near_far"),

@@ -250,3 +250,14 @@ class TestRunCampaign:
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):
             run_campaign(SMALL, [], [Strategy.OMA])
+
+    @pytest.mark.parametrize(
+        "sweep, strategies, message",
+        [
+            ([(1.0, 0.01)], [Strategy.OMA, Strategy.OMA], "repeated strategy 'oma'"),
+            ([(1.0, 0.01), (2.0, 0.0), (1, 0.01)], [Strategy.OMA], r"repeated sweep point \(1, 0.01\)"),
+        ],
+    )
+    def test_repeats_rejected(self, sweep, strategies, message):
+        with pytest.raises(ValueError, match=message):
+            run_campaign(SMALL, sweep, strategies)

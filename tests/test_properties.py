@@ -2,7 +2,8 @@
 
 gamma_w in [0.1, 100], gamma_s / gamma_w in [1, 1000], beta in [0, 1] and
 alpha in [0, 25].  The batched campaign kernel is checked against its
-per-pair scalar reference on small drawn cells, the batched optimal solver
+per-pair scalar reference on small drawn cells, the campaign rows against
+that reference aggregated trial by trial, the batched optimal solver
 against its per-link reference on drawn sets of links, and the row-blocked
 SINRs against the full-matrix reference on drawn windows, and the
 single-rendering CSV/JSON emitters against the row-by-row writers on drawn
@@ -12,6 +13,7 @@ row sets.  Hypothesis runs derandomized, so every run draws the same cases.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -33,10 +35,11 @@ from noma_fair.netsim import (
     PathlossModel,
     compute_sinrs,
     evaluate_strategies,
+    run_campaign,
 )
 from noma_fair.pairing import UserChannel
 from noma_fair.rates import PairLink, Strategy, noma_rates, oma_rate
-from noma_fair.report import METRIC_NAMES, ResultRow, emit_campaign_csv, emit_campaign_json
+from noma_fair.report import METRIC_NAMES, ResultRow, emit_campaign_csv, emit_campaign_json, sort_rows
 
 from _oracles import (
     candidate_pairs_ref,
@@ -45,6 +48,7 @@ from _oracles import (
     emit_campaign_json_ref,
     evaluate_strategies_ref,
     maximize_on_interval_ref,
+    run_campaign_ref,
 )
 
 GATED = (Strategy.OPTIMAL, Strategy.SUBOPTIMAL, Strategy.UPPER_BOUND, Strategy.LOWER_BOUND)
@@ -174,6 +178,20 @@ def test_batched_kernel_equals_scalar_reference(users, alpha, beta, pick):
     assert evaluate_strategies(users, strategies, cfg, beta) == evaluate_strategies_ref(
         users, strategies, cfg, beta
     )
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_campaign_rows_equal_per_trial_reference(threads):
+    # A 0.05 km2 window: a trial without users and two without a candidate,
+    # so metrics with no value in a trial are averaged over fewer trials.
+    cfg = NetworkConfig(area_km2=0.05, trials=16, seed=21)
+    sweep = [(a, b) for a in (0.0, 1.0, 2.5, 25.0) for b in (0.0, 0.03, 0.2)]
+    strategies = list(Strategy)
+    expected = run_campaign_ref(cfg, sweep, strategies)
+    trials = {r.metric: r.trials for r in expected if r.strategy == "oma" and r.beta == 0.0}
+    assert trials["mur_strong"] < trials["t_alpha"] < cfg.trials
+    got = run_campaign(cfg, sweep, strategies, threads=threads)
+    assert sort_rows(got) == sort_rows(expected)
 
 
 def test_batched_optimal_split_equals_per_link_reference():
