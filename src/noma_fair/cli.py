@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .allocator import DECISIONS
 from .fairness import FairnessConfig, alpha_throughput, utility
-from .netsim import NetworkConfig, PathlossModel, run_campaign
+from .netsim import NetworkConfig, run_campaign
 from .rates import PairLink, Strategy, _require_positive_finite, db_to_linear, noma_rates, oma_rate
 from .report import BETA_STAR_TOKEN, emit_artifacts, emit_delta_sweep
 
@@ -87,27 +87,28 @@ _beta_list = _comma_list(_beta)
 _sweep_beta_list = _comma_list(lambda text: text if text == BETA_STAR_TOKEN else _beta(text))
 
 
-# Config key -> dataclass field, for the settings a campaign is built from.
-_NETWORK_KEYS = {f.name: f for f in fields(NetworkConfig) if f.name != "pathloss"}
-_PATHLOSS_KEYS = {
-    "pathloss_" + ("model" if f.name == "name" else f.name): f for f in fields(PathlossModel)
-}
-_FAIRNESS_KEYS = {f.name: f for f in fields(FairnessConfig) if f.name != "alpha"}
-_TYPES = {"float": float, "int": int, "str": str}
+def _threads(text: str) -> int:
+    threads = int(text)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads!r}")
+    return threads
 
-# The simulate settings, config key -> (parser, default).  Config files, the
-# flag overrides, the campaign and the manifest all read this one table; the
-# README config table lists it.  Files are flat `key = value` lines with `#`
-# comments; `version` is also accepted so that a manifest parses back.
+
+# The simulate settings, config key -> (parser, default); a network or solver
+# setting is the config field of that name, parsed as its default's type.
+# Config files, flag overrides, the campaign and the manifest all read this
+# table; the README config table lists it.  Files are flat `key = value` lines
+# with `#` comments; `version` is also accepted so that a manifest parses back.
 SETTINGS = {
     **{
-        key: (_TYPES[f.type], f.default)
-        for key, f in {**_NETWORK_KEYS, **_PATHLOSS_KEYS, **_FAIRNESS_KEYS}.items()
+        f.name: (type(f.default), f.default)
+        for f in fields(NetworkConfig) + fields(FairnessConfig)
+        if f.name != "alpha"
     },
     "alphas": (_alpha_list, (1.0,)),
     "betas": (_beta_list, (0.01, 0.06)),
     "strategies": (_comma_list(_strategy), tuple(Strategy)),
-    "threads": (int, None),  # None: machine parallelism
+    "threads": (_threads, None),  # None: machine parallelism
 }
 
 # Settings that `simulate` also takes as flags, with their help texts.
@@ -161,7 +162,7 @@ def parse_config_file(path) -> dict:
 
 
 def _resolve_threads(flag_value: Optional[int]) -> int:
-    return (os.cpu_count() or 1) if flag_value is None else max(1, flag_value)
+    return (os.cpu_count() or 1) if flag_value is None else flag_value
 
 
 def _format_config_value(value) -> str:
@@ -360,10 +361,7 @@ def _cmd_simulate(args) -> int:
     values = {key: settings.get(key, default) for key, (_, default) in SETTINGS.items()}
     values["threads"] = _resolve_threads(values["threads"])
 
-    pathloss = PathlossModel(**{f.name: values[key] for key, f in _PATHLOSS_KEYS.items()})
-    cfg = NetworkConfig(
-        pathloss=pathloss, **{f.name: values[key] for key, f in _NETWORK_KEYS.items()}
-    )
+    cfg = NetworkConfig(**{f.name: values[f.name] for f in fields(NetworkConfig)})
     sweep = [(a, b) for a in values["alphas"] for b in values["betas"]]
     rows = run_campaign(
         cfg,

@@ -3,10 +3,11 @@
 Base stations and users are dropped as independent Poisson point processes
 on a square window with toroidal wrap-around (standard practice to avoid
 boundary bias).  Channel gain to every station is log-distance pathloss
-times unit-mean exponential (Rayleigh power) fading; users associate with
-the station offering the maximum SINR, and every non-serving station
-interferes at full power on the shared subchannel.  Received powers are
-computed for row blocks of users, so no users x stations matrix is built.
+times unit-mean exponential (Rayleigh power) fading, the one fading model;
+:class:`NetworkConfig` holds every setting.  Users associate with the
+station offering the maximum SINR, and every non-serving station interferes
+at full power on the shared subchannel.  Received powers are computed for
+row blocks of users, so no users x stations matrix is built.
 
 Within a trial every strategy consumes the identical channel realization
 and the identical candidate pairs, so strategy comparisons are
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import product
 from typing import Optional, Sequence
 
@@ -47,7 +48,6 @@ from .rates import (
 from .report import ResultRow
 
 __all__ = [
-    "PathlossModel",
     "NetworkConfig",
     "NetworkRealization",
     "Strategy",
@@ -68,56 +68,36 @@ _FADING_STREAM = 1
 _BLOCK_ENTRIES = 1 << 14
 
 
-def _check_fields(obj, prefix: str, positive: Sequence[str]) -> None:
-    """Reject non-finite float fields and non-positive ``positive`` fields.
-
-    Messages name the field as its config key, ``prefix`` + field name.
-    """
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if f.name in positive:
-            _require_positive_finite(prefix + f.name, value)
-        elif isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{prefix}{f.name} must be finite, got {value!r}")
-
-
-@dataclass(frozen=True)
-class PathlossModel:
-    """Log-distance pathloss PL(dB) = intercept + slope * log10(d_km).
-
-    Distances below ``min_distance_km`` are clamped to it and the clamp is
-    counted on the realization.
-    """
-
-    name: str = "urban_macro"
-    intercept_db: float = 128.1
-    slope_db: float = 37.6
-    min_distance_km: float = 1e-3
-
-    def __post_init__(self) -> None:
-        _check_fields(self, "pathloss_", positive=("min_distance_km",))
-
-
 @dataclass(frozen=True)
 class NetworkConfig:
+    """The radio model and campaign size; each field is its config key."""
+
     bs_density: float = 25.0  # stations per km^2
     user_density: float = 120.0  # users per km^2
     area_km2: float = 1.0
     tx_power_dbm: float = 46.0
     noise_power_dbm: float = -95.0  # -174 dBm/Hz over 10 MHz + 9 dB noise figure
-    pathloss: PathlossModel = field(default_factory=PathlossModel)
-    fading_scale: float = 1.0  # mean of the exponential power fading
+    # PL(dB) = intercept + slope * log10(d_km), d clamped up to the min distance.
+    pathloss_intercept_db: float = 128.1
+    pathloss_slope_db: float = 37.6
+    pathloss_min_distance_km: float = 1e-3
     trials: int = 100
     seed: int = 1
 
     def __post_init__(self) -> None:
-        _check_fields(
-            self, "", positive=("bs_density", "user_density", "area_km2", "fading_scale")
-        )
+        positive = ("bs_density", "user_density", "area_km2", "pathloss_min_distance_km")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in positive:
+                _require_positive_finite(f.name, value)
+            elif isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         _require_positive_finite("tx_power_dbm in mW", db_to_linear(self.tx_power_dbm))
         _require_positive_finite("noise_power_dbm in mW", db_to_linear(self.noise_power_dbm))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass
@@ -211,7 +191,6 @@ def compute_sinrs(network: NetworkRealization, cfg: NetworkConfig) -> list[UserC
     n_users, n_bs = len(network.user_xy), len(network.bs_xy)
     if n_users == 0:
         return []
-    pl = cfg.pathloss
     tx_mw = db_to_linear(cfg.tx_power_dbm)
     noise_mw = db_to_linear(cfg.noise_power_dbm)
     rng = np.random.default_rng([network.seed, network.trial_index, _FADING_STREAM])
@@ -232,16 +211,16 @@ def compute_sinrs(network: NetworkRealization, cfg: NetworkConfig) -> list[UserC
             np.subtract(network.side_km, d, out=scratch)
             np.minimum(d, scratch, out=d)
         np.hypot(p, dy, out=p)
-        network.clamped_links += int(np.count_nonzero(p < pl.min_distance_km))
+        network.clamped_links += int(np.count_nonzero(p < cfg.pathloss_min_distance_km))
         # Received power tx_mw * 10^(-PL(d) / 10) * fading, PL(d) in dB.
-        np.maximum(p, pl.min_distance_km, out=p)
+        np.maximum(p, cfg.pathloss_min_distance_km, out=p)
         np.log10(p, out=p)
-        np.multiply(pl.slope_db, p, out=p)
-        np.add(pl.intercept_db, p, out=p)
+        np.multiply(cfg.pathloss_slope_db, p, out=p)
+        np.add(cfg.pathloss_intercept_db, p, out=p)
         np.negative(p, out=p)
         np.divide(p, 10.0, out=p)
         np.power(10.0, p, out=p)
-        p *= rng.exponential(cfg.fading_scale, size=p.shape)
+        p *= rng.exponential(size=p.shape)
         np.multiply(tx_mw, p, out=p)
         rows, best = np.arange(len(users)), np.argmax(p, axis=1)
         serving[block], power[block] = best, p[rows, best]
@@ -380,7 +359,9 @@ def run_campaign(
         if repeated:
             raise ValueError(f"repeated {what} {repeated[0]!r}")
     points = [(FairnessConfig(alpha=a, tau=tau, solver_tol=solver_tol), b) for a, b in sweep]
-    workers = max(1, min(int(threads), cfg.trials))
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads!r}")
+    workers = min(threads, cfg.trials)
     jobs = [
         (cfg, points, strategies, [int(t) for t in part])
         for part in np.array_split(np.arange(cfg.trials), workers)

@@ -288,16 +288,17 @@ def toroidal_distances_ref(a_xy: np.ndarray, b_xy: np.ndarray, side: float) -> n
 
 
 def received_power_mw_ref(network: NetworkRealization, cfg: NetworkConfig) -> np.ndarray:
-    """Per-(user, station) received power in mW, fading included.
+    """Per-(user, station) received power in mW, unit-mean fading included.
 
     Draws the fading matrix from the trial's dedicated substream in one call.
     """
     dist = toroidal_distances_ref(network.user_xy, network.bs_xy, network.side_km)
-    network.clamped_links = int(np.sum(dist < cfg.pathloss.min_distance_km))
+    network.clamped_links = int(np.sum(dist < cfg.pathloss_min_distance_km))
     rng = np.random.default_rng([network.seed, network.trial_index, _FADING_STREAM])
-    fading = rng.exponential(cfg.fading_scale, size=dist.shape)
-    pl = cfg.pathloss
-    loss_db = pl.intercept_db + pl.slope_db * np.log10(np.maximum(dist, pl.min_distance_km))
+    fading = rng.exponential(1.0, size=dist.shape)
+    loss_db = cfg.pathloss_intercept_db + cfg.pathloss_slope_db * np.log10(
+        np.maximum(dist, cfg.pathloss_min_distance_km)
+    )
     gains = 10.0 ** (-loss_db / 10.0) * fading
     return 10.0 ** (cfg.tx_power_dbm / 10.0) * gains
 

@@ -322,7 +322,10 @@ class TestSimulateCommand:
             ("pathloss_slope_db", "nan"),
             ("pathloss_min_distance_km", "-1"),
             ("pathloss_min_distance_km", "0"),
+            ("seed", "-1"),
+            # Deleted settings are unknown keys.
             ("fading_scale", "nan"),
+            ("pathloss_model", "urban_macro"),
             ("tx_power_dbm", "4000"),
             ("tx_power_dbm", "-4000"),
             ("noise_power_dbm", "4000"),
@@ -348,11 +351,12 @@ class TestSimulateCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "flag, value", [("alphas", "-1,2"), ("alphas", "nan"), ("betas", "0.1,1.5")]
+        "flag, value",
+        [("alphas", "-1,2"), ("alphas", "nan"), ("betas", "0.1,1.5"), ("threads", "0")],
     )
     def test_bad_alpha_or_beta_flag_names_its_key(self, tmp_path, capsys, flag, value):
         out = tmp_path / "o"
-        code = run(["simulate", "--trials", "1", f"--{flag}", value, "--threads", "1", "--out-dir", str(out)])
+        code = run(["simulate", "--trials", "1", "--threads", "1", f"--{flag}", value, "--out-dir", str(out)])
         assert code == 2
         assert f"error: bad value for {flag!r}: " in capsys.readouterr().err
         assert not out.exists()
@@ -508,11 +512,9 @@ class TestConfigFile:
                     "area_km2 = 1.0",
                     "tx_power_dbm = 46.0",
                     "noise_power_dbm = -95.0",
-                    "pathloss_model = urban_macro",
                     "pathloss_intercept_db = 128.1",
                     "pathloss_slope_db = 37.6",
                     "pathloss_min_distance_km = 0.001",
-                    "fading_scale = 1.0",
                     "trials = 10",
                     "seed = 42",
                     "alphas = 0.5,1,2",

@@ -8,7 +8,6 @@ from noma_fair.fairness import FairnessConfig
 from noma_fair.netsim import (
     NetworkConfig,
     NetworkRealization,
-    PathlossModel,
     Strategy,
     TrialMetrics,
     StrategyMetrics,
@@ -49,10 +48,13 @@ class TestDropNetwork:
         assert np.all((net.user_xy >= 0) & (net.user_xy <= side))
 
     def test_tiny_area_resamples_until_a_station_exists(self):
+        # Mean 0.025 stations: substreams [3, 0, 0, k] for k < 4 draw none.
         cfg = NetworkConfig(trials=1, seed=3, area_km2=1e-3)
+        for k in range(4):
+            assert np.random.default_rng([3, 0, 0, k]).poisson(cfg.bs_density * cfg.area_km2) == 0
         net = drop_network(cfg, 0)
         assert len(net.bs_xy) >= 1
-        assert net.resamples >= 0
+        assert net.resamples == 4
         # empty user draws are fine downstream
         users = compute_sinrs(net, cfg)
         metrics = evaluate_strategies(users, [Strategy.OMA], FairnessConfig(alpha=1.0), 0.0)
@@ -63,6 +65,8 @@ class TestDropNetwork:
             NetworkConfig(bs_density=0.0)
         with pytest.raises(ValueError):
             NetworkConfig(trials=0)
+        with pytest.raises(ValueError, match="seed"):
+            NetworkConfig(seed=-1)
 
 
 class TestComputeSinrs:
@@ -92,7 +96,8 @@ class TestComputeSinrs:
             seed=5,
             tx_power_dbm=0.0,
             noise_power_dbm=10 * math.log10(0.5),
-            pathloss=PathlossModel(intercept_db=0.0, slope_db=0.0),
+            pathloss_intercept_db=0.0,
+            pathloss_slope_db=0.0,
         )
         net = NetworkRealization(
             bs_xy=np.array([[0.2, 0.2], [0.7, 0.7]]),
@@ -122,7 +127,7 @@ class TestComputeSinrs:
             )
 
     def test_min_distance_clamp_recorded(self):
-        cfg = NetworkConfig(trials=1, seed=5, pathloss=PathlossModel(min_distance_km=0.2))
+        cfg = NetworkConfig(trials=1, seed=5, pathloss_min_distance_km=0.2)
         net = drop_network(cfg, 0)
         compute_sinrs(net, cfg)
         assert net.clamped_links > 0
@@ -149,11 +154,11 @@ class _FixedFading:
         self.values = values
         self.taken = 0
 
-    def exponential(self, scale, size):
+    def exponential(self, size):
         rows = self.values[self.taken : self.taken + size[0]]
         self.taken += size[0]
         assert rows.shape == size
-        return scale * rows
+        return rows
 
 
 def first_trial(cfg, strategies, fairness, beta):
@@ -250,6 +255,11 @@ class TestRunCampaign:
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):
             run_campaign(SMALL, [], [Strategy.OMA])
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            run_campaign(SMALL, [(1.0, 0.01)], [Strategy.OMA], threads=threads)
 
     @pytest.mark.parametrize(
         "sweep, strategies, message",
