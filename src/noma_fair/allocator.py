@@ -16,8 +16,9 @@ Each rule is written once, over arrays of links, in three stages:
   lower_bound pin the split to one bound; near_far takes delta_ub ungated.
 
 :func:`solve_optimal`, :func:`solve_suboptimal`, :func:`allocate_fixed_bound`
-and :func:`near_far_decision` run the same stages on arrays of size 1;
-:data:`DECISIONS` maps every :class:`~noma_fair.rates.Strategy` to one.
+and :func:`near_far_decision` run the same stages on arrays of size 1 and
+return an :class:`AllocationDecision`; the campaign, ``sweep`` and ``pair``
+call the stages themselves.
 
 The 1-D objective, :func:`summed_utility`, is continuous on a compact
 interval but need not be concave, so the optimal solver runs a coarse grid
@@ -36,13 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bounds import (
-    AllocationBounds,
-    PairingCriterion,
-    delta_lower_bound,
-    delta_upper_bound,
-    pairing_criterion,
-)
+from .bounds import PairingCriterion, delta_lower_bound, delta_upper_bound, pairing_criterion
 from .fairness import FairnessConfig, utility
 from .rates import (
     PairLink,
@@ -55,7 +50,6 @@ from .rates import (
 
 __all__ = [
     "DecisionMode",
-    "DecisionDiagnostics",
     "AllocationDecision",
     "LinkFacts",
     "Gate",
@@ -67,7 +61,6 @@ __all__ = [
     "solve_suboptimal",
     "allocate_fixed_bound",
     "near_far_decision",
-    "DECISIONS",
 ]
 
 _GRID_POINTS = 1000
@@ -75,6 +68,10 @@ _GRID_POINTS = 1000
 _GRID_BLOCK = 8
 # Grid maxima within this slack of the best are all refined (multimodal guard).
 _BRACKET_SLACK = 1e-9
+# Width at which golden section stops narrowing a bracket.  Comparing
+# objective values places an interior optimum only to about sqrt(eps), so
+# a smaller width buys no precision (see solve_optimal).
+_SOLVER_TOL = 1e-9
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
@@ -86,25 +83,10 @@ class DecisionMode(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class DecisionDiagnostics:
-    """Why a pair was admitted or rejected."""
-
-    bounds: AllocationBounds
-    criterion: PairingCriterion
-
-
-@dataclass(frozen=True)
 class AllocationDecision:
-    """Outcome of a pairing decision; ``allocation`` is None for an OMA fallback.
-
-    ``objective`` is the achieved summed utility; it is filled by the
-    fairness-driven solvers and left None by the fixed-bound and near-far
-    paths, which carry no fairness exponent.
-    """
+    """Outcome of a pairing decision; ``allocation`` is None for an OMA fallback."""
 
     allocation: Optional[PowerAllocation]
-    objective: Optional[float]
-    diagnostics: DecisionDiagnostics
 
     @property
     def mode(self) -> DecisionMode:
@@ -252,7 +234,7 @@ def split(
         if on.size:
             beta = np.broadcast_to(g.beta, lb.shape)[on]
             pick[on], objective[on] = _maximize_on_interval(
-                g.links.gamma_s[on], g.links.gamma_w[on], beta, cfg.alpha, lb[on], ub[on], cfg.solver_tol
+                g.links.gamma_s[on], g.links.gamma_w[on], beta, cfg.alpha, lb[on], ub[on], _SOLVER_TOL
             )
     elif strategy is Strategy.SUBOPTIMAL:
         # Rejected links may have beta_star <= 0; their picks are dropped.
@@ -274,22 +256,10 @@ def split(
 
 
 def _decide_one(link: PairLink, strategy: Strategy, cfg) -> AllocationDecision:
-    """:func:`split` on one link, with its diagnostics and objective."""
+    """:func:`split` on one link."""
     g = gate(link_facts([link.gamma_s], [link.gamma_w]), link.beta)
-    delta, objective = split(g, strategy, cfg)
-    c = g.links.criterion
-    diag = DecisionDiagnostics(
-        AllocationBounds(float(g.delta_lb[0]), float(g.links.delta_ub[0])),
-        PairingCriterion(float(c.msd_threshold[0]), float(c.beta_star[0]), bool(c.satisfied[0])),
-    )
-    if np.isnan(delta[0]):
-        return AllocationDecision(None, None, diag)
-    d = float(delta[0])
-    if objective is not None:
-        objective = float(objective[0])
-    elif strategy is Strategy.SUBOPTIMAL:
-        objective = summed_utility(link.gamma_s, link.gamma_w, link.beta, d, cfg.alpha)
-    return AllocationDecision(PowerAllocation(d, strategy), objective, diag)
+    delta = float(split(g, strategy, cfg)[0][0])
+    return AllocationDecision(None if math.isnan(delta) else PowerAllocation(delta))
 
 
 def solve_optimal(link: PairLink, cfg: FairnessConfig) -> AllocationDecision:
@@ -300,7 +270,7 @@ def solve_optimal(link: PairLink, cfg: FairnessConfig) -> AllocationDecision:
     [delta_lb, delta_ub], which keeps both NOMA rates at or above their OMA
     counterparts by construction.  It is the best of the two endpoints and
     of every near-best grid peak refined by golden section until its bracket
-    is no wider than ``cfg.solver_tol``.  The search compares objective
+    is no wider than ``_SOLVER_TOL``.  The search compares objective
     values, which are flat to second order at an interior optimum, so there
     the split is placed only to about the square root of the rounding error:
     interior optima have been measured up to 5.4e-8 from the exact maximizer.
@@ -338,13 +308,3 @@ def near_far_decision(link: PairLink) -> AllocationDecision:
     """
     return _decide_one(link, Strategy.NEAR_FAR, None)
 
-
-# Every strategy's decision for one candidate; None means serve both as OMA.
-DECISIONS: dict[Strategy, Callable[[PairLink, FairnessConfig], Optional[AllocationDecision]]] = {
-    Strategy.OPTIMAL: solve_optimal,
-    Strategy.SUBOPTIMAL: solve_suboptimal,
-    Strategy.UPPER_BOUND: lambda link, _: allocate_fixed_bound(link, Strategy.UPPER_BOUND),
-    Strategy.LOWER_BOUND: lambda link, _: allocate_fixed_bound(link, Strategy.LOWER_BOUND),
-    Strategy.NEAR_FAR: lambda link, _: near_far_decision(link),
-    Strategy.OMA: lambda link, _: None,
-}

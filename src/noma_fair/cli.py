@@ -21,11 +21,15 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import __version__
-from .allocator import DECISIONS
+from .allocator import gate, link_facts, split, summed_utility
 from .fairness import FairnessConfig, alpha_throughput, utility
 from .netsim import NetworkConfig, run_campaign
-from .rates import PairLink, Strategy, _require_positive_finite, db_to_linear, noma_rates, oma_rate
+from .rates import (
+    Strategy, _require_positive_finite, db_to_linear, noma_sinr_strong, noma_sinr_weak, oma_rate
+)
 from .report import BETA_STAR_TOKEN, emit_artifacts, emit_delta_sweep
 
 __all__ = ["main", "build_parser", "parse_config_file", "ConfigError", "SETTINGS"]
@@ -234,28 +238,29 @@ def build_parser() -> argparse.ArgumentParser:
     for cmd in (pair, sweep):
         cmd.add_argument("--tau", type=float, default=FairnessConfig.tau, help="sub-optimal ratio threshold")
         cmd.add_argument("--solver", choices=solvers, default=solvers[0])
-        cmd.add_argument("--solver-tol", type=float, default=FairnessConfig.solver_tol)
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo network campaign")
     sim.add_argument("--config", type=Path, default=None, help="key-value config file")
     for key, help_text in _SIMULATE_FLAGS.items():
         sim.add_argument(f"--{key}", default=None, help=help_text)
     sim.add_argument("--out-dir", type=Path, required=True)
-    for cmd in (sweep, sim):  # a comma list may start with a negative number
+    for cmd in (pair, sweep, sim):  # a value or comma list may start with a negative number
         cmd._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 
 def _pair_report(args) -> dict:
+    """The link's facts and its decision, from the rules the campaign uses on arrays of size 1."""
     gamma_s = db_to_linear(args.gamma_s_db)
     gamma_w = db_to_linear(args.gamma_w_db)
     if gamma_s < gamma_w:
         raise ValueError("--gamma-s-db must be at least --gamma-w-db")
-    link = PairLink(gamma_s=gamma_s, gamma_w=gamma_w, beta=args.beta)
-    cfg = FairnessConfig(alpha=args.alpha, tau=args.tau, solver_tol=args.solver_tol)
-    decision = DECISIONS[Strategy(args.solver)](link, cfg)
-    crit = decision.diagnostics.criterion
-    bounds = decision.diagnostics.bounds
+    beta = _beta(args.beta)
+    cfg = FairnessConfig(alpha=args.alpha, tau=args.tau)
+    g = gate(link_facts([gamma_s], [gamma_w]), beta)
+    delta, objective = split(g, Strategy(args.solver), cfg)
+    crit = g.links.criterion
+    paired = not math.isnan(delta[0])
     r_s_oma, r_w_oma = oma_rate(gamma_s), oma_rate(gamma_w)
     report = {
         "gamma_s_db": args.gamma_s_db,
@@ -264,22 +269,29 @@ def _pair_report(args) -> dict:
         "alpha": args.alpha,
         "tau": args.tau,
         "solver": args.solver,
-        "delta_lb": bounds.delta_lb,
-        "delta_ub": bounds.delta_ub,
-        "msd_threshold": crit.msd_threshold,
-        "msd_satisfied": crit.satisfied,
-        "beta_star": crit.beta_star,
-        "mode": decision.mode.value,
+        "delta_lb": float(g.delta_lb[0]),
+        "delta_ub": float(g.links.delta_ub[0]),
+        "msd_threshold": float(crit.msd_threshold[0]),
+        "msd_satisfied": bool(crit.satisfied[0]),
+        "beta_star": float(crit.beta_star[0]),
+        "mode": "noma_paired" if paired else "oma_fallback",
         "rate_strong_oma": r_s_oma,
         "rate_weak_oma": r_w_oma,
     }
-    if decision.allocation is not None:
-        r_s, r_w = noma_rates(link, decision.allocation)
+    if paired:
+        d = float(delta[0])
+        # split gives the summed utility of the optimal solver's split only.
+        if objective is None:
+            utility_sum = summed_utility(gamma_s, gamma_w, beta, d, args.alpha)
+        else:
+            utility_sum = float(objective[0])
+        r_s = float(np.log2(1.0 + noma_sinr_strong(gamma_s, beta, d)))
+        r_w = float(np.log2(1.0 + noma_sinr_weak(gamma_w, d)))
         report.update(
-            delta_s=decision.allocation.delta_s,
+            delta_s=d,
             rate_strong_noma=r_s,
             rate_weak_noma=r_w,
-            utility_sum=decision.objective,
+            utility_sum=utility_sum,
             t_alpha=alpha_throughput(r_s, r_w, args.alpha),
         )
     else:
@@ -329,16 +341,13 @@ def _cmd_sweep(args) -> int:
     else:
         links = [(_require("gamma-s-db", args.gamma_s_db), _require("gamma-w-db", args.gamma_w_db))]
 
-    rows = emit_delta_sweep(
-        links, betas, alphas, tau=args.tau, solver_tol=args.solver_tol, solver=Strategy(args.solver)
-    )
+    rows = emit_delta_sweep(links, betas, alphas, tau=args.tau, solver=Strategy(args.solver))
     if not rows:
         raise ValueError("sweep produced no rows (all links infeasible at beta_star)")
     base = args.out
     if base.suffix == ".csv":
         base = base.with_suffix("")
-    keys = ("axis", "values", "alphas", "betas", "gamma_s_db", "gamma_w_db", "tau", "solver",
-            "solver_tol")
+    keys = ("axis", "values", "alphas", "betas", "gamma_s_db", "gamma_w_db", "tau", "solver")
     settings = {key: getattr(args, key) for key in keys}
     settings.update(alphas=alphas, betas=betas)
     command = "noma-fair sweep " + " ".join(
@@ -363,14 +372,7 @@ def _cmd_simulate(args) -> int:
 
     cfg = NetworkConfig(**{f.name: values[f.name] for f in fields(NetworkConfig)})
     sweep = [(a, b) for a in values["alphas"] for b in values["betas"]]
-    rows = run_campaign(
-        cfg,
-        sweep,
-        values["strategies"],
-        tau=values["tau"],
-        solver_tol=values["solver_tol"],
-        threads=values["threads"],
-    )
+    rows = run_campaign(cfg, sweep, values["strategies"], tau=values["tau"], threads=values["threads"])
 
     out_dir = args.out_dir
     paths = (out_dir / "campaign.csv", out_dir / "campaign.json", out_dir / "manifest.txt")

@@ -27,21 +27,18 @@ __all__ = ["FairnessConfig", "utility", "alpha_throughput"]
 class FairnessConfig:
     """Scheduler parameters shared by the allocators.
 
-    alpha:      fairness exponent, >= 0 (alpha = 1 uses the log branch).
-    tau:        imperfection-ratio threshold of the sub-optimal rule, in (0, 1).
-    solver_tol: width at which the optimal solver stops narrowing a bracket.
+    alpha: fairness exponent, >= 0 (alpha = 1 uses the log branch).
+    tau:   imperfection-ratio threshold of the sub-optimal rule, in (0, 1).
     """
 
     alpha: float
     tau: float = 0.5
-    solver_tol: float = 1e-9
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise ValueError(f"alpha must be >= 0, got {self.alpha!r}")
         if not (0.0 < self.tau < 1.0):
             raise ValueError(f"tau must lie in (0, 1), got {self.tau!r}")
-        _require_positive_finite("solver_tol", self.solver_tol)
 
 
 def utility(x, alpha: float):

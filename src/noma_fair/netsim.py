@@ -339,7 +339,6 @@ def run_campaign(
     sweep: Sequence[tuple[float, float]],
     strategies: Sequence[Strategy],
     tau: float = FairnessConfig.tau,
-    solver_tol: float = FairnessConfig.solver_tol,
     threads: int = 1,
 ) -> list[ResultRow]:
     """Average per-trial metrics over cfg.trials for every (alpha, beta) point.
@@ -358,7 +357,7 @@ def run_campaign(
         repeated = [x for k, x in enumerate(items) if x in items[:k]]
         if repeated:
             raise ValueError(f"repeated {what} {repeated[0]!r}")
-    points = [(FairnessConfig(alpha=a, tau=tau, solver_tol=solver_tol), b) for a, b in sweep]
+    points = [(FairnessConfig(alpha=a, tau=tau), b) for a, b in sweep]
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads!r}")
     workers = min(threads, cfg.trials)

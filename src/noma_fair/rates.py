@@ -30,7 +30,6 @@ __all__ = [
     "oma_rate",
     "noma_sinr_strong",
     "noma_sinr_weak",
-    "noma_sinrs",
     "noma_rates",
 ]
 
@@ -50,7 +49,7 @@ def linear_to_db(value: float) -> float:
 
 
 class Strategy(str, enum.Enum):
-    """How a candidate pair is served, and the provenance of its power split."""
+    """How a candidate pair is served: the rule that picks its power split."""
 
     OPTIMAL = "optimal"
     SUBOPTIMAL = "suboptimal"
@@ -115,14 +114,9 @@ class PowerAllocation:
     """Downlink power split: ``delta_s`` to the strong user, the rest to the weak."""
 
     delta_s: float
-    source: Strategy
 
     def __post_init__(self) -> None:
         _require_split(self.delta_s)
-
-    @property
-    def delta_w(self) -> float:
-        return 1.0 - self.delta_s
 
 
 def oma_rate(gamma):
@@ -155,18 +149,11 @@ def noma_sinr_weak(gamma_w, delta_s):
     return (1.0 - delta_s) * gamma_w / (1.0 + delta_s * gamma_w)
 
 
-def noma_sinrs(link: PairLink, alloc: PowerAllocation) -> tuple[float, float]:
-    """Effective NOMA SINRs (strong, weak) for a validated link and split."""
-    return (
-        float(noma_sinr_strong(link.gamma_s, link.beta, alloc.delta_s)),
-        float(noma_sinr_weak(link.gamma_w, alloc.delta_s)),
-    )
-
-
 def noma_rates(link: PairLink, alloc: PowerAllocation) -> tuple[float, float]:
-    """NOMA rates (R_s, R_w) = log2(1 + sinr) in bits/s/Hz.
+    """NOMA rates (R_s, R_w) = log2(1 + sinr) in bits/s/Hz of a validated link and split.
 
     No 1/2 factor: both users reuse the full subchannel.
     """
-    sinr_s, sinr_w = noma_sinrs(link, alloc)
+    sinr_s = float(noma_sinr_strong(link.gamma_s, link.beta, alloc.delta_s))
+    sinr_w = float(noma_sinr_weak(link.gamma_w, alloc.delta_s))
     return float(np.log2(1.0 + sinr_s)), float(np.log2(1.0 + sinr_w))

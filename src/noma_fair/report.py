@@ -109,7 +109,6 @@ def emit_delta_sweep(
     betas: Sequence[Union[float, str]],
     alphas: Sequence[float],
     tau: float = FairnessConfig.tau,
-    solver_tol: float = FairnessConfig.solver_tol,
     solver: Strategy = Strategy.OPTIMAL,
 ) -> list[ResultRow]:
     """Per-(alpha, beta, link) power-split rows.
@@ -128,7 +127,7 @@ def emit_delta_sweep(
     linear = np.array([(db_to_linear(gs_db), db_to_linear(gw_db)) for gs_db, gw_db in links_db])
     links = link_facts(linear[:, 0], linear[:, 1])
     star = links.criterion.beta_star
-    fair = [FairnessConfig(alpha=alpha, tau=tau, solver_tol=solver_tol) for alpha in alphas]
+    fair = [FairnessConfig(alpha=alpha, tau=tau) for alpha in alphas]
     metrics = ("delta_lb", "delta_ub", "msd_satisfied", "delta_s")
     delta_ub = links.delta_ub.tolist()
     msd_satisfied = links.criterion.satisfied.astype(float).tolist()

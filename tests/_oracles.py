@@ -6,8 +6,8 @@ from the closed forms or solvers under test.  The exceptions are the
 references of batched or rewritten code, which must agree with it bit for
 bit: :func:`evaluate_strategies_ref`, the per-pair reference of the
 campaign kernel (it matches and aggregates on its own, and decides each
-candidate through the size-1 decisions), :func:`maximize_on_interval_ref`,
-the one-link-at-a-time grid and golden-section search of the optimal
+candidate through the size-1 decisions in :data:`WRAPPERS`),
+:func:`maximize_on_interval_ref`, the one-link-at-a-time grid and golden-section search of the optimal
 split, :func:`compute_sinrs_ref`, the full users x stations matrix form of
 the row-blocked SINRs, and :func:`emit_campaign_csv_ref` and
 :func:`emit_campaign_json_ref`, the row-by-row CSV writer and the
@@ -25,7 +25,7 @@ import math
 import mpmath
 import numpy as np
 
-from noma_fair.allocator import DECISIONS
+from noma_fair.allocator import allocate_fixed_bound, near_far_decision, solve_optimal, solve_suboptimal
 from noma_fair.fairness import FairnessConfig, alpha_throughput
 from noma_fair.netsim import (
     _FADING_STREAM,
@@ -36,7 +36,7 @@ from noma_fair.netsim import (
     drop_network,
 )
 from noma_fair.pairing import UserChannel
-from noma_fair.rates import PairLink, noma_rates, noma_sinr_strong, noma_sinr_weak, oma_rate
+from noma_fair.rates import PairLink, Strategy, noma_rates, noma_sinr_strong, noma_sinr_weak, oma_rate
 from noma_fair.report import CSV_HEADER, ResultRow, format_value, sort_rows
 
 
@@ -207,6 +207,17 @@ def _mean(values):
     return float(np.mean(values)) if values else None
 
 
+# Each strategy's size-1 decision of one candidate; None serves both users OMA.
+WRAPPERS = {
+    Strategy.OPTIMAL: solve_optimal,
+    Strategy.SUBOPTIMAL: solve_suboptimal,
+    Strategy.UPPER_BOUND: lambda link, _: allocate_fixed_bound(link, Strategy.UPPER_BOUND),
+    Strategy.LOWER_BOUND: lambda link, _: allocate_fixed_bound(link, Strategy.LOWER_BOUND),
+    Strategy.NEAR_FAR: lambda link, _: near_far_decision(link),
+    Strategy.OMA: lambda link, _: None,
+}
+
+
 def evaluate_strategies_ref(users, strategies, fairness, beta) -> TrialMetrics:
     """Every strategy on one realization, one candidate and one call at a time."""
     cells = {}
@@ -221,7 +232,7 @@ def evaluate_strategies_ref(users, strategies, fairness, beta) -> TrialMetrics:
         for strat in dict.fromkeys(strategies):
             a = acc[strat]
             for link, (ros, row) in zip(links, oma_pairs):
-                decision = DECISIONS[strat](link, fairness)
+                decision = WRAPPERS[strat](link, fairness)
                 if decision is not None and decision.allocation is not None:
                     r_s, r_w = noma_rates(link, decision.allocation)
                     a["pairs"] += 1

@@ -26,7 +26,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from noma_fair.allocator import DecisionMode, solve_optimal, solve_suboptimal
+from noma_fair.allocator import DecisionMode, gate, link_facts, solve_optimal, solve_suboptimal, split
 from noma_fair.bounds import beta_star, delta_lower_bound, delta_upper_bound, msd_threshold
 from noma_fair.cli import main as cli_main
 from noma_fair.fairness import FairnessConfig, alpha_throughput, utility
@@ -185,8 +185,8 @@ def test_criterion_04_optimizer_matches_dense_grid():
     start = time.monotonic()
     worst = 0.0
     for gs, gw, beta, alpha in instances:
-        link = PairLink(gamma_s=gs, gamma_w=gw, beta=beta)
-        decision = solve_optimal(link, FairnessConfig(alpha=alpha))
+        g = gate(link_facts([gs], [gw]), beta)
+        _, objective = split(g, Strategy.OPTIMAL, FairnessConfig(alpha=alpha))
         deltas = np.linspace(
             delta_lower_bound(gs, beta), delta_upper_bound(gw), 1_000_000
         )
@@ -196,7 +196,7 @@ def test_criterion_04_optimizer_matches_dense_grid():
                 + utility(noma_rate_weak_ref(gw, deltas), alpha)
             )
         )
-        worst = max(worst, abs(decision.objective - grid_best))
+        worst = max(worst, abs(objective[0] - grid_best))
     elapsed = time.monotonic() - start
     ok = worst < 1e-6 and elapsed < 60.0
     assert verdict(

@@ -7,7 +7,6 @@ from noma_fair import allocator
 from noma_fair.allocator import (
     _GRID_BLOCK,
     _GRID_POINTS,
-    DECISIONS,
     DecisionMode,
     allocate_fixed_bound,
     gate,
@@ -26,7 +25,7 @@ from noma_fair.rates import (
     oma_rate,
 )
 
-from _oracles import noma_rate_strong_ref, noma_rate_weak_ref, sample_ordered_pairs
+from _oracles import WRAPPERS, noma_rate_strong_ref, noma_rate_weak_ref, sample_ordered_pairs
 
 GS = db_to_linear(9.0)
 GW = db_to_linear(2.0)
@@ -43,6 +42,11 @@ def feasible_link(rng, alpha_range=(0.3, 35.0)):
     beta = rng.uniform(0.0, 0.999) * min(beta_star(gs, gw), 1.0)
     alpha = float(np.exp(rng.uniform(np.log(alpha_range[0]), np.log(alpha_range[1]))))
     return PairLink(gamma_s=gs, gamma_w=gw, beta=beta), alpha
+
+
+def one_link_gate(link):
+    """The link's admission by the array rules, on arrays of size 1."""
+    return gate(link_facts([link.gamma_s], [link.gamma_w]), link.beta)
 
 
 def objective_of(link, alpha, delta):
@@ -76,7 +80,7 @@ class TestSolveOptimal:
         d = solve_optimal(link, FairnessConfig(alpha=1.0))
         assert d.mode is DecisionMode.OMA_FALLBACK
         assert d.allocation is None
-        assert d.objective is None
+        assert np.isnan(split(one_link_gate(link), Strategy.OPTIMAL, FairnessConfig(alpha=1.0))[1]).all()
 
     def test_beta_at_bound_falls_back_to_oma(self):
         link = PairLink(gamma_s=GS, gamma_w=GW, beta=BETA_STAR)
@@ -86,20 +90,23 @@ class TestSolveOptimal:
     def test_diagnostics_populated(self):
         link = PairLink(gamma_s=GS, gamma_w=GW, beta=0.05)
         d = solve_optimal(link, FairnessConfig(alpha=1.0))
-        assert d.diagnostics.criterion.satisfied
-        assert d.diagnostics.criterion.beta_star == BETA_STAR
-        assert d.diagnostics.bounds.delta_lb < d.diagnostics.bounds.delta_ub
+        g = one_link_gate(link)
+        assert d.mode is DecisionMode.NOMA_PAIRED and g.admitted[0]
+        assert g.links.criterion.satisfied[0]
+        assert g.links.criterion.beta_star[0] == BETA_STAR
+        assert g.delta_lb[0] < g.links.delta_ub[0]
 
     def test_matches_dense_grid_oracle(self):
         rng = np.random.default_rng(31)
         for _ in range(100):
             link, alpha = feasible_link(rng)
             cfg = FairnessConfig(alpha=alpha)
-            d = solve_optimal(link, cfg)
+            delta, objective = split(one_link_gate(link), Strategy.OPTIMAL, cfg)
+            assert solve_optimal(link, cfg).allocation.delta_s == delta[0]
             lb = delta_lower_bound(link.gamma_s, link.beta)
             ub = delta_upper_bound(link.gamma_w)
             grid_best = float(np.max(objective_of(link, alpha, np.linspace(lb, ub, 100000))))
-            assert d.objective >= grid_best - 1e-6
+            assert objective[0] >= grid_best - 1e-6
 
     def test_constraints_hold_for_random_decisions(self):
         rng = np.random.default_rng(32)
@@ -110,8 +117,8 @@ class TestSolveOptimal:
             r_s, r_w = noma_rates(link, d.allocation)
             assert r_s >= oma_rate(link.gamma_s) - 1e-9
             assert r_w >= oma_rate(link.gamma_w) - 1e-9
-            b = d.diagnostics.bounds
-            assert b.delta_lb - 1e-12 <= d.allocation.delta_s <= b.delta_ub + 1e-12
+            g = one_link_gate(link)
+            assert g.delta_lb[0] - 1e-12 <= d.allocation.delta_s <= g.links.delta_ub[0] + 1e-12
 
     def test_split_moves_from_lower_to_upper_bound_with_beta(self):
         # At alpha > 2 the optimum starts at delta_lb and converges to
@@ -131,9 +138,10 @@ class TestSolveOptimal:
 class TestSolveSuboptimal:
     def test_small_ratio_high_alpha_takes_lower_bound(self):
         link = PairLink(gamma_s=GS, gamma_w=GW, beta=0.0)
-        d = solve_suboptimal(link, FairnessConfig(alpha=3.0, tau=0.5))
+        cfg = FairnessConfig(alpha=3.0, tau=0.5)
+        d = solve_suboptimal(link, cfg)
         assert d.allocation.delta_s == delta_lower_bound(GS, 0.0)
-        assert d.allocation.source is Strategy.SUBOPTIMAL
+        assert d.allocation.delta_s == split(one_link_gate(link), Strategy.SUBOPTIMAL, cfg)[0][0]
 
     def test_small_ratio_low_alpha_takes_upper_bound(self):
         link = PairLink(gamma_s=GS, gamma_w=GW, beta=0.0)
@@ -150,10 +158,9 @@ class TestSolveSuboptimal:
         # beta/beta_star just below tau = 0.5 keeps delta_lb at alpha > 1;
         # just above it moves the split to delta_ub.
         cfg = FairnessConfig(alpha=3.0, tau=0.5)
-        below = solve_suboptimal(PairLink(gamma_s=GS, gamma_w=GW, beta=0.49 * BETA_STAR), cfg)
-        above = solve_suboptimal(PairLink(gamma_s=GS, gamma_w=GW, beta=0.51 * BETA_STAR), cfg)
-        assert below.allocation.delta_s == below.diagnostics.bounds.delta_lb
-        assert above.allocation.delta_s == above.diagnostics.bounds.delta_ub
+        below, above = (PairLink(gamma_s=GS, gamma_w=GW, beta=r * BETA_STAR) for r in (0.49, 0.51))
+        assert solve_suboptimal(below, cfg).allocation.delta_s == one_link_gate(below).delta_lb[0]
+        assert solve_suboptimal(above, cfg).allocation.delta_s == one_link_gate(above).links.delta_ub[0]
 
     def test_alpha_one_counts_as_low(self):
         link = PairLink(gamma_s=GS, gamma_w=GW, beta=0.0)
@@ -187,8 +194,9 @@ class TestAllocateFixedBound:
         link = PairLink(gamma_s=GS, gamma_w=GW, beta=0.02)
         d = allocate_fixed_bound(link, Strategy.UPPER_BOUND)
         assert d.allocation.delta_s == delta_upper_bound(GW)
-        assert d.allocation.source is Strategy.UPPER_BOUND
-        assert d.objective is None
+        delta, objective = split(one_link_gate(link), Strategy.UPPER_BOUND, None)
+        assert d.allocation.delta_s == delta[0]
+        assert objective is None
 
     def test_lower(self):
         link = PairLink(gamma_s=GS, gamma_w=GW, beta=0.02)
@@ -226,12 +234,16 @@ class TestBatchedDecision:
         def bits(values):
             return np.asarray(values, dtype=float).tobytes()
 
+        ones = [gate(link_facts([gs[i]], [gw[i]]), beta[i]) for i in range(gs.size)]
+        assert bits(g.delta_lb) == bits([o.delta_lb[0] for o in ones])
+        assert bits(links.delta_ub) == bits([o.links.delta_ub[0] for o in ones])
+        assert bits(links.criterion.satisfied) == bits([o.links.criterion.satisfied[0] for o in ones])
         for alpha in (0.5, 1.0, 3.0):
             cfg = FairnessConfig(alpha=alpha)
             for strategy in Strategy:
                 delta, _ = split(g, strategy, cfg)
                 one = [
-                    DECISIONS[strategy](PairLink(gamma_s=gs[i], gamma_w=gw[i], beta=beta[i]), cfg)
+                    WRAPPERS[strategy](PairLink(gamma_s=gs[i], gamma_w=gw[i], beta=beta[i]), cfg)
                     for i in range(gs.size)
                 ]
                 if strategy is Strategy.OMA:
@@ -240,11 +252,6 @@ class TestBatchedDecision:
                 alloc = [d.allocation for d in one]
                 assert bits(~np.isnan(delta)) == bits([a is not None for a in alloc]), strategy
                 assert bits(delta) == bits([np.nan if a is None else a.delta_s for a in alloc]), strategy
-                assert bits(g.delta_lb) == bits([d.diagnostics.bounds.delta_lb for d in one])
-                assert bits(links.delta_ub) == bits([d.diagnostics.bounds.delta_ub for d in one])
-                assert bits(links.criterion.satisfied) == bits(
-                    [d.diagnostics.criterion.satisfied for d in one]
-                )
 
     def test_optimal_solver_stays_batched(self, monkeypatch):
         # One split(OPTIMAL) call evaluates the objective once per grid block
@@ -280,7 +287,7 @@ class TestBatchedDecision:
         # A grid bracket is one or two grid steps wide.
         step = width / (_GRID_POINTS - 1)
         steps = [
-            math.ceil(math.log(cfg.solver_tol / w) / math.log(allocator._INV_PHI)) - 1
+            math.ceil(math.log(allocator._SOLVER_TOL / w) / math.log(allocator._INV_PHI)) - 1
             for w in np.concatenate((step, 2 * step))
         ]
         spread = max(steps) - min(steps)

@@ -3,15 +3,26 @@ import json
 from dataclasses import fields
 from pathlib import Path
 
+import mpmath
+import numpy as np
 import pytest
 
 from noma_fair import netsim
-from noma_fair.bounds import beta_star
+from noma_fair.bounds import beta_star, msd_threshold
 from noma_fair.cli import SETTINGS, build_parser, main, parse_config_file
 from noma_fair.fairness import FairnessConfig
 from noma_fair.netsim import NetworkConfig, compute_sinrs, drop_network, run_campaign
 from noma_fair.rates import Strategy, db_to_linear
 from noma_fair.report import emit_delta_sweep, format_value, parse_campaign_csv
+
+from _oracles import (
+    alpha_fair_objective_ref,
+    bisect_delta_strong,
+    bisect_delta_weak,
+    noma_rate_strong_ref,
+    noma_rate_weak_ref,
+    oma_rate_ref,
+)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -90,6 +101,88 @@ class TestPairCommand:
         )
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_db_value_may_have_a_negative_exponent(self, tmp_path):
+        out = tmp_path / "pair.json"
+        code = run(
+            ["pair", "--gamma-s-db", "9", "--gamma-w-db", "-1e-3", "--beta", "0", "--alpha", "1",
+             "--json", str(out)]
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["gamma_w_db"] == -1e-3
+
+    BASE_KEYS = ["gamma_s_db", "gamma_w_db", "beta", "alpha", "tau", "solver", "delta_lb", "delta_ub",
+                 "msd_threshold", "msd_satisfied", "beta_star", "mode", "rate_strong_oma", "rate_weak_oma"]
+
+    @pytest.mark.parametrize("solver", ["optimal", "suboptimal"])
+    @pytest.mark.parametrize(
+        "gs_db, gw_db, beta, alpha, admitted",
+        [
+            ("9", "2", "0.01", "1", True),
+            ("9", "2", "0.2", "3", False),  # beta above beta_star = 0.108
+            ("3", "3", "0", "0.5", False),  # equal SINRs fail the criterion
+        ],
+    )
+    def test_report_pins_every_field(self, tmp_path, capsys, solver, gs_db, gw_db, beta, alpha, admitted):
+        out = tmp_path / "pair.json"
+        code = run(
+            ["pair", "--gamma-s-db", gs_db, "--gamma-w-db", gw_db, "--beta", beta, "--alpha", alpha,
+             "--solver", solver, "--json", str(out)]
+        )
+        assert code == 0
+        report = json.loads(out.read_text())
+        gs, gw, b, a = db_to_linear(float(gs_db)), db_to_linear(float(gw_db)), float(beta), float(alpha)
+
+        # Every stdout line is its JSON value as .9g text, in the JSON key order.
+        lines = [line.split(": ", 1) for line in capsys.readouterr().out.splitlines()]
+        assert [key.strip() for key, _ in lines] == list(report)
+        for (_, text), value in zip(lines, report.values()):
+            assert text == (format(value, ".9g") if isinstance(value, float) else str(value))
+
+        noma = ["delta_s", "rate_strong_noma", "rate_weak_noma"] if admitted else []
+        assert list(report) == self.BASE_KEYS + noma + ["utility_sum", "t_alpha"]
+        assert (report["gamma_s_db"], report["gamma_w_db"], report["beta"], report["alpha"]) == (
+            float(gs_db), float(gw_db), b, a
+        )
+        assert (report["tau"], report["solver"]) == (0.5, solver)
+        assert report["delta_lb"] == pytest.approx(bisect_delta_strong(gs, b), abs=1e-10)
+        assert report["delta_ub"] == pytest.approx(bisect_delta_weak(gw), abs=1e-10)
+        assert report["msd_threshold"] == msd_threshold(gs, gw)
+        assert report["msd_satisfied"] is (gs - gw > report["msd_threshold"])
+        star = report["beta_star"]
+        assert star == beta_star(gs, gw)
+        if star > 0:  # the delta_lb of beta_star closes the interval
+            assert bisect_delta_strong(gs, star) == pytest.approx(report["delta_ub"], abs=1e-10)
+        assert report["mode"] == ("noma_paired" if admitted else "oma_fallback")
+        assert report["rate_strong_oma"] == pytest.approx(oma_rate_ref(gs), rel=1e-15)
+        assert report["rate_weak_oma"] == pytest.approx(oma_rate_ref(gw), rel=1e-15)
+
+        with mpmath.workdps(40):
+            if admitted:
+                d = report["delta_s"]
+                assert report["delta_lb"] <= d <= report["delta_ub"]
+                r_s, r_w = report["rate_strong_noma"], report["rate_weak_noma"]
+                assert r_s == pytest.approx(noma_rate_strong_ref(gs, b, d), rel=1e-15)
+                assert r_w == pytest.approx(noma_rate_weak_ref(gw, d), rel=1e-15)
+                want = alpha_fair_objective_ref(gs, gw, b, d, a)
+                grid = np.linspace(report["delta_lb"], report["delta_ub"], 100_001)
+                rates = noma_rate_strong_ref(gs, b, grid), noma_rate_weak_ref(gw, grid)
+                grid_best = np.max(np.log(rates[0]) + np.log(rates[1]))  # U at alpha = 1
+                if solver == "optimal":
+                    assert report["utility_sum"] >= grid_best - 1e-9
+                else:  # alpha <= 1 takes delta_ub below tau
+                    assert d == report["delta_ub"]
+            else:
+                r_s, r_w = report["rate_strong_oma"], report["rate_weak_oma"]
+                u = [mpmath.log(r) if a == 1 else mpmath.mpf(r) ** (1 - a) / (1 - a) for r in (r_s, r_w)]
+                want = u[0] + u[1]
+            assert report["utility_sum"] == pytest.approx(float(want), rel=1e-13)
+            p = 1 - mpmath.mpf(a)
+            if a == 1:
+                mean = mpmath.sqrt(mpmath.mpf(r_s) * r_w)
+            else:
+                mean = ((mpmath.mpf(r_s) ** p + mpmath.mpf(r_w) ** p) / 2) ** (1 / p)
+        assert report["t_alpha"] == pytest.approx(float(mean), rel=1e-13)
 
 
 class TestSweepCommand:
@@ -326,6 +419,7 @@ class TestSimulateCommand:
             # Deleted settings are unknown keys.
             ("fading_scale", "nan"),
             ("pathloss_model", "urban_macro"),
+            ("solver_tol", "1e-9"),
             ("tx_power_dbm", "4000"),
             ("tx_power_dbm", "-4000"),
             ("noise_power_dbm", "4000"),
@@ -521,7 +615,6 @@ class TestConfigFile:
                     "betas = 0.01,0.06",
                     "strategies = optimal,oma",
                     "tau = 0.5",
-                    "solver_tol = 1e-9",
                     "threads = 2",
                 ]
             ),

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from noma_fair import allocator
 from noma_fair.fairness import FairnessConfig, alpha_throughput, utility
 
 
@@ -108,7 +109,7 @@ class TestFairnessConfig:
     def test_defaults(self):
         cfg = FairnessConfig(alpha=1.0)
         assert cfg.tau == 0.5
-        assert cfg.solver_tol == 1e-9
+        assert allocator._SOLVER_TOL == 1e-9  # no longer a setting
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -116,7 +117,7 @@ class TestFairnessConfig:
             dict(alpha=-1.0),
             dict(alpha=1.0, tau=0.0),
             dict(alpha=1.0, tau=1.0),
-            dict(alpha=1.0, solver_tol=0.0),
+            dict(alpha=math.inf),
         ],
     )
     def test_validation(self, kwargs):

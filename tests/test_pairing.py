@@ -1,6 +1,6 @@
 import numpy as np
 
-from noma_fair.allocator import DecisionMode, solve_optimal, solve_suboptimal
+from noma_fair.allocator import DecisionMode, gate, link_facts, solve_optimal, solve_suboptimal, split
 from noma_fair.bounds import beta_star, delta_upper_bound, msd_threshold
 from noma_fair.fairness import FairnessConfig
 from noma_fair.pairing import UserChannel, candidate_pairs, near_far_decision
@@ -26,6 +26,11 @@ def decide(pop, beta, decision_fn):
         (s, w, decision_fn(PairLink(gamma_s=s.gamma, gamma_w=w.gamma, beta=beta)))
         for s, w in cands
     ]
+
+
+def facts(strong, weak):
+    """The candidate's criterion and delta_ub by the array rules, on arrays of size 1."""
+    return link_facts([strong.gamma], [weak.gamma])
 
 
 def admitted(pop, beta, cfg, solve):
@@ -76,10 +81,11 @@ class TestNearFar:
         # Close SINRs fail the pairing criterion, near-far pairs them anyway.
         [(strong, weak, decision)] = decide([user(1, 10.0), user(2, 9.5)], 0.3, near_far_decision)
         assert (strong.user_id, weak.user_id) == (1, 2)
-        assert not decision.diagnostics.criterion.satisfied
+        links = facts(strong, weak)
+        assert not links.criterion.satisfied[0]
         assert decision.mode is DecisionMode.NOMA_PAIRED
-        assert decision.allocation.source is Strategy.NEAR_FAR
-        assert decision.allocation.delta_s == decision.diagnostics.bounds.delta_ub
+        assert decision.allocation.delta_s == split(gate(links, 0.3), Strategy.NEAR_FAR, None)[0][0]
+        assert decision.allocation.delta_s == links.delta_ub[0]
         assert decision.allocation.delta_s == delta_upper_bound(9.5)
 
     def test_empty_population(self):
@@ -125,8 +131,8 @@ class TestMsdPairing:
         for solve in SOLVERS.values():
             decisions = decide(pop, 0.0, lambda link: solve(link, cfg))
             assert len(decisions) == 2
-            for _, _, d in decisions:
-                assert not d.diagnostics.criterion.satisfied
+            for strong, weak, d in decisions:
+                assert not facts(strong, weak).criterion.satisfied[0]
                 assert d.mode is DecisionMode.OMA_FALLBACK
 
     def test_beta_gate_rejects(self):
@@ -134,19 +140,20 @@ class TestMsdPairing:
         beta = min(1.0, beta_star(gs, gw) * 1.05)
         pop = [user(1, gs), user(2, gw)]
         for solve in SOLVERS.values():
-            [(_, _, d)] = decide(pop, beta, lambda link: solve(link, FairnessConfig(alpha=1.0)))
-            assert d.diagnostics.criterion.satisfied  # rejected by the beta gate alone
+            [(strong, weak, d)] = decide(pop, beta, lambda link: solve(link, FairnessConfig(alpha=1.0)))
+            assert facts(strong, weak).criterion.satisfied[0]  # rejected by the beta gate alone
             assert d.mode is DecisionMode.OMA_FALLBACK
 
     def test_admitted_pairs_satisfy_gates_post_hoc(self):
         rng = np.random.default_rng(44)
         pop = [user(i, g) for i, g in enumerate(10 ** rng.uniform(0, 3, 12))]
         beta = 0.02
-        for source, solve in SOLVERS.items():
-            pairs = admitted(pop, beta, FairnessConfig(alpha=3.0), solve)
+        cfg = FairnessConfig(alpha=3.0)
+        for strategy, solve in SOLVERS.items():
+            pairs = admitted(pop, beta, cfg, solve)
             assert pairs  # seeded population admits at least one pair
             for strong, weak, d in pairs:
                 gs, gw = strong.gamma, weak.gamma
                 assert gs - gw > msd_threshold(gs, gw)
                 assert beta < beta_star(gs, gw)
-                assert d.allocation.source is source
+                assert d.allocation.delta_s == split(gate(facts(strong, weak), beta), strategy, cfg)[0][0]

@@ -1,4 +1,4 @@
-"""Property tests of the decision table over the paper's link domain.
+"""Property tests of the decisions over the paper's link domain.
 
 gamma_w in [0.1, 100], gamma_s / gamma_w in [1, 1000], beta in [0, 1] and
 alpha in [0, 25].  The batched campaign kernel is checked against its
@@ -17,9 +17,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from noma_fair import allocator
 from noma_fair.allocator import (
     _GRID_BLOCK,
-    DECISIONS,
     DecisionMode,
     gate,
     link_facts,
@@ -41,6 +41,7 @@ from noma_fair.rates import PairLink, Strategy, noma_rates, oma_rate
 from noma_fair.report import METRIC_NAMES, ResultRow, emit_campaign_csv, emit_campaign_json, sort_rows
 
 from _oracles import (
+    WRAPPERS,
     candidate_pairs_ref,
     compute_sinrs_ref,
     emit_campaign_csv_ref,
@@ -63,8 +64,14 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 
 
 def test_one_decision_per_strategy():
-    assert len(DECISIONS) == len(Strategy)
-    assert set(DECISIONS) == set(Strategy)
+    # split decides every strategy and no other; the size-1 wrappers cover each once.
+    assert len(WRAPPERS) == len(Strategy)
+    assert set(WRAPPERS) == set(Strategy)
+    g = gate(link_facts([9.0, 3.0], [2.0, 3.0]), 0.01)
+    for strategy in Strategy:
+        assert split(g, strategy, FairnessConfig(alpha=1.0))[0].shape == (2,), strategy
+    with pytest.raises(ValueError, match="unknown strategy"):
+        split(g, "bogus", FairnessConfig(alpha=1.0))
 
 
 @PROPERTY
@@ -74,7 +81,8 @@ def test_every_decision_keeps_its_promises(link, alpha):
     crit = pairing_criterion(link.gamma_s, link.gamma_w)
     bounds = allocation_bounds(link)
     oma = (oma_rate(link.gamma_s), oma_rate(link.gamma_w))
-    for strategy, decide in DECISIONS.items():
+    g = gate(link_facts([link.gamma_s], [link.gamma_w]), link.beta)
+    for strategy, decide in WRAPPERS.items():
         decision = decide(link, cfg)
         if strategy is Strategy.OMA:
             assert decision is None
@@ -88,7 +96,7 @@ def test_every_decision_keeps_its_promises(link, alpha):
             assert paired == (crit.satisfied and bounds.delta_lb < bounds.delta_ub), strategy
         if not paired:
             continue
-        assert decision.allocation.source is strategy
+        assert decision.allocation.delta_s == split(g, strategy, cfg)[0][0], strategy
         if strategy in GATED:
             assert bounds.delta_lb <= decision.allocation.delta_s <= bounds.delta_ub, strategy
             r_s, r_w = noma_rates(link, decision.allocation)
@@ -108,7 +116,7 @@ def test_gate_and_splits_agree_next_to_beta_star(gw, ratio, k, alpha):
     oma = (oma_rate(link.gamma_s), oma_rate(link.gamma_w))
     paired = {}
     for strategy in GATED:
-        decision = DECISIONS[strategy](link, cfg)
+        decision = WRAPPERS[strategy](link, cfg)
         paired[strategy] = decision.allocation is not None
         assert paired[strategy] == (bounds.delta_lb < bounds.delta_ub), strategy
         if paired[strategy]:
@@ -122,7 +130,7 @@ def test_gate_and_splits_agree_next_to_beta_star(gw, ratio, k, alpha):
 @given(links, alphas, st.floats(0.0, 25.0))
 def test_alpha_throughput_is_a_mean_that_falls_with_alpha(link, alpha, step):
     cfg = FairnessConfig(alpha=alpha)
-    for strategy, decide in DECISIONS.items():
+    for strategy, decide in WRAPPERS.items():
         decision = decide(link, cfg)
         if decision is None or decision.allocation is None:
             r_s, r_w = oma_rate(link.gamma_s), oma_rate(link.gamma_w)
@@ -194,11 +202,13 @@ def test_campaign_rows_equal_per_trial_reference(threads):
 
 
 def test_batched_optimal_split_equals_per_link_reference():
-    # Every drawn set of links is solved in one split() call and compared
-    # link by link, with ==, against the one-link-at-a-time search.
+    # Every drawn set of links is solved in one batched search, at a drawn
+    # bracket width tol, and compared link by link, with ==, against the
+    # one-link-at-a-time search; split() must give the batched search's
+    # result at the solver's own width and NaN for every rejected link.
     # beta is a drawn fraction of each link's beta_star, up to
     # beta_star * (1 - 1e-12), whose few-ulp intervals make every bracket
-    # narrower than solver_tol.
+    # narrower than tol.
     seen = {"links": 0, "several_brackets": 0, "narrow_brackets": 0, "several_blocks": 0}
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -223,11 +233,19 @@ def test_batched_optimal_split_equals_per_link_reference():
         links = link_facts(gs, gw)
         beta = np.minimum(share * np.maximum(links.criterion.beta_star, 0.0), 1.0)
         g = gate(links, beta)
-        delta, value = split(g, Strategy.OPTIMAL, FairnessConfig(alpha=alpha, solver_tol=tol))
-        seen["several_blocks"] += int(np.count_nonzero(g.admitted) > _GRID_BLOCK)
+        split_delta, split_value = split(g, Strategy.OPTIMAL, FairnessConfig(alpha=alpha))
+        on = np.flatnonzero(g.admitted)
+        delta, value = np.full((2, len(drawn)), np.nan)
+        if on.size:
+            delta[on], value[on] = allocator._maximize_on_interval(
+                gs[on], gw[on], beta[on], alpha, g.delta_lb[on], links.delta_ub[on], tol
+            )
+        if tol == allocator._SOLVER_TOL:
+            assert delta.tobytes() == split_delta.tobytes() and value.tobytes() == split_value.tobytes()
+        seen["several_blocks"] += int(on.size > _GRID_BLOCK)
         for i in range(len(drawn)):
             if not g.admitted[i]:
-                assert np.isnan(delta[i]) and np.isnan(value[i])
+                assert np.isnan(split_delta[i]) and np.isnan(split_value[i])
                 continue
             args = float(gs[i]), float(gw[i]), float(beta[i])
             want_delta, want_value, brackets = maximize_on_interval_ref(

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from noma_fair.bounds import beta_star, delta_lower_bound, delta_upper_bound, msd_threshold
-from noma_fair.fairness import FairnessConfig, alpha_throughput, utility
+from noma_fair.fairness import alpha_throughput, utility
 from noma_fair.pairing import UserChannel
 from noma_fair.rates import (
     PairLink,
     PowerAllocation,
-    Strategy,
     db_to_linear,
     noma_rates,
-    noma_sinrs,
+    noma_sinr_strong,
+    noma_sinr_weak,
     oma_rate,
 )
 
@@ -21,7 +21,7 @@ from _oracles import sample_ordered_pairs
 
 
 def alloc(delta_s):
-    return PowerAllocation(delta_s, Strategy.OPTIMAL)
+    return PowerAllocation(delta_s)
 
 
 class TestOmaRate:
@@ -51,18 +51,15 @@ class TestOmaRate:
 
 class TestNomaSinrs:
     def test_perfect_sic_strong(self):
-        link = PairLink(gamma_s=3.0, gamma_w=3.0, beta=0.0)
-        s, _ = noma_sinrs(link, alloc(1.0 / 3.0))
+        s = noma_sinr_strong(3.0, 0.0, 1.0 / 3.0)
         assert s == pytest.approx(1.0, rel=1e-15)
 
     def test_weak(self):
-        link = PairLink(gamma_s=3.0, gamma_w=3.0, beta=0.0)
-        _, w = noma_sinrs(link, alloc(1.0 / 3.0))
+        w = noma_sinr_weak(3.0, 1.0 / 3.0)
         assert w == pytest.approx(1.0, rel=1e-15)
 
     def test_full_imperfection_strong(self):
-        link = PairLink(gamma_s=3.0, gamma_w=3.0, beta=1.0)
-        s, _ = noma_sinrs(link, alloc(1.0 / 3.0))
+        s = noma_sinr_strong(3.0, 1.0, 1.0 / 3.0)
         assert s == pytest.approx(1.0 / 3.0, rel=1e-14)
 
 
@@ -107,11 +104,12 @@ class TestValidation:
     @pytest.mark.parametrize("delta", [0.0, 1.0, -0.2, 1.5])
     def test_power_allocation_range(self, delta):
         with pytest.raises(ValueError):
-            PowerAllocation(delta, Strategy.OPTIMAL)
+            PowerAllocation(delta)
 
     def test_power_split_sums_to_one(self):
-        a = PowerAllocation(0.3, Strategy.NEAR_FAR)
-        assert a.delta_w == 1.0 - 0.3
+        # The weak user is given the rest of the power, 1 - delta_s.
+        _, r_w = noma_rates(PairLink(gamma_s=4.0, gamma_w=2.0), PowerAllocation(0.3))
+        assert r_w == pytest.approx(math.log2(1.0 + (1.0 - 0.3) * 2.0 / (1.0 + 0.3 * 2.0)), rel=1e-15)
 
 
 # Each entry: (argument name, call with the bad value in that argument, accepts arrays)
@@ -131,9 +129,6 @@ POSITIVE_FINITE_ARGS = {
     "UserChannel.gamma": ("gamma", lambda v: UserChannel(0, 0, gamma=v, channel_gain=1.0), False),
     "UserChannel.channel_gain": (
         "channel_gain", lambda v: UserChannel(0, 0, gamma=1.0, channel_gain=v), False
-    ),
-    "FairnessConfig.solver_tol": (
-        "solver_tol", lambda v: FairnessConfig(alpha=1.0, solver_tol=v), False
     ),
 }
 
