@@ -16,6 +16,7 @@ import json
 import math
 import os
 import re
+import shlex
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -245,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         sim.add_argument(f"--{key}", default=None, help=help_text)
     sim.add_argument("--out-dir", type=Path, required=True)
     for cmd in (pair, sweep, sim):  # a value or comma list may start with a negative number
-        cmd._negative_number_matcher = re.compile(r"^-\.?\d")
+        cmd._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
     return parser
 
 
@@ -351,7 +352,7 @@ def _cmd_sweep(args) -> int:
     settings = {key: getattr(args, key) for key in keys}
     settings.update(alphas=alphas, betas=betas)
     command = "noma-fair sweep " + " ".join(
-        f"--{key.replace('_', '-')} {getattr(args, key)}"
+        f"--{key.replace('_', '-')} {shlex.quote(str(getattr(args, key)))}"
         for key in (*keys, "out")
         if getattr(args, key) is not None
     )
@@ -376,7 +377,7 @@ def _cmd_simulate(args) -> int:
 
     out_dir = args.out_dir
     paths = (out_dir / "campaign.csv", out_dir / "campaign.json", out_dir / "manifest.txt")
-    command = f"noma-fair simulate --config {paths[2]} --out-dir {out_dir}"
+    command = shlex.join(["noma-fair", "simulate", "--config", str(paths[2]), "--out-dir", str(out_dir)])
     return _write_run(rows, paths, values, command)
 
 

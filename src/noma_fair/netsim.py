@@ -7,7 +7,9 @@ times unit-mean exponential (Rayleigh power) fading, the one fading model;
 :class:`NetworkConfig` holds every setting.  Users associate with the
 station offering the maximum SINR, and every non-serving station interferes
 at full power on the shared subchannel.  Received powers are computed for
-row blocks of users, so no users x stations matrix is built.
+row blocks of users, so no users x stations matrix is built.  A trial's
+users are one record table (:func:`noma_fair.pairing.user_table`): id,
+serving station, SINR and channel gain.
 
 Within a trial every strategy consumes the identical channel realization
 and the identical candidate pairs, so strategy comparisons are
@@ -41,7 +43,7 @@ import numpy as np
 
 from .allocator import Gate, gate, link_facts, split
 from .fairness import FairnessConfig, alpha_throughput
-from .pairing import UserChannel, match
+from .pairing import match, user_table
 from .rates import (
     Strategy, _require_positive_finite, db_to_linear, noma_sinr_strong, noma_sinr_weak, oma_rate
 )
@@ -94,6 +96,9 @@ class NetworkConfig:
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         _require_positive_finite("tx_power_dbm in mW", db_to_linear(self.tx_power_dbm))
         _require_positive_finite("noise_power_dbm in mW", db_to_linear(self.noise_power_dbm))
+        mean_stations = self.bs_density * self.area_km2  # a drop takes about 1 / mean_stations draws
+        if mean_stations < 1e-3:
+            raise ValueError(f"bs_density * area_km2 must be >= 0.001, got {mean_stations!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
@@ -173,8 +178,8 @@ def drop_network(cfg: NetworkConfig, trial_index: int) -> NetworkRealization:
     )
 
 
-def compute_sinrs(network: NetworkRealization, cfg: NetworkConfig) -> list[UserChannel]:
-    """Associate users by maximum SINR and report their link state.
+def compute_sinrs(network: NetworkRealization, cfg: NetworkConfig) -> np.recarray:
+    """Associate users by maximum SINR and return their user table.
 
     For a fixed row total S the SINR p / (N + S - p) rises strictly with the
     received power p, so the maximum-SINR station is the maximum-power one
@@ -189,8 +194,6 @@ def compute_sinrs(network: NetworkRealization, cfg: NetworkConfig) -> list[UserC
     full-matrix form's operations, so the result is bit-identical to it.
     """
     n_users, n_bs = len(network.user_xy), len(network.bs_xy)
-    if n_users == 0:
-        return []
     tx_mw = db_to_linear(cfg.tx_power_dbm)
     noise_mw = db_to_linear(cfg.noise_power_dbm)
     rng = np.random.default_rng([network.seed, network.trial_index, _FADING_STREAM])
@@ -228,12 +231,7 @@ def compute_sinrs(network: NetworkRealization, cfg: NetworkConfig) -> list[UserC
         # interference instead of to the (possibly dominant) serving power.
         p[rows, best] = 0.0
         p.sum(axis=1, out=interference[block])
-    gamma = power / (noise_mw + interference)
-    gains = power / tx_mw
-    return [
-        UserChannel(user_id=u, serving_bs_id=s, gamma=g, channel_gain=c)
-        for u, (s, g, c) in enumerate(zip(serving.tolist(), gamma.tolist(), gains.tolist()))
-    ]
+    return user_table(np.arange(n_users), serving, power / (noise_mw + interference), power / tx_mw)
 
 
 def _means(x: np.ndarray):
@@ -248,15 +246,10 @@ class _Trial:
     then its odd user out.  Every mean runs over its values in slot order.
     """
 
-    def __init__(self, users: Sequence[UserChannel]):
+    def __init__(self, users: np.ndarray):
         self.population = len(users)
-        gamma = np.array([u.gamma for u in users], dtype=float)
-        strong, weak = match(
-            [u.serving_bs_id for u in users],
-            [u.channel_gain for u in users],
-            [u.user_id for u in users],
-            gamma,
-        )
+        gamma = users["gamma"]
+        strong, weak = match(users)
         self.single = weak < 0
         self.paired = ~self.single
         oma = oma_rate(gamma)
@@ -293,7 +286,7 @@ class _Trial:
 
 
 def evaluate_strategies(
-    users: Sequence[UserChannel],
+    users: np.ndarray,
     strategies: Sequence[Strategy],
     fairness: FairnessConfig,
     beta: float,

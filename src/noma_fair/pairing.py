@@ -5,7 +5,9 @@ power allocation: a cell's users are sorted by descending channel gain
 (ties broken by user id for reproducibility) and the i-th from the front is
 matched with the i-th from the back; an odd user out is served OMA.
 
-:func:`match` is the one matching rule, over arrays of users of many cells:
+A trial's users are one record table (:func:`user_table`): the kernel reads
+its columns, and a row reads by attribute (``row.gamma``).  :func:`match` is
+the one matching rule, over a table of users of many cells:
 :mod:`noma_fair.netsim` calls it once per trial, :func:`candidate_pairs`
 once per cell.  :func:`near_far_decision` lives in
 :mod:`noma_fair.allocator` and is re-exported here under its old path.
@@ -13,7 +15,7 @@ once per cell.  :func:`near_far_decision` lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Sequence
 
 import numpy as np
@@ -21,36 +23,39 @@ import numpy as np
 from .allocator import near_far_decision
 from .rates import _require_positive_finite
 
-__all__ = ["UserChannel", "match", "candidate_pairs", "near_far_decision"]
+__all__ = ["USER_FIELDS", "user_table", "match", "candidate_pairs", "near_far_decision"]
+
+# One row per user: its link state on its serving cell's subchannel pool.
+USER_FIELDS = np.dtype([("user_id", np.intp), ("serving_bs_id", np.intp),
+                        ("gamma", float), ("channel_gain", float)])
 
 
-@dataclass(frozen=True)
-class UserChannel:
-    """One user's link state on its serving cell's subchannel pool."""
+def user_table(user_id, serving_bs_id, gamma, channel_gain) -> np.recarray:
+    """A trial's users as one record table of :data:`USER_FIELDS`.  Raises
+    ValueError naming the first user whose gamma (checked first) or channel
+    gain is not positive and finite."""
+    table = np.rec.fromarrays([user_id, serving_bs_id, gamma, channel_gain], dtype=USER_FIELDS)
+    checked = np.column_stack((table.gamma, table.channel_gain))
+    bad = np.flatnonzero(~((checked > 0) & (checked < math.inf)).all(axis=1))  # NaN fails both
+    if len(bad):
+        row = table[bad[0]]
+        for name in ("gamma", "channel_gain"):
+            _require_positive_finite(f"user {row.user_id}: {name}", float(row[name]))
+    return table
 
-    user_id: int
-    serving_bs_id: int
-    gamma: float
-    channel_gain: float
 
-    def __post_init__(self) -> None:
-        _require_positive_finite(f"user {self.user_id}: gamma", self.gamma)
-        _require_positive_finite(f"user {self.user_id}: channel_gain", self.channel_gain)
+def match(users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Front/back matching of a user table's users, grouped by serving cell.
 
-
-def match(cell, gain, user_id, gamma) -> tuple[np.ndarray, np.ndarray]:
-    """Front/back matching of users grouped by serving cell.
-
-    Takes one array entry per user.  Returns ``(strong, weak)`` user
-    indices, one entry per slot: cells in ascending order, and within a
-    cell its candidates in matching order, then its odd user out, whose
-    ``weak`` is -1.  Interference is per-user, so the gain order can
-    occasionally disagree with the SINR order; the strong role goes to the
-    member with the higher SINR (the front one on a tie), which keeps
-    gamma_s >= gamma_w.
+    Returns ``(strong, weak)`` row indices of ``users``, one entry per
+    slot: cells in ascending order, and within a cell its candidates in
+    matching order, then its odd user out, whose ``weak`` is -1.
+    Interference is per-user, so the gain order can occasionally disagree
+    with the SINR order; the strong role goes to the member with the higher
+    SINR (the front one on a tie), which keeps gamma_s >= gamma_w.
     """
-    cell = np.asarray(cell)
-    order = np.lexsort((user_id, -np.asarray(gain, dtype=float), cell))
+    cell = users["serving_bs_id"]
+    order = np.lexsort((users["user_id"], -users["channel_gain"], cell))
     sorted_cell = cell[order]
     starts = np.flatnonzero(np.r_[True, sorted_cell[1:] != sorted_cell[:-1]])
     sizes = np.diff(np.r_[starts, len(order)])
@@ -59,23 +64,16 @@ def match(cell, gain, user_id, gamma) -> tuple[np.ndarray, np.ndarray]:
     mate = np.repeat(sizes, sizes) - 1 - k  # the rank matched with k
     head = k <= mate  # one per slot: the front member, or the odd user out
     front, back = order[head], order[(first + mate)[head]]
-    gamma = np.asarray(gamma, dtype=float)
+    gamma = users["gamma"]
     single = front == back
     swap = gamma[front] < gamma[back]
     return np.where(swap, back, front), np.where(single, -1, np.where(swap, front, back))
 
 
-def candidate_pairs(
-    cell: Sequence[UserChannel],
-) -> tuple[list[tuple[UserChannel, UserChannel]], list[UserChannel]]:
-    """One cell's candidates as (strong, weak) users, and its odd user out."""
+def candidate_pairs(cell: Sequence) -> tuple[list[tuple], list]:
+    """One cell's candidates as (strong, weak) rows of a user table, and its odd user out."""
     cell = list(cell)
-    strong, weak = match(
-        np.zeros(len(cell), dtype=int),
-        [u.channel_gain for u in cell],
-        [u.user_id for u in cell],
-        [u.gamma for u in cell],
-    )
+    strong, weak = match(np.array(cell, dtype=USER_FIELDS))
     cands = [(cell[s], cell[w]) for s, w in zip(strong, weak) if w >= 0]
     singles = [cell[s] for s, w in zip(strong, weak) if w < 0]
     return cands, singles

@@ -35,7 +35,7 @@ from noma_fair.netsim import (
     TrialMetrics,
     drop_network,
 )
-from noma_fair.pairing import UserChannel
+from noma_fair.pairing import user_table
 from noma_fair.rates import PairLink, Strategy, noma_rates, noma_sinr_strong, noma_sinr_weak, oma_rate
 from noma_fair.report import CSV_HEADER, ResultRow, format_value, sort_rows
 
@@ -314,11 +314,9 @@ def received_power_mw_ref(network: NetworkRealization, cfg: NetworkConfig) -> np
     return 10.0 ** (cfg.tx_power_dbm / 10.0) * gains
 
 
-def compute_sinrs_ref(network: NetworkRealization, cfg: NetworkConfig) -> list[UserChannel]:
+def compute_sinrs_ref(network: NetworkRealization, cfg: NetworkConfig) -> np.recarray:
     """Max-power association and SINRs from the full users x stations matrix."""
     n_users = len(network.user_xy)
-    if n_users == 0:
-        return []
     prx = received_power_mw_ref(network, cfg)
     noise_mw = 10.0 ** (cfg.noise_power_dbm / 10.0)
     serving = np.argmax(prx, axis=1)
@@ -329,15 +327,7 @@ def compute_sinrs_ref(network: NetworkRealization, cfg: NetworkConfig) -> list[U
     gamma = prx[rows, serving] / (noise_mw + interference)
     tx_mw = 10.0 ** (cfg.tx_power_dbm / 10.0)
     gains = prx[rows, serving] / tx_mw
-    return [
-        UserChannel(
-            user_id=int(u),
-            serving_bs_id=int(serving[u]),
-            gamma=float(gamma[u]),
-            channel_gain=float(gains[u]),
-        )
-        for u in rows
-    ]
+    return user_table(rows, serving, gamma, gains)
 
 
 def _row_strings_ref(row) -> list[str]:

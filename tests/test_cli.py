@@ -1,5 +1,6 @@
 import inspect
 import json
+import shlex
 from dataclasses import fields
 from pathlib import Path
 
@@ -29,6 +30,19 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 def run(argv):
     return main(argv)
+
+
+def assert_reproduced(csv_path: Path, json_path: Path, manifest: Path) -> None:
+    """Delete a run's CSV and JSON, run its manifest's ``# reproduce:`` line
+    as a shell splits it, and check that all three files come back unchanged."""
+    first = [path.read_bytes() for path in (csv_path, json_path, manifest)]
+    csv_path.unlink()
+    json_path.unlink()
+    prefix = "# reproduce: "
+    [line] = [line for line in manifest.read_text(encoding="utf-8").splitlines() if line.startswith(prefix)]
+    prog, *argv = shlex.split(line[len(prefix):])
+    assert prog == "noma-fair" and run(argv) == 0
+    assert [path.read_bytes() for path in (csv_path, json_path, manifest)] == first
 
 
 def readme_config_table() -> list[tuple[str, str]]:
@@ -288,6 +302,12 @@ class TestSweepCommand:
         rows = parse_campaign_csv(a.with_suffix(".csv"))
         assert sorted({r.gamma_w_db for r in rows}) == [-5.0, -2.0, 0.0]
 
+    def test_reproduce_line_quotes_a_path_with_a_space(self, tmp_path):
+        base = tmp_path / "a b" / "x"
+        flags = ["--axis", "gamma-w", "--values", "-5,0", "--gamma-s-db", "9", "--solver", "suboptimal"]
+        assert run(["sweep", *flags, "--out", str(base)]) == 0
+        assert_reproduced(base.with_suffix(".csv"), base.with_suffix(".json"), base.with_name("x.manifest.txt"))
+
     def test_misordered_link_is_named_in_db(self, tmp_path, capsys):
         base = tmp_path / "x"
         argv = ["sweep", "--axis", "gamma-s", "--values=0,5", "--gamma-w-db", "2", "--out", str(base)]
@@ -327,6 +347,21 @@ def test_sinr_db_must_give_a_positive_finite_ratio(tmp_path, capsys, argv, key, 
     # 4000 dB overflows the linear ratio and -4000 dB underflows it to zero.
     out = ["--json", str(tmp_path / "pair.json")] if argv[0] == "pair" else ["--out", str(tmp_path / "x")]
     assert run([arg.format(value) for arg in argv] + out) == 2
+    assert f"error: bad value for {key!r}: " in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", ["-inf", "-nan", "-INF", "-NaN", "-infinity"])
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["pair", "--gamma-s-db", "{}", "--gamma-w-db", "2", "--beta", "0", "--alpha", "1"], "gamma_s_db"),
+        (["sweep", "--axis", "gamma-s", "--values", "{}", "--gamma-w-db", "2", "--out", "{out}"], "values"),
+    ],
+)
+def test_minus_inf_or_nan_is_a_value_not_an_option(tmp_path, capsys, argv, key, value):
+    # argparse alone reads "-inf" as an unknown flag and says "expected one argument".
+    assert run([arg.format(value, out=tmp_path / "x") for arg in argv]) == 2
     assert f"error: bad value for {key!r}: " in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
@@ -388,6 +423,11 @@ class TestSimulateCommand:
         assert code == 0
         assert (a / "campaign.csv").read_bytes() == (b / "campaign.csv").read_bytes()
 
+    def test_reproduce_line_quotes_a_path_with_a_space(self, tmp_path):
+        out = tmp_path / "a b" / "run"
+        assert self._simulate(out, extra=("--threads", "2", "--strategies", "suboptimal,oma")) == 0
+        assert_reproduced(out / "campaign.csv", out / "campaign.json", out / "manifest.txt")
+
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("trials = 3\nbogus_key = 1\n", encoding="utf-8")
@@ -416,6 +456,7 @@ class TestSimulateCommand:
             ("pathloss_min_distance_km", "-1"),
             ("pathloss_min_distance_km", "0"),
             ("seed", "-1"),
+            ("bs_density", "1e-9"),  # a drop would redraw about 1e9 times
             # Deleted settings are unknown keys.
             ("fading_scale", "nan"),
             ("pathloss_model", "urban_macro"),
@@ -468,7 +509,7 @@ class TestSimulateCommand:
     def test_trial_failure_names_trial_and_point(self, tmp_path, capsys, monkeypatch, threads):
         # Trial 3 runs in the second worker at --threads 2.
         net = NetworkConfig(seed=5)
-        bad = {u.gamma for u in compute_sinrs(drop_network(net, 3), net)}
+        bad = set(compute_sinrs(drop_network(net, 3), net).gamma.tolist())
         split = netsim.split
 
         def failing(gate, strategy, fairness):

@@ -68,6 +68,13 @@ class TestDropNetwork:
         with pytest.raises(ValueError, match="seed"):
             NetworkConfig(seed=-1)
 
+    def test_rejects_a_window_that_rarely_holds_a_station(self):
+        # About 1 / (bs_density * area_km2) draws until a station exists.
+        for density, area in ((1e-9, 1.0), (0.01, 0.05)):
+            with pytest.raises(ValueError, match=r"^bs_density \* area_km2 must be >= 0\.001, got "):
+                NetworkConfig(bs_density=density, area_km2=area)
+        assert NetworkConfig(bs_density=1e-3).bs_density == 1e-3
+
 
 class TestComputeSinrs:
     def test_single_station_is_noise_limited(self):
@@ -82,9 +89,9 @@ class TestComputeSinrs:
         users = compute_sinrs(net, cfg)
         noise_mw = 10 ** (cfg.noise_power_dbm / 10)
         tx_mw = 10 ** (cfg.tx_power_dbm / 10)
-        for u in users:
-            assert u.serving_bs_id == 0
-            assert u.gamma == pytest.approx(tx_mw * u.channel_gain / noise_mw, rel=1e-12)
+        assert users.user_id.tolist() == [0, 1, 2]
+        assert users.serving_bs_id.tolist() == [0, 0, 0]
+        assert users.gamma == pytest.approx(tx_mw * users.channel_gain / noise_mw, rel=1e-12)
 
     def test_association_tie_breaks_to_lower_station_id(self, monkeypatch):
         # At 0 dBm and a flat 0 dB pathloss the received powers are exactly
@@ -107,9 +114,8 @@ class TestComputeSinrs:
             trial_index=0,
         )
         users = compute_sinrs(net, cfg)
-        assert [u.serving_bs_id for u in users] == [0, 1]
-        assert users[0].gamma == pytest.approx(2.0 / (0.5 + 2.0), rel=1e-12)
-        assert users[1].gamma == pytest.approx(3.0 / (0.5 + 1.0), rel=1e-12)
+        assert users.serving_bs_id.tolist() == [0, 1]
+        assert users.gamma == pytest.approx([2.0 / (0.5 + 2.0), 3.0 / (0.5 + 1.0)], rel=1e-12)
 
     def test_independent_recomputation_of_sinrs(self):
         # Straight-line recomputation from the (reproducible) power matrix.
@@ -174,7 +180,7 @@ class TestRunTrial:
         users = compute_sinrs(drop_network(cfg, 0), cfg)
         metrics = evaluate_strategies(users, [Strategy.OMA], FairnessConfig(alpha=1.0), 0.0)
         m = metrics.per_strategy[Strategy.OMA]
-        expected = float(np.mean([oma_rate(u.gamma) for u in users]))
+        expected = float(np.mean(oma_rate(users.gamma)))
         assert m.mean_oma_rate == pytest.approx(expected, rel=1e-12)
         assert m.pair_count == 0
         assert m.oma_count == metrics.population

@@ -3,7 +3,7 @@ import numpy as np
 from noma_fair.allocator import DecisionMode, gate, link_facts, solve_optimal, solve_suboptimal, split
 from noma_fair.bounds import beta_star, delta_upper_bound, msd_threshold
 from noma_fair.fairness import FairnessConfig
-from noma_fair.pairing import UserChannel, candidate_pairs, near_far_decision
+from noma_fair.pairing import candidate_pairs, near_far_decision, user_table
 from noma_fair.rates import PairLink, Strategy
 
 from _oracles import grid_feasible
@@ -12,7 +12,8 @@ SOLVERS = {Strategy.OPTIMAL: solve_optimal, Strategy.SUBOPTIMAL: solve_suboptima
 
 
 def user(uid, gamma, gain=None):
-    return UserChannel(user_id=uid, serving_bs_id=0, gamma=gamma, channel_gain=gain or gamma)
+    """The row of a one-user table on station 0."""
+    return user_table([uid], [0], [gamma], [gain or gamma])[0]
 
 
 def ids(users):

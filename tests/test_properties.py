@@ -36,7 +36,7 @@ from noma_fair.netsim import (
     evaluate_strategies,
     run_campaign,
 )
-from noma_fair.pairing import UserChannel
+from noma_fair.pairing import user_table
 from noma_fair.rates import PairLink, Strategy, noma_rates, oma_rate
 from noma_fair.report import METRIC_NAMES, ResultRow, emit_campaign_csv, emit_campaign_json, sort_rows
 
@@ -144,7 +144,7 @@ def test_alpha_throughput_is_a_mean_that_falls_with_alpha(link, alpha, step):
 
 @st.composite
 def drops(draw):
-    """Users of 0-4 cells of 0-7 users each, listed in a drawn order.
+    """A user table of 0-4 cells of 0-7 users each, in a drawn row order.
 
     Gains come partly from a small pool, so that equal gains with different
     user ids occur; SINRs are drawn apart from the gains, so that the gain
@@ -156,11 +156,8 @@ def drops(draw):
     ids = draw(st.permutations(range(n)))
     gains = st.sampled_from([1e-10, 3e-10, 1e-9]) | st.floats(1e-12, 1e-6)
     gammas = st.sampled_from([1.0, 5.0]) | st.floats(0.1, 1000.0)
-    users = [
-        UserChannel(user_id=ids[i], serving_bs_id=c, gamma=draw(gammas), channel_gain=draw(gains))
-        for i, c in enumerate(cell_of)
-    ]
-    return draw(st.permutations(users))
+    rows = draw(st.permutations([(ids[i], c, draw(gammas), draw(gains)) for i, c in enumerate(cell_of)]))
+    return user_table(*(list(zip(*rows)) or [()] * 4))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
@@ -263,13 +260,15 @@ def test_batched_optimal_split_equals_per_link_reference():
 
 
 def test_blocked_sinrs_equal_full_matrix_reference():
-    # Each drawn window is computed block by block and compared, with ==,
-    # against the full users x stations matrix.  The user count is drawn
-    # relative to the block of the drawn station count.
+    # Each drawn window is computed block by block and its user table
+    # compared, every field exactly, against the full users x stations
+    # matrix.  The user count is drawn relative to the block of the drawn
+    # station count.  Hypothesis seeds from this test's source; at 100
+    # examples, 27% of seeds draw a shape fewer than 5 times, at 200, 1.5%.
     seen = {"no_users": 0, "one_user": 0, "block-1": 0, "block": 0, "block+1": 0,
             "several": 0, "one_station": 0, "clamped": 0}
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(
         st.integers(1, 400),
         st.sampled_from(["no_users", "one_user", "block-1", "block", "block+1", "several"]),
@@ -296,7 +295,8 @@ def test_blocked_sinrs_equal_full_matrix_reference():
             NetworkRealization(bs_xy, user_xy, side, seed=seed % 1000, trial_index=seed % 7, resamples=2)
             for _ in range(2)
         )
-        assert compute_sinrs(blocked, cfg) == compute_sinrs_ref(full, cfg)
+        got, expected = compute_sinrs(blocked, cfg), compute_sinrs_ref(full, cfg)
+        assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
         assert (blocked.clamped_links, blocked.resamples) == (full.clamped_links, full.resamples)
         seen[shape] += 1
         seen["one_station"] += n_bs == 1 and n_users > 0

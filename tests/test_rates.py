@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from noma_fair.bounds import beta_star, delta_lower_bound, delta_upper_bound, msd_threshold
 from noma_fair.fairness import alpha_throughput, utility
-from noma_fair.pairing import UserChannel
+from noma_fair.pairing import user_table
 from noma_fair.rates import (
     PairLink,
     PowerAllocation,
@@ -126,10 +127,8 @@ POSITIVE_FINITE_ARGS = {
     "alpha_throughput.r_w": ("r_w", lambda v: alpha_throughput(1.0, v, 2.0), True),
     "PairLink.gamma_s": ("gamma_s", lambda v: PairLink(gamma_s=v, gamma_w=1.0), False),
     "PairLink.gamma_w": ("gamma_w", lambda v: PairLink(gamma_s=5.0, gamma_w=v), False),
-    "UserChannel.gamma": ("gamma", lambda v: UserChannel(0, 0, gamma=v, channel_gain=1.0), False),
-    "UserChannel.channel_gain": (
-        "channel_gain", lambda v: UserChannel(0, 0, gamma=1.0, channel_gain=v), False
-    ),
+    "user_table.gamma": ("gamma", lambda v: user_table([0], [0], [v], [1.0]), False),
+    "user_table.channel_gain": ("channel_gain", lambda v: user_table([0], [0], [1.0], [v]), False),
 }
 
 
@@ -140,6 +139,25 @@ def test_positive_finite_check_names_its_argument(case, bad):
     for value in [bad, np.array([1.0, bad])] if accepts_arrays else [bad]:
         with pytest.raises(ValueError, match=rf"\b{name} must be positive and finite"):
             call(value)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("column", ["gamma", "channel_gain"])
+def test_user_table_names_its_first_failing_user(column, bad):
+    # Users 10 and 11 are valid; 12 and 13 fail in the one column.
+    values = {"gamma": [1.0, 2.0, 3.0, 4.0], "channel_gain": [1e-9, 2e-9, 3e-9, 4e-9]}
+    values[column][2:] = [bad, bad]
+    expected = f"user 12: {column} must be positive and finite, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        user_table([10, 11, 12, 13], [0, 0, 1, 1], values["gamma"], values["channel_gain"])
+
+
+def test_user_table_checks_users_in_order_and_gamma_before_gain():
+    # User 1 fails in its gain only; user 2 fails in both columns.
+    with pytest.raises(ValueError, match=r"^user 1: channel_gain must be positive and finite, got 0\.0$"):
+        user_table([0, 1, 2], [0, 0, 0], [1.0, 1.0, math.nan], [1.0, 0.0, math.nan])
+    with pytest.raises(ValueError, match=r"^user 2: gamma must be positive and finite, got nan$"):
+        user_table([0, 1, 2], [0, 0, 0], [1.0, 1.0, math.nan], [1.0, 1.0, -1.0])
 
 
 def test_positive_finite_check_passes_an_empty_array():
