@@ -65,7 +65,7 @@ __all__ = [
 
 _GRID_POINTS = 1000
 # Links per grid evaluation, which bounds the (links x points) temporaries.
-_GRID_BLOCK = 8
+_GRID_BLOCK = 16
 # Grid maxima within this slack of the best are all refined (multimodal guard).
 _BRACKET_SLACK = 1e-9
 # Width at which golden section stops narrowing a bracket.  Comparing

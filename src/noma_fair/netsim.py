@@ -18,13 +18,15 @@ members' OMA rates, the pure-OMA strategy rejects everything.  Per-pair
 metrics (strong/weak rate, pair throughput, pair sum rate) are therefore
 directly comparable across strategies row by row.
 
-A trial is evaluated in array form, each quantity at the stage it depends
-on: candidates are matched (:func:`noma_fair.pairing.match`) and their
-criterion, delta_ub and OMA rates computed once per trial; delta_lb and
-admission once per beta (:func:`noma_fair.allocator.gate`); the splits
+A trial is evaluated in array form: candidates are matched
+(:func:`noma_fair.pairing.match`) and their OMA rates computed once per
+trial.  Their links are tiled once per beta, and criterion, delta_ub,
+delta_lb and admission (:func:`noma_fair.allocator.gate`) computed once per
+set of betas, so once per trial for an alphas x betas product.  The splits
 of every strategy (:func:`noma_fair.allocator.split`), their rates and
-means once per sweep point, as one strategies x metrics array.  The
-campaign stacks these arrays over trials and aggregates their columns.
+means run once per (trial, alpha) over all of its betas, as one betas x
+strategies x metrics array.  The campaign stacks these arrays over trials
+and aggregates their columns.
 
 All randomness is derived from (master seed, trial index) substreams;
 trials are independent and may run in separate processes without changing
@@ -258,31 +260,33 @@ class _Trial:
         self.present = np.column_stack((np.ones_like(self.single), self.paired))
         self.oma_strong, self.oma_weak = self.oma[self.paired].T
         self.oma_single = self.oma[self.single, 0]
-        self.links = link_facts(gamma[strong[self.paired]], gamma[weak[self.paired]])
-        self._gates: dict[float, Gate] = {}
+        self.link_gammas = gamma[strong[self.paired]], gamma[weak[self.paired]]
+        self._gates: dict[tuple, Gate] = {}
 
-    def evaluate(self, strategies: Sequence[Strategy], fairness: FairnessConfig, beta) -> np.ndarray:
-        """One row per strategy: the five means in :class:`StrategyMetrics`
-        field order, NaN where a mean has no values, then the pair count."""
-        g = self._gates.get(beta)
+    def evaluate(self, strategies: Sequence[Strategy], fairness: FairnessConfig, betas) -> np.ndarray:
+        """Per beta, a row per strategy: the five means in :class:`StrategyMetrics`
+        field order, NaN where a mean has no values, then the pair count.  The links
+        are tiled per beta and gated once per tuple of betas, so one pass serves all."""
+        betas, n, size = tuple(betas), len(betas), len(self.oma_strong)
+        g = self._gates.get(betas)
         if g is None:
-            g = self._gates[beta] = gate(self.links, beta)
-        gs, gw = self.links.gamma_s, self.links.gamma_w
-        delta = np.stack([split(g, strat, fairness)[0] for strat in strategies])
+            tiled = link_facts(*(np.tile(x, n) for x in self.link_gammas))
+            g = self._gates[betas] = gate(tiled, np.repeat(np.asarray(betas, dtype=float), size))
+        gs, gw, beta = (x.reshape(n, size) for x in (g.links.gamma_s, g.links.gamma_w, g.beta))
+        delta = np.stack([split(g, strat, fairness)[0].reshape(n, size) for strat in strategies])
         admitted = ~np.isnan(delta)
         r_s = np.where(admitted, np.log2(1.0 + noma_sinr_strong(gs, beta, delta)), self.oma_strong)
         r_w = np.where(admitted, np.log2(1.0 + noma_sinr_weak(gw, delta)), self.oma_weak)
         # Per slot; a single rate is its own power mean and sum.
-        t, asr = np.empty((2, len(delta), len(self.single)))
-        t[:, self.paired], asr[:, self.paired] = alpha_throughput(r_s, r_w, fairness.alpha), r_s + r_w
-        t[:, self.single] = asr[:, self.single] = self.oma_single
-        served_oma = np.repeat(self.single[None], len(delta), axis=0)
-        served_oma[:, self.paired] = ~admitted
+        t, asr = np.empty((2, len(delta), n, len(self.single)))
+        t[..., self.paired], asr[..., self.paired] = alpha_throughput(r_s, r_w, fairness.alpha), r_s + r_w
+        t[..., self.single] = asr[..., self.single] = self.oma_single
+        served_oma = np.broadcast_to(self.single, t.shape).copy()
+        served_oma[..., self.paired] = ~admitted
         # Each row's OMA users differ, so their rates are gathered row by row.
-        oma = [_means(self.oma[self.present & row[:, None]]) for row in served_oma]
-        return np.column_stack(
-            (_means(r_s), _means(r_w), oma, _means(t), _means(asr), np.count_nonzero(admitted, axis=1))
-        )
+        oma = [[_means(self.oma[self.present & row[:, None]]) for row in rows] for rows in served_oma]
+        columns = (_means(r_s), _means(r_w), oma, _means(t), _means(asr), np.count_nonzero(admitted, axis=-1))
+        return np.stack(columns, axis=-1).swapaxes(0, 1)
 
 
 def evaluate_strategies(
@@ -298,7 +302,7 @@ def evaluate_strategies(
     """
     trial, strategies = _Trial(users), list(dict.fromkeys(strategies))
     per_strategy = {}
-    for strat, (*means, pairs) in zip(strategies, trial.evaluate(strategies, fairness, beta).tolist()):
+    for strat, (*means, pairs) in zip(strategies, trial.evaluate(strategies, fairness, [beta])[0].tolist()):
         means = [None if math.isnan(m) else m for m in means]
         per_strategy[strat] = StrategyMetrics(*means, int(pairs), trial.population - 2 * int(pairs))
     return TrialMetrics(trial.population, per_strategy)
@@ -311,17 +315,27 @@ _METRICS = ("mur_strong", "mur_weak", "mur_oma", "t_alpha", "mean_asr")
 def _trial_chunk(args) -> np.ndarray:
     """Worker: the (trials x points x strategies x 6) table of a chunk of trials.
 
-    A failure is re-raised naming its trial index and, past the SINRs, its sweep point.
+    Each alpha's points are evaluated in one pass over their betas.  A failure
+    is re-raised naming its trial index and, past the SINRs, its sweep point:
+    the first of the failing pass's points that fails on its own.
     """
     cfg, points, strategies, indices = args
+    groups = {f: [i for i, (g, _) in enumerate(points) if g == f] for f, _ in points}
     table = np.empty((len(indices), len(points), len(strategies), len(_METRICS) + 1))
     for t, rows in zip(indices, table):
         point = ""  # the drop and SINRs serve every sweep point
         try:
             trial = _Trial(compute_sinrs(drop_network(cfg, t), cfg))
-            for i, (fairness, beta) in enumerate(points):
-                point = f", alpha={fairness.alpha}, beta={beta}"
-                rows[i] = trial.evaluate(strategies, fairness, beta)
+            for fairness, at in groups.items():
+                betas = [points[i][1] for i in at]
+                try:
+                    rows[at] = trial.evaluate(strategies, fairness, betas)
+                except Exception:
+                    for beta in betas:
+                        point = f", alpha={fairness.alpha}, beta={beta}"
+                        trial.evaluate(strategies, fairness, [beta])
+                    point = f", alpha={fairness.alpha}"
+                    raise
         except Exception as exc:
             raise RuntimeError(f"trial {t}{point}: {exc}") from exc
     return table

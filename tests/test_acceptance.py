@@ -115,7 +115,8 @@ def test_criterion_02_pairing_criterion_agrees_with_rate_feasibility():
     # (a) beta < beta_star agrees with the scan on >= 99.9% of random pairs,
     #     at beta = 0 and at beta ~ U(0, 0.2); the scan may only miss
     #     nonempty intervals narrower than its grid step.
-    # (b) The full gate (MSD criterion and beta < beta_star) admits no pair
+    # (b) The full gate (MSD criterion and delta_lb < delta_ub, checked here
+    #     as beta < beta_star, its form away from rounding) admits no pair
     #     the scan finds infeasible.  The MSD criterion itself is a strictly
     #     stronger cut than feasibility (see test_bounds), so the share of
     #     feasible pairs it turns away is reported, not gated.

@@ -527,6 +527,23 @@ class TestSimulateCommand:
         assert "runtime error: trial 3, alpha=2.0, beta=0.05: boom" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+        # An alpha's betas are split in one pass; a failure at its second
+        # beta alone must still name that beta.
+        def failing_at_beta(gate, strategy, fairness):
+            if bad.intersection(gate.links.gamma_s.tolist()) and 0.05 in gate.beta.tolist():
+                raise ArithmeticError("boom at 0.05")
+            return split(gate, strategy, fairness)
+
+        monkeypatch.setattr(netsim, "split", failing_at_beta)
+        code = run(
+            ["simulate", "--seed", "5", "--trials", "4", "--alphas", "1,2", "--betas", "0.01,0.05",
+             "--strategies", "suboptimal,oma", "--threads", threads,
+             "--out-dir", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert "runtime error: trial 3, alpha=1.0, beta=0.05: boom at 0.05" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_sinr_failure_names_its_trial(self, tmp_path, capsys, threads):

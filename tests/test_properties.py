@@ -2,7 +2,8 @@
 
 gamma_w in [0.1, 100], gamma_s / gamma_w in [1, 1000], beta in [0, 1] and
 alpha in [0, 25].  The batched campaign kernel is checked against its
-per-pair scalar reference on small drawn cells, the campaign rows against
+per-pair scalar reference on small drawn cells, its pass over several betas
+against its one-beta passes, the campaign rows against
 that reference aggregated trial by trial, the batched optimal solver
 against its per-link reference on drawn sets of links, and the row-blocked
 SINRs against the full-matrix reference on drawn windows, and the
@@ -10,8 +11,10 @@ single-rendering CSV/JSON emitters against the row-by-row writers on drawn
 row sets.  Hypothesis runs derandomized, so every run draws the same cases.
 """
 
+import itertools
 import math
 
+import hypothesis
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -32,7 +35,9 @@ from noma_fair.netsim import (
     _BLOCK_ENTRIES,
     NetworkConfig,
     NetworkRealization,
+    _Trial,
     compute_sinrs,
+    drop_network,
     evaluate_strategies,
     run_campaign,
 )
@@ -184,6 +189,68 @@ def test_batched_kernel_equals_scalar_reference(users, alpha, beta, pick):
     )
 
 
+def _cells(*cells):
+    """A user table with one cell per tuple of SINRs; gains follow the SINRs."""
+    rows = [(c, g) for c, gammas in enumerate(cells) for g in gammas]
+    cell, gamma = (list(column) for column in zip(*rows)) if rows else ([], [])
+    return user_table(range(len(rows)), cell, gamma, [1e-9 * g for g in gamma])
+
+
+def _assert_stack_equals_one_beta_passes(users, betas):
+    # Every strategy at several alphas: the (betas x strategies x 6) table of
+    # one pass must be, byte for byte, the one-beta tables stacked, whether
+    # the trial's gates were built by the one-beta passes or by a fresh trial.
+    strategies, trial = list(Strategy), _Trial(users)
+    for alpha in (0.0, 0.5, 1.0, 3.0):
+        cfg = FairnessConfig(alpha=alpha)
+        want = np.stack([trial.evaluate(strategies, cfg, [beta])[0] for beta in betas])
+        for got in (trial.evaluate(strategies, cfg, betas), _Trial(users).evaluate(strategies, cfg, betas)):
+            assert got.shape == (len(betas), len(strategies), 6)
+            assert got.tobytes() == want.tobytes(), (alpha, betas)
+
+
+# Two candidates with beta_star 0.061 and 0.092 (criterion met) in cell 0,
+# and an odd user out in cell 1.
+TWO_LINKS = _cells((100.0, 8.0, 2.0, 1.0), (3.0,))
+
+
+@pytest.mark.parametrize(
+    "users, betas, admitted",
+    [
+        (_cells(), (0.0, 0.04), None),
+        (_cells((5.0,), (20.0,), (0.5,)), (0.0, 0.04, 1.0), None),
+        # beta = 0 admits both, 0.07 lies above one beta_star, 0.5 above both.
+        (TWO_LINKS, (0.0, 0.07, 0.5), [2, 1, 0]),
+        (TWO_LINKS, (0.5, 0.07), [0, 1]),
+        (TWO_LINKS, (0.07,), [1]),
+    ],
+    ids=["no_users", "only_singles", "every_candidate_rejected_at_one_beta", "rejected_first", "one_beta"],
+)
+def test_one_pass_over_betas_equals_one_beta_passes(users, betas, admitted):
+    trial = _Trial(users)
+    if admitted is None:
+        assert not trial.paired.any()
+    else:
+        # Each beta's gate admits the stated number of candidates.
+        opt = trial.evaluate([Strategy.OPTIMAL], FairnessConfig(alpha=1.0), betas)
+        assert opt[:, 0, 5].tolist() == admitted
+    _assert_stack_equals_one_beta_passes(users, betas)
+
+
+def test_one_pass_over_betas_equals_one_beta_passes_on_network_trials():
+    cfg = NetworkConfig(seed=3)
+    for t in range(3):
+        users = compute_sinrs(drop_network(cfg, t), cfg)
+        _assert_stack_equals_one_beta_passes(users, (0.0, 0.01, 0.02, 0.04, 0.06, 0.08, 0.1, 0.3, 1.0))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(drops(), st.lists(st.sampled_from([0.0, 0.01, 0.04, 0.2, 1.0]) | st.floats(0.0, 1.0),
+                         min_size=1, max_size=5, unique=True))
+def test_one_pass_over_drawn_betas_equals_one_beta_passes(users, betas):
+    _assert_stack_equals_one_beta_passes(users, betas)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_campaign_rows_equal_per_trial_reference(threads):
     # A 0.05 km2 window: a trial without users and two without a candidate,
@@ -210,7 +277,7 @@ def test_batched_optimal_split_equals_per_link_reference():
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(
-        st.integers(1, 48).flatmap(
+        st.integers(1, 3 * _GRID_BLOCK).flatmap(
             lambda n: st.lists(
                 st.tuples(
                     st.floats(0.1, 100.0),
@@ -262,23 +329,26 @@ def test_batched_optimal_split_equals_per_link_reference():
 def test_blocked_sinrs_equal_full_matrix_reference():
     # Each drawn window is computed block by block and its user table
     # compared, every field exactly, against the full users x stations
-    # matrix.  The user count is drawn relative to the block of the drawn
-    # station count.  Hypothesis seeds from this test's source; at 100
-    # examples, 27% of seeds draw a shape fewer than 5 times, at 200, 1.5%.
-    seen = {"no_users": 0, "one_user": 0, "block-1": 0, "block": 0, "block+1": 0,
-            "several": 0, "one_station": 0, "clamped": 0}
+    # matrix.  The user count is set relative to the block of the station
+    # count by each shape in turn, with one station and with a drawn count,
+    # and every such case runs the same number of examples, so no draw can
+    # starve one of them.  Each case has its own Hypothesis seed: a
+    # derandomized run seeds from the test's code alone, so the cases would
+    # otherwise replay the same draws.
+    shapes = ("no_users", "one_user", "block-1", "block", "block+1", "several")
+    seen = dict.fromkeys(shapes + ("one_station", "clamped"), 0)
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=17)
     @given(
         st.integers(1, 400),
-        st.sampled_from(["no_users", "one_user", "block-1", "block", "block+1", "several"]),
         st.integers(2, 4),
         st.floats(0.0, 1.0),
         st.sampled_from([0.2, 1.0, 6.0]),
         st.sampled_from([1e-3, 0.05, 0.3]),
         st.integers(0, 2**32 - 1),
     )
-    def check(n_bs, shape, blocks, partial, side, min_km, seed):
+    def check(shape, one_station, n_bs, blocks, partial, side, min_km, seed):
+        n_bs = 1 if one_station else n_bs
         step = max(1, _BLOCK_ENTRIES // n_bs)
         n_users = {
             "no_users": 0,
@@ -302,7 +372,8 @@ def test_blocked_sinrs_equal_full_matrix_reference():
         seen["one_station"] += n_bs == 1 and n_users > 0
         seen["clamped"] += blocked.clamped_links > 0
 
-    check()
+    for case, (shape, one_station) in enumerate(itertools.product(shapes, (True, False))):
+        hypothesis.seed(case)(check)(shape, one_station)
     assert min(seen.values()) >= 5, seen
 
 
