@@ -1,14 +1,15 @@
 """Power-split decisions for candidate NOMA pairs: array rules, scalar wrappers.
 
-Each rule is written once, over arrays of links, in three stages:
+Each rule is written once, over arrays of links, in two stages:
 
-* :func:`link_facts`: criterion, beta_star and delta_ub (SINRs alone).
-* :func:`gate`: delta_lb at ``beta`` (one value, or one per link) and
-  admission.  A pair is admitted when the criterion holds and the split
-  interval [delta_lb, delta_ub] is nonempty (``delta_lb < delta_ub``,
-  which is ``beta < beta_star`` away from rounding); otherwise it is
-  served OMA.  An admitted split always lies in that interval.
-* :func:`split`: every link's delta_s under one strategy.  Optimal
+* :func:`gate`: criterion, beta_star and delta_ub of the links, delta_lb
+  at ``beta`` and admission.  ``beta`` broadcasts against the 1-D links: one
+  value, one per link, or a column of betas that gates every link at each.
+  A pair is admitted when the criterion holds and the split interval
+  [delta_lb, delta_ub] is nonempty (``delta_lb < delta_ub``, which is
+  ``beta < beta_star`` away from rounding); otherwise it is served OMA.  An
+  admitted split always lies in that interval.
+* :func:`split`: every gated link's delta_s under one strategy.  Optimal
   maximizes the summed alpha-fair utility of the two NOMA rates over the
   interval.  Suboptimal is the endpoint rule: below the imperfection-ratio
   threshold ``tau`` it picks delta_lb for alpha > 1 and delta_ub for
@@ -51,9 +52,7 @@ from .rates import (
 __all__ = [
     "DecisionMode",
     "AllocationDecision",
-    "LinkFacts",
     "Gate",
-    "link_facts",
     "gate",
     "split",
     "summed_utility",
@@ -94,36 +93,28 @@ class AllocationDecision:
 
 
 @dataclass(frozen=True)
-class LinkFacts:
-    """Per-link arrays that depend on (gamma_s, gamma_w) alone."""
+class Gate:
+    """The links' admission at ``beta``; delta_lb and admitted have the
+    links' shape broadcast against beta's."""
 
     gamma_s: np.ndarray
     gamma_w: np.ndarray
     criterion: PairingCriterion  # of arrays
     delta_ub: np.ndarray
-
-
-@dataclass(frozen=True)
-class Gate:
-    """The links' admission at one imperfection level."""
-
-    links: LinkFacts
-    beta: np.ndarray  # 0-d, or one value per link
+    beta: np.ndarray
     delta_lb: np.ndarray
     admitted: np.ndarray
 
 
-def link_facts(gamma_s, gamma_w) -> LinkFacts:
-    """Criterion and delta_ub of 1-D arrays of links, strong SINR first."""
+def gate(gamma_s, gamma_w, beta) -> Gate:
+    """Gate 1-D arrays of links, strong SINR first, at ``beta``: criterion
+    and delta_ub per link, delta_lb and admission (criterion and
+    delta_lb < delta_ub) per (beta, link)."""
     gs, gw = np.asarray(gamma_s, dtype=float), np.asarray(gamma_w, dtype=float)
-    return LinkFacts(gs, gw, pairing_criterion(gs, gw), delta_upper_bound(gw))
-
-
-def gate(links: LinkFacts, beta) -> Gate:
-    """delta_lb at ``beta`` and the admission mask: criterion and delta_lb < delta_ub."""
-    delta_lb = delta_lower_bound(links.gamma_s, beta)
-    admitted = links.criterion.satisfied & (delta_lb < links.delta_ub)
-    return Gate(links, np.asarray(beta, dtype=float), delta_lb, admitted)
+    criterion, delta_ub = pairing_criterion(gs, gw), delta_upper_bound(gw)
+    delta_lb = delta_lower_bound(gs, beta)
+    admitted = criterion.satisfied & (delta_lb < delta_ub)
+    return Gate(gs, gw, criterion, delta_ub, np.asarray(beta, dtype=float), delta_lb, admitted)
 
 
 def summed_utility(gamma_s, gamma_w, beta, delta_s, alpha: float):
@@ -219,27 +210,24 @@ def _maximize_on_interval(gs, gw, beta, alpha: float, lo, hi, tol: float):
 def split(
     g: Gate, strategy: Strategy, cfg: Optional[FairnessConfig]
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Every link's delta_s under ``strategy``, NaN where it is served OMA.
+    """Every gated link's delta_s under ``strategy``, NaN where it is served
+    OMA, in the shape of ``g.delta_lb``.
 
-    The second value is the summed utility the optimal solver reached, one
-    per link (NaN where rejected); None for every other strategy.  ``cfg``
+    The second value is the summed utility the optimal solver reached, in
+    the same shape (NaN where rejected); None for every other strategy.  ``cfg``
     is read by the optimal and suboptimal rules only.
     """
-    lb, ub = g.delta_lb, g.links.delta_ub
-    paired = g.admitted
-    objective = None
+    lb, ub, paired, objective = g.delta_lb, g.delta_ub, g.admitted, None
     if strategy is Strategy.OPTIMAL:
         pick, objective = np.full(lb.shape, np.nan), np.full(lb.shape, np.nan)
-        on = np.flatnonzero(paired)
-        if on.size:
-            beta = np.broadcast_to(g.beta, lb.shape)[on]
-            pick[on], objective[on] = _maximize_on_interval(
-                g.links.gamma_s[on], g.links.gamma_w[on], beta, cfg.alpha, lb[on], ub[on], _SOLVER_TOL
-            )
+        on = np.nonzero(paired)
+        if on[0].size:
+            gs, gw, beta, hi = (np.broadcast_to(x, lb.shape)[on] for x in (g.gamma_s, g.gamma_w, g.beta, ub))
+            pick[on], objective[on] = _maximize_on_interval(gs, gw, beta, cfg.alpha, lb[on], hi, _SOLVER_TOL)
     elif strategy is Strategy.SUBOPTIMAL:
         # Rejected links may have beta_star <= 0; their picks are dropped.
         with np.errstate(divide="ignore", invalid="ignore"):
-            low = (g.beta / g.links.criterion.beta_star < cfg.tau) & (cfg.alpha > 1)
+            low = (g.beta / g.criterion.beta_star < cfg.tau) & (cfg.alpha > 1)
         pick = np.where(low, lb, ub)
     elif strategy is Strategy.UPPER_BOUND:
         pick = ub
@@ -251,13 +239,14 @@ def split(
         pick, paired = ub, np.zeros(lb.shape, dtype=bool)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    _require_split(pick[paired])
-    return np.where(paired, pick, np.nan), objective
+    delta = np.where(paired, pick, np.nan)
+    _require_split(delta[paired])
+    return delta, objective
 
 
 def _decide_one(link: PairLink, strategy: Strategy, cfg) -> AllocationDecision:
     """:func:`split` on one link."""
-    g = gate(link_facts([link.gamma_s], [link.gamma_w]), link.beta)
+    g = gate([link.gamma_s], [link.gamma_w], link.beta)
     delta = float(split(g, strategy, cfg)[0][0])
     return AllocationDecision(None if math.isnan(delta) else PowerAllocation(delta))
 

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .allocator import gate, link_facts, split, summed_utility
+from .allocator import gate, split, summed_utility
 from .fairness import FairnessConfig, alpha_throughput, utility
 from .netsim import NetworkConfig, run_campaign
 from .rates import (
@@ -43,12 +43,14 @@ class ConfigError(ValueError):
 def _comma_list(item):
     """Parser of a comma list; ``item`` parses each nonblank entry.
 
-    A repeated entry (``1,1.0`` counts) is rejected: it would repeat every
-    row it produces.
+    A list without entries is rejected, and so is a repeated entry (``1,1.0``
+    counts): it would repeat every row it produces.
     """
 
     def parse(text):
         entries = [item(part.strip()) for part in text.split(",") if part.strip()]
+        if not entries:
+            raise ValueError(f"expected at least one value, got {text!r}")
         repeated = [e for i, e in enumerate(entries) if e in entries[:i]]
         if repeated:
             raise ValueError(f"repeated entry {repeated[0]!r}")
@@ -258,9 +260,9 @@ def _pair_report(args) -> dict:
         raise ValueError("--gamma-s-db must be at least --gamma-w-db")
     beta = _beta(args.beta)
     cfg = FairnessConfig(alpha=args.alpha, tau=args.tau)
-    g = gate(link_facts([gamma_s], [gamma_w]), beta)
+    g = gate([gamma_s], [gamma_w], beta)
     delta, objective = split(g, Strategy(args.solver), cfg)
-    crit = g.links.criterion
+    crit = g.criterion
     paired = not math.isnan(delta[0])
     r_s_oma, r_w_oma = oma_rate(gamma_s), oma_rate(gamma_w)
     report = {
@@ -271,7 +273,7 @@ def _pair_report(args) -> dict:
         "tau": args.tau,
         "solver": args.solver,
         "delta_lb": float(g.delta_lb[0]),
-        "delta_ub": float(g.links.delta_ub[0]),
+        "delta_ub": float(g.delta_ub[0]),
         "msd_threshold": float(crit.msd_threshold[0]),
         "msd_satisfied": bool(crit.satisfied[0]),
         "beta_star": float(crit.beta_star[0]),
@@ -320,8 +322,6 @@ def _cmd_pair(args) -> int:
 def _cmd_sweep(args) -> int:
     axis_parse = {"alpha": _alpha_list, "beta": _sweep_beta_list}.get(args.axis, _sinr_db_list)
     axis_values = _parse("values", axis_parse, args.values)
-    if not axis_values:
-        raise ValueError("--values produced an empty sweep")
 
     alphas = _parse("alphas", _alpha_list, args.alphas)
     betas = _parse("betas", _sweep_beta_list, args.betas)
@@ -345,9 +345,8 @@ def _cmd_sweep(args) -> int:
     rows = emit_delta_sweep(links, betas, alphas, tau=args.tau, solver=Strategy(args.solver))
     if not rows:
         raise ValueError("sweep produced no rows (all links infeasible at beta_star)")
-    base = args.out
-    if base.suffix == ".csv":
-        base = base.with_suffix("")
+    # Artifacts are <out>.csv, <out>.json and <out>.manifest.txt; a dot in <out> is kept.
+    name = args.out.stem if args.out.suffix == ".csv" else args.out.name
     keys = ("axis", "values", "alphas", "betas", "gamma_s_db", "gamma_w_db", "tau", "solver")
     settings = {key: getattr(args, key) for key in keys}
     settings.update(alphas=alphas, betas=betas)
@@ -356,8 +355,7 @@ def _cmd_sweep(args) -> int:
         for key in (*keys, "out")
         if getattr(args, key) is not None
     )
-    paths = (base.with_suffix(".csv"), base.with_suffix(".json"),
-             base.with_name(base.name + ".manifest.txt"))
+    paths = tuple(args.out.with_name(name + ext) for ext in (".csv", ".json", ".manifest.txt"))
     return _write_run(rows, paths, settings, command)
 
 

@@ -19,14 +19,13 @@ metrics (strong/weak rate, pair throughput, pair sum rate) are therefore
 directly comparable across strategies row by row.
 
 A trial is evaluated in array form: candidates are matched
-(:func:`noma_fair.pairing.match`) and their OMA rates computed once per
-trial.  Their links are tiled once per beta, and criterion, delta_ub,
-delta_lb and admission (:func:`noma_fair.allocator.gate`) computed once per
-set of betas, so once per trial for an alphas x betas product.  The splits
-of every strategy (:func:`noma_fair.allocator.split`), their rates and
-means run once per (trial, alpha) over all of its betas, as one betas x
-strategies x metrics array.  The campaign stacks these arrays over trials
-and aggregates their columns.
+(:func:`noma_fair.pairing.match`), their OMA rates computed and their links
+gated (:func:`noma_fair.allocator.gate`) once per trial, against a column
+of the campaign's betas.  The splits of every strategy
+(:func:`noma_fair.allocator.split`), their rates and means run once per
+(trial, alpha) over all the betas, as one betas x strategies x metrics
+array.  The campaign is an alphas x betas grid; it stacks these arrays over
+trials and aggregates their columns.
 
 All randomness is derived from (master seed, trial index) substreams;
 trials are independent and may run in separate processes without changing
@@ -43,7 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .allocator import Gate, gate, link_facts, split
+from .allocator import gate, split
 from .fairness import FairnessConfig, alpha_throughput
 from .pairing import match, user_table
 from .rates import (
@@ -242,13 +241,14 @@ def _means(x: np.ndarray):
 
 
 class _Trial:
-    """One channel realization, matched once, evaluated at any sweep point.
+    """One channel realization, matched and gated once at a column of betas,
+    evaluated at any alpha.
 
     Users sit in slots: cells ascending, and within a cell its candidates,
     then its odd user out.  Every mean runs over its values in slot order.
     """
 
-    def __init__(self, users: np.ndarray):
+    def __init__(self, users: np.ndarray, betas: Sequence[float]):
         self.population = len(users)
         gamma = users["gamma"]
         strong, weak = match(users)
@@ -260,25 +260,19 @@ class _Trial:
         self.present = np.column_stack((np.ones_like(self.single), self.paired))
         self.oma_strong, self.oma_weak = self.oma[self.paired].T
         self.oma_single = self.oma[self.single, 0]
-        self.link_gammas = gamma[strong[self.paired]], gamma[weak[self.paired]]
-        self._gates: dict[tuple, Gate] = {}
+        links = gamma[strong[self.paired]], gamma[weak[self.paired]]
+        self.gate = gate(*links, np.asarray(betas, dtype=float)[:, None])
 
-    def evaluate(self, strategies: Sequence[Strategy], fairness: FairnessConfig, betas) -> np.ndarray:
+    def evaluate(self, strategies: Sequence[Strategy], fairness: FairnessConfig) -> np.ndarray:
         """Per beta, a row per strategy: the five means in :class:`StrategyMetrics`
-        field order, NaN where a mean has no values, then the pair count.  The links
-        are tiled per beta and gated once per tuple of betas, so one pass serves all."""
-        betas, n, size = tuple(betas), len(betas), len(self.oma_strong)
-        g = self._gates.get(betas)
-        if g is None:
-            tiled = link_facts(*(np.tile(x, n) for x in self.link_gammas))
-            g = self._gates[betas] = gate(tiled, np.repeat(np.asarray(betas, dtype=float), size))
-        gs, gw, beta = (x.reshape(n, size) for x in (g.links.gamma_s, g.links.gamma_w, g.beta))
-        delta = np.stack([split(g, strat, fairness)[0].reshape(n, size) for strat in strategies])
+        field order, NaN where a mean has no values, then the pair count."""
+        g = self.gate
+        delta = np.stack([split(g, strat, fairness)[0] for strat in strategies])
         admitted = ~np.isnan(delta)
-        r_s = np.where(admitted, np.log2(1.0 + noma_sinr_strong(gs, beta, delta)), self.oma_strong)
-        r_w = np.where(admitted, np.log2(1.0 + noma_sinr_weak(gw, delta)), self.oma_weak)
+        r_s = np.where(admitted, np.log2(1.0 + noma_sinr_strong(g.gamma_s, g.beta, delta)), self.oma_strong)
+        r_w = np.where(admitted, np.log2(1.0 + noma_sinr_weak(g.gamma_w, delta)), self.oma_weak)
         # Per slot; a single rate is its own power mean and sum.
-        t, asr = np.empty((2, len(delta), n, len(self.single)))
+        t, asr = np.empty((2, *delta.shape[:2], len(self.single)))
         t[..., self.paired], asr[..., self.paired] = alpha_throughput(r_s, r_w, fairness.alpha), r_s + r_w
         t[..., self.single] = asr[..., self.single] = self.oma_single
         served_oma = np.broadcast_to(self.single, t.shape).copy()
@@ -300,9 +294,9 @@ def evaluate_strategies(
     The object view of :meth:`_Trial.evaluate`'s table, None where a mean
     has no values; the campaign reads the table itself.
     """
-    trial, strategies = _Trial(users), list(dict.fromkeys(strategies))
+    trial, strategies = _Trial(users, [beta]), list(dict.fromkeys(strategies))
     per_strategy = {}
-    for strat, (*means, pairs) in zip(strategies, trial.evaluate(strategies, fairness, [beta])[0].tolist()):
+    for strat, (*means, pairs) in zip(strategies, trial.evaluate(strategies, fairness)[0].tolist()):
         means = [None if math.isnan(m) else m for m in means]
         per_strategy[strat] = StrategyMetrics(*means, int(pairs), trial.population - 2 * int(pairs))
     return TrialMetrics(trial.population, per_strategy)
@@ -313,27 +307,26 @@ _METRICS = ("mur_strong", "mur_weak", "mur_oma", "t_alpha", "mean_asr")
 
 
 def _trial_chunk(args) -> np.ndarray:
-    """Worker: the (trials x points x strategies x 6) table of a chunk of trials.
+    """Worker: the (trials x alphas x betas x strategies x 6) table of a chunk of trials.
 
-    Each alpha's points are evaluated in one pass over their betas.  A failure
-    is re-raised naming its trial index and, past the SINRs, its sweep point:
-    the first of the failing pass's points that fails on its own.
+    Each alpha is evaluated in one pass over the betas.  A failure is
+    re-raised naming its trial index and, past the SINRs, its sweep point:
+    the first beta of the failing pass that fails on its own.
     """
-    cfg, points, strategies, indices = args
-    groups = {f: [i for i, (g, _) in enumerate(points) if g == f] for f, _ in points}
-    table = np.empty((len(indices), len(points), len(strategies), len(_METRICS) + 1))
+    cfg, fairs, betas, strategies, indices = args
+    table = np.empty((len(indices), len(fairs), len(betas), len(strategies), len(_METRICS) + 1))
     for t, rows in zip(indices, table):
         point = ""  # the drop and SINRs serve every sweep point
         try:
-            trial = _Trial(compute_sinrs(drop_network(cfg, t), cfg))
-            for fairness, at in groups.items():
-                betas = [points[i][1] for i in at]
+            users = compute_sinrs(drop_network(cfg, t), cfg)
+            trial = _Trial(users, betas)
+            for fairness, row in zip(fairs, rows):
                 try:
-                    rows[at] = trial.evaluate(strategies, fairness, betas)
+                    row[:] = trial.evaluate(strategies, fairness)
                 except Exception:
                     for beta in betas:
                         point = f", alpha={fairness.alpha}, beta={beta}"
-                        trial.evaluate(strategies, fairness, [beta])
+                        _Trial(users, [beta]).evaluate(strategies, fairness)
                     point = f", alpha={fairness.alpha}"
                     raise
         except Exception as exc:
@@ -350,26 +343,29 @@ def run_campaign(
 ) -> list[ResultRow]:
     """Average per-trial metrics over cfg.trials for every (alpha, beta) point.
 
-    The channel realization of trial t is shared by all sweep points, and
-    aggregation runs in trial order (chunks are contiguous and come back in
-    order), so the result is bit-identical for any ``threads`` setting.  A
-    repeated strategy or sweep point is rejected: it would repeat its rows.
+    ``sweep`` must be ``[(a, b) for a in alphas for b in betas]`` of its
+    distinct alphas and betas, and the strategies distinct.  The channel
+    realization of trial t is shared by all sweep points, and aggregation
+    runs in trial order (chunks are contiguous and come back in order), so
+    the result is bit-identical for any ``threads`` setting.
     """
     if not sweep or not strategies:
         raise ValueError("sweep and strategies must be non-empty")
     if not all(0.0 <= beta <= 1.0 for _, beta in sweep):
         raise ValueError(f"betas must lie in [0, 1], got {sorted({b for _, b in sweep})}")
     strategies = list(strategies)
-    for what, items in ("strategy", [s.value for s in strategies]), ("sweep point", list(map(tuple, sweep))):
-        repeated = [x for k, x in enumerate(items) if x in items[:k]]
-        if repeated:
-            raise ValueError(f"repeated {what} {repeated[0]!r}")
-    points = [(FairnessConfig(alpha=a, tau=tau), b) for a, b in sweep]
+    repeated = [s.value for k, s in enumerate(strategies) if s in strategies[:k]]
+    if repeated:
+        raise ValueError(f"repeated strategy {repeated[0]!r}")
+    alphas, betas = (list(dict.fromkeys(axis)) for axis in zip(*sweep))
+    if list(map(tuple, sweep)) != list(product(alphas, betas)):
+        raise ValueError(f"sweep must be the alpha-major grid of alphas {alphas} x betas {betas}")
+    fairs = [FairnessConfig(alpha=a, tau=tau) for a in alphas]
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads!r}")
     workers = min(threads, cfg.trials)
     jobs = [
-        (cfg, points, strategies, [int(t) for t in part])
+        (cfg, fairs, betas, strategies, [int(t) for t in part])
         for part in np.array_split(np.arange(cfg.trials), workers)
     ]
     if workers == 1:

@@ -29,7 +29,8 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .allocator import gate, link_facts, split
+from .allocator import gate, split
+from .bounds import beta_star
 from .fairness import FairnessConfig
 from .rates import Strategy, db_to_linear
 
@@ -125,36 +126,35 @@ def emit_delta_sweep(
     if solver not in (Strategy.OPTIMAL, Strategy.SUBOPTIMAL):
         raise ValueError(f"solver must be optimal or suboptimal, got {solver!r}")
     linear = np.array([(db_to_linear(gs_db), db_to_linear(gw_db)) for gs_db, gw_db in links_db])
-    links = link_facts(linear[:, 0], linear[:, 1])
-    star = links.criterion.beta_star
+    gs, gw = linear[:, 0], linear[:, 1]
+    star = beta_star(gs, gw)
     fair = [FairnessConfig(alpha=alpha, tau=tau) for alpha in alphas]
-    metrics = ("delta_lb", "delta_ub", "msd_satisfied", "delta_s")
-    delta_ub = links.delta_ub.tolist()
-    msd_satisfied = links.criterion.satisfied.astype(float).tolist()
-    misordered = np.flatnonzero(links.gamma_s < links.gamma_w).tolist()
-    # One decision per (beta entry, alpha) over every link, turned into
-    # per-link lists once; a token entry gives each link its own beta and
-    # skips links with beta_star <= 0.
-    decisions = []
+    misordered = np.flatnonzero(gs < gw).tolist()
+    # Every link is gated at every beta entry at once; a token entry gives
+    # each link its own beta and skips links with beta_star <= 0.
+    skip, beta = [], []
     for entry in betas:
-        if not isinstance(entry, str):
-            if misordered:  # a numeric beta applies to every link, so each must be ordered
-                gs_db, gw_db = links_db[misordered[0]]
-                raise ValueError("strong/weak ordering violated: "
-                                 f"gamma_s {gs_db!r} dB < gamma_w {gw_db!r} dB")
-            skip, beta = np.zeros(len(links_db), dtype=bool), float(entry)
-        elif entry == BETA_STAR_TOKEN:
-            skip = star <= 0
-            beta = np.where(skip, 0.0, star * (1.0 - _BETA_STAR_MARGIN))
-        else:
+        token = isinstance(entry, str)
+        if token and entry != BETA_STAR_TOKEN:
             raise ValueError(f"unknown beta token {entry!r}")
-        g = gate(links, beta)
-        skip, beta = skip.tolist(), np.broadcast_to(g.beta, skip.shape).tolist()
-        delta_lb = g.delta_lb.tolist()
-        for alpha, cfg in zip(alphas, fair):
-            values = list(zip(delta_lb, delta_ub, msd_satisfied, split(g, solver, cfg)[0].tolist()))
-            decisions.append((float(alpha), skip, beta, values))
+        if misordered and not token:  # a numeric beta applies to every link, so each must be ordered
+            gs_db, gw_db = links_db[misordered[0]]
+            raise ValueError("strong/weak ordering violated: "
+                             f"gamma_s {gs_db!r} dB < gamma_w {gw_db!r} dB")
+        skip.append((star <= 0) & token)
+        beta.append(np.where(skip[-1], 0.0, star * (1.0 - _BETA_STAR_MARGIN) if token else float(entry)))
+    g = gate(gs, gw, np.array(beta))
+    skip, beta, delta_lb = np.array(skip).tolist(), g.beta.tolist(), g.delta_lb.tolist()
+    delta_ub, msd_satisfied = g.delta_ub.tolist(), g.criterion.satisfied.astype(float).tolist()
+    deltas = np.stack([split(g, solver, cfg)[0] for cfg in fair], axis=1).tolist()  # entries x alphas x links
+    # One decision per (beta entry, alpha), turned into per-link lists once.
+    decisions = [
+        (float(alpha), skip[e], beta[e], list(zip(delta_lb[e], delta_ub, msd_satisfied, delta_s)))
+        for e in range(len(betas))
+        for alpha, delta_s in zip(alphas, deltas[e])
+    ]
 
+    metrics = ("delta_lb", "delta_ub", "msd_satisfied", "delta_s")
     rows: list[ResultRow] = []
     for i, (gs_db, gw_db) in enumerate(links_db):
         link = (float(gs_db), float(gw_db), solver.value)

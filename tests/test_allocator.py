@@ -10,7 +10,6 @@ from noma_fair.allocator import (
     DecisionMode,
     allocate_fixed_bound,
     gate,
-    link_facts,
     solve_optimal,
     solve_suboptimal,
     split,
@@ -46,7 +45,7 @@ def feasible_link(rng, alpha_range=(0.3, 35.0)):
 
 def one_link_gate(link):
     """The link's admission by the array rules, on arrays of size 1."""
-    return gate(link_facts([link.gamma_s], [link.gamma_w]), link.beta)
+    return gate([link.gamma_s], [link.gamma_w], link.beta)
 
 
 def objective_of(link, alpha, delta):
@@ -92,9 +91,9 @@ class TestSolveOptimal:
         d = solve_optimal(link, FairnessConfig(alpha=1.0))
         g = one_link_gate(link)
         assert d.mode is DecisionMode.NOMA_PAIRED and g.admitted[0]
-        assert g.links.criterion.satisfied[0]
-        assert g.links.criterion.beta_star[0] == BETA_STAR
-        assert g.delta_lb[0] < g.links.delta_ub[0]
+        assert g.criterion.satisfied[0]
+        assert g.criterion.beta_star[0] == BETA_STAR
+        assert g.delta_lb[0] < g.delta_ub[0]
 
     def test_matches_dense_grid_oracle(self):
         rng = np.random.default_rng(31)
@@ -118,7 +117,7 @@ class TestSolveOptimal:
             assert r_s >= oma_rate(link.gamma_s) - 1e-9
             assert r_w >= oma_rate(link.gamma_w) - 1e-9
             g = one_link_gate(link)
-            assert g.delta_lb[0] - 1e-12 <= d.allocation.delta_s <= g.links.delta_ub[0] + 1e-12
+            assert g.delta_lb[0] - 1e-12 <= d.allocation.delta_s <= g.delta_ub[0] + 1e-12
 
     def test_split_moves_from_lower_to_upper_bound_with_beta(self):
         # At alpha > 2 the optimum starts at delta_lb and converges to
@@ -160,7 +159,7 @@ class TestSolveSuboptimal:
         cfg = FairnessConfig(alpha=3.0, tau=0.5)
         below, above = (PairLink(gamma_s=GS, gamma_w=GW, beta=r * BETA_STAR) for r in (0.49, 0.51))
         assert solve_suboptimal(below, cfg).allocation.delta_s == one_link_gate(below).delta_lb[0]
-        assert solve_suboptimal(above, cfg).allocation.delta_s == one_link_gate(above).links.delta_ub[0]
+        assert solve_suboptimal(above, cfg).allocation.delta_s == one_link_gate(above).delta_ub[0]
 
     def test_alpha_one_counts_as_low(self):
         link = PairLink(gamma_s=GS, gamma_w=GW, beta=0.0)
@@ -227,17 +226,16 @@ class TestBatchedDecision:
         beta = rng.uniform(0.0, 0.3, gs.size)
         beta[20:100] = np.where(star[20:100] > 0, star[20:100] * (1 - 1e-9), 0.0)
         beta[100:120] = np.where(star[100:120] > 0, star[100:120] * (1 - 1e-15), 0.0)
-        links = link_facts(gs, gw)
-        g = gate(links, beta)
+        g = gate(gs, gw, beta)
         assert 0 < g.admitted.sum() < gs.size
 
         def bits(values):
             return np.asarray(values, dtype=float).tobytes()
 
-        ones = [gate(link_facts([gs[i]], [gw[i]]), beta[i]) for i in range(gs.size)]
+        ones = [gate([gs[i]], [gw[i]], beta[i]) for i in range(gs.size)]
         assert bits(g.delta_lb) == bits([o.delta_lb[0] for o in ones])
-        assert bits(links.delta_ub) == bits([o.links.delta_ub[0] for o in ones])
-        assert bits(links.criterion.satisfied) == bits([o.links.criterion.satisfied[0] for o in ones])
+        assert bits(g.delta_ub) == bits([o.delta_ub[0] for o in ones])
+        assert bits(g.criterion.satisfied) == bits([o.criterion.satisfied[0] for o in ones])
         for alpha in (0.5, 1.0, 3.0):
             cfg = FairnessConfig(alpha=alpha)
             for strategy in Strategy:
@@ -252,6 +250,26 @@ class TestBatchedDecision:
                 alloc = [d.allocation for d in one]
                 assert bits(~np.isnan(delta)) == bits([a is not None for a in alloc]), strategy
                 assert bits(delta) == bits([np.nan if a is None else a.delta_s for a in alloc]), strategy
+
+        # A column of betas gates every link at each of them: its rows must be
+        # the one-beta gates and splits.
+        betas = np.array([0.0, 0.01, 0.06, 0.2, 1.0])
+        column = gate(gs, gw, betas[:, None])
+        rows = [gate(gs, gw, b) for b in betas]
+        assert column.admitted.shape == (betas.size, gs.size)
+        assert 0 < column.admitted.sum() < column.admitted.size
+        assert bits(column.delta_lb) == bits([r.delta_lb for r in rows])
+        assert bits(column.admitted) == bits([r.admitted for r in rows])
+        for alpha in (0.5, 1.0, 3.0):
+            cfg = FairnessConfig(alpha=alpha)
+            for strategy in Strategy:
+                delta, objective = split(column, strategy, cfg)
+                want = [split(r, strategy, cfg) for r in rows]
+                assert bits(delta) == bits([w[0] for w in want]), strategy
+                if strategy is Strategy.OPTIMAL:
+                    assert bits(objective) == bits([w[1] for w in want])
+                else:
+                    assert objective is None
 
     def test_optimal_solver_stays_batched(self, monkeypatch):
         # One split(OPTIMAL) call evaluates the objective once per grid block
@@ -268,19 +286,18 @@ class TestBatchedDecision:
         monkeypatch.setattr(allocator, "summed_utility", counted)
         rng = np.random.default_rng(64)
         gs, gw = sample_ordered_pairs(rng, 400, 0.0, 30.0)
-        links = link_facts(gs, gw)
-        keep = np.flatnonzero(links.criterion.satisfied)[:64]
+        keep = np.flatnonzero(gate(gs, gw, 0.0).criterion.satisfied)[:64]
         assert keep.size == 64
         gs, gw = gs[keep], gw[keep]
         beta = rng.uniform(0.0, 0.9, 64) * beta_star(gs, gw)
         cfg = FairnessConfig(alpha=1.0)
 
         def count(n):
-            g = gate(link_facts(gs[:n], gw[:n]), beta[:n])
+            g = gate(gs[:n], gw[:n], beta[:n])
             assert g.admitted.all()
             calls.clear()
             split(g, Strategy.OPTIMAL, cfg)
-            return len(calls), g.links.delta_ub - g.delta_lb
+            return len(calls), g.delta_ub - g.delta_lb
 
         one, _ = count(1)
         many, width = count(64)

@@ -253,6 +253,20 @@ class TestSweepCommand:
              "--gamma-w-db", "2", "--out", str(tmp_path / "x")]
         )
         assert code == 2
+        assert "error: bad value for 'values': " in capsys.readouterr().err
+
+    def test_out_with_a_dot_keeps_its_name(self, tmp_path):
+        # A dot in --out is part of the name: two bases that differ after
+        # their dots write two sets of artifacts, and a trailing .csv is dropped.
+        flags = ["--axis", "alpha", "--gamma-s-db", "9", "--gamma-w-db", "2"]
+        assert run(["sweep", *flags, "--values", "1", "--out", str(tmp_path / "run.v1")]) == 0
+        assert run(["sweep", *flags, "--values", "2", "--out", str(tmp_path / "run.v2.csv")]) == 0
+        for name, alpha in (("run.v1", 1.0), ("run.v2", 2.0)):
+            assert {r.alpha for r in parse_campaign_csv(tmp_path / f"{name}.csv")} == {alpha}
+            assert [r["alpha"] for r in json.loads((tmp_path / f"{name}.json").read_text())] == [alpha] * 4
+            manifest = (tmp_path / f"{name}.manifest.txt").read_text(encoding="utf-8")
+            assert f"# artifacts: {name}.csv {name}.json\n" in manifest
+        assert len(list(tmp_path.iterdir())) == 6
 
     @pytest.mark.parametrize(
         "flags, key",
@@ -280,6 +294,8 @@ class TestSweepCommand:
             (["--axis", "alpha", "--values", "1", "--betas", "beta_star,-0.1"], "betas"),
             (["--axis", "alpha", "--values=-1,2"], "values"),
             (["--axis", "beta", "--values", "0.1,1.5"], "values"),
+            (["--axis", "beta", "--values", "0.1", "--alphas", ","], "alphas"),
+            (["--axis", "alpha", "--values", "1", "--betas", " , "], "betas"),
         ],
     )
     def test_bad_alpha_or_beta_names_its_key(self, tmp_path, capsys, flags, key):
@@ -474,6 +490,9 @@ class TestSimulateCommand:
             ("alphas", "1,nan"),
             ("alphas", "inf"),
             ("betas", "-0.5"),
+            ("alphas", ""),
+            ("betas", ","),
+            ("strategies", ", ,"),
         ],
     )
     def test_bad_value_names_its_key(self, tmp_path, capsys, key, value):
@@ -487,7 +506,10 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("alphas", "-1,2"), ("alphas", "nan"), ("betas", "0.1,1.5"), ("threads", "0")],
+        [
+            ("alphas", "-1,2"), ("alphas", "nan"), ("betas", "0.1,1.5"), ("threads", "0"),
+            ("alphas", ","), ("betas", ","), ("strategies", ","),
+        ],
     )
     def test_bad_alpha_or_beta_flag_names_its_key(self, tmp_path, capsys, flag, value):
         out = tmp_path / "o"
@@ -513,7 +535,7 @@ class TestSimulateCommand:
         split = netsim.split
 
         def failing(gate, strategy, fairness):
-            if bad.intersection(gate.links.gamma_s.tolist()) and fairness.alpha == 2.0:
+            if bad.intersection(gate.gamma_s.tolist()) and fairness.alpha == 2.0:
                 raise ArithmeticError("boom")
             return split(gate, strategy, fairness)
 
@@ -530,7 +552,7 @@ class TestSimulateCommand:
         # An alpha's betas are split in one pass; a failure at its second
         # beta alone must still name that beta.
         def failing_at_beta(gate, strategy, fairness):
-            if bad.intersection(gate.links.gamma_s.tolist()) and 0.05 in gate.beta.tolist():
+            if bad.intersection(gate.gamma_s.tolist()) and 0.05 in gate.beta.ravel().tolist():
                 raise ArithmeticError("boom at 0.05")
             return split(gate, strategy, fairness)
 
@@ -586,7 +608,7 @@ class TestPairSweepAgreement:
                  "--solver", solver, "--out", str(base)]
             )
             assert code == 0
-            rows = parse_campaign_csv(base.with_suffix(".csv"))
+            rows = parse_campaign_csv(base.with_name(base.name + ".csv"))  # "sweep_4_3.5.csv"
             swept = {(r.alpha, r.beta, r.metric): r.value for r in rows}
             star = beta_star(db_to_linear(float(gs_db)), db_to_linear(float(gw_db)))
             assert {r.beta for r in rows} - {0.0, 0.04, 0.3} == (

@@ -252,7 +252,7 @@ class TestRunCampaign:
     @pytest.mark.parametrize("threads", [2, 3, 7])  # 7 workers for 6 trials
     def test_thread_count_does_not_change_results(self, threads):
         cfg = NetworkConfig(trials=6, seed=33)
-        sweep = [(1.0, 0.01), (3.0, 0.05)]
+        sweep = [(a, b) for a in (1.0, 3.0) for b in (0.01, 0.05)]
         strategies = [Strategy.OPTIMAL, Strategy.NEAR_FAR, Strategy.OMA]
         seq = run_campaign(cfg, sweep, strategies, threads=1)
         par = run_campaign(cfg, sweep, strategies, threads=threads)
@@ -271,9 +271,23 @@ class TestRunCampaign:
         "sweep, strategies, message",
         [
             ([(1.0, 0.01)], [Strategy.OMA, Strategy.OMA], "repeated strategy 'oma'"),
-            ([(1.0, 0.01), (2.0, 0.0), (1, 0.01)], [Strategy.OMA], r"repeated sweep point \(1, 0.01\)"),
+            ([(1.0, 0.01), (2.0, 0.0), (1, 0.01)], [Strategy.OMA], "sweep must be the alpha-major grid"),
         ],
     )
     def test_repeats_rejected(self, sweep, strategies, message):
         with pytest.raises(ValueError, match=message):
             run_campaign(SMALL, sweep, strategies)
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            [(1.0, 0.01), (2.0, 0.01), (1.0, 0.05), (2.0, 0.05)],  # beta-major
+            [(1.0, 0.01), (1.0, 0.05), (2.0, 0.01)],  # (2.0, 0.05) missing
+            [(1.0, 0.01), (1.0, 0.05), (2.0, 0.01), (2.0, 0.05), (2.0, 0.05)],  # a point twice
+        ],
+        ids=["reordered", "missing_point", "repeated_point"],
+    )
+    def test_sweep_that_is_not_the_grid_rejected(self, sweep):
+        message = r"sweep must be the alpha-major grid of alphas \[1.0, 2.0\] x betas \[0.01, 0.05\]"
+        with pytest.raises(ValueError, match=message):
+            run_campaign(SMALL, sweep, [Strategy.OMA])

@@ -1,6 +1,6 @@
 import numpy as np
 
-from noma_fair.allocator import DecisionMode, gate, link_facts, solve_optimal, solve_suboptimal, split
+from noma_fair.allocator import DecisionMode, gate, solve_optimal, solve_suboptimal, split
 from noma_fair.bounds import beta_star, delta_upper_bound, msd_threshold
 from noma_fair.fairness import FairnessConfig
 from noma_fair.pairing import candidate_pairs, near_far_decision, user_table
@@ -29,9 +29,9 @@ def decide(pop, beta, decision_fn):
     ]
 
 
-def facts(strong, weak):
-    """The candidate's criterion and delta_ub by the array rules, on arrays of size 1."""
-    return link_facts([strong.gamma], [weak.gamma])
+def gated(strong, weak, beta):
+    """The candidate's admission at ``beta`` by the array rules, on arrays of size 1."""
+    return gate([strong.gamma], [weak.gamma], beta)
 
 
 def admitted(pop, beta, cfg, solve):
@@ -82,11 +82,11 @@ class TestNearFar:
         # Close SINRs fail the pairing criterion, near-far pairs them anyway.
         [(strong, weak, decision)] = decide([user(1, 10.0), user(2, 9.5)], 0.3, near_far_decision)
         assert (strong.user_id, weak.user_id) == (1, 2)
-        links = facts(strong, weak)
-        assert not links.criterion.satisfied[0]
+        g = gated(strong, weak, 0.3)
+        assert not g.criterion.satisfied[0]
         assert decision.mode is DecisionMode.NOMA_PAIRED
-        assert decision.allocation.delta_s == split(gate(links, 0.3), Strategy.NEAR_FAR, None)[0][0]
-        assert decision.allocation.delta_s == links.delta_ub[0]
+        assert decision.allocation.delta_s == split(g, Strategy.NEAR_FAR, None)[0][0]
+        assert decision.allocation.delta_s == g.delta_ub[0]
         assert decision.allocation.delta_s == delta_upper_bound(9.5)
 
     def test_empty_population(self):
@@ -133,7 +133,7 @@ class TestMsdPairing:
             decisions = decide(pop, 0.0, lambda link: solve(link, cfg))
             assert len(decisions) == 2
             for strong, weak, d in decisions:
-                assert not facts(strong, weak).criterion.satisfied[0]
+                assert not gated(strong, weak, 0.0).criterion.satisfied[0]
                 assert d.mode is DecisionMode.OMA_FALLBACK
 
     def test_beta_gate_rejects(self):
@@ -142,7 +142,7 @@ class TestMsdPairing:
         pop = [user(1, gs), user(2, gw)]
         for solve in SOLVERS.values():
             [(strong, weak, d)] = decide(pop, beta, lambda link: solve(link, FairnessConfig(alpha=1.0)))
-            assert facts(strong, weak).criterion.satisfied[0]  # rejected by the beta gate alone
+            assert gated(strong, weak, beta).criterion.satisfied[0]  # rejected by the beta gate alone
             assert d.mode is DecisionMode.OMA_FALLBACK
 
     def test_admitted_pairs_satisfy_gates_post_hoc(self):
@@ -157,4 +157,4 @@ class TestMsdPairing:
                 gs, gw = strong.gamma, weak.gamma
                 assert gs - gw > msd_threshold(gs, gw)
                 assert beta < beta_star(gs, gw)
-                assert d.allocation.delta_s == split(gate(facts(strong, weak), beta), strategy, cfg)[0][0]
+                assert d.allocation.delta_s == split(gated(strong, weak, beta), strategy, cfg)[0][0]

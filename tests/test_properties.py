@@ -25,7 +25,6 @@ from noma_fair.allocator import (
     _GRID_BLOCK,
     DecisionMode,
     gate,
-    link_facts,
     split,
     summed_utility,
 )
@@ -72,7 +71,7 @@ def test_one_decision_per_strategy():
     # split decides every strategy and no other; the size-1 wrappers cover each once.
     assert len(WRAPPERS) == len(Strategy)
     assert set(WRAPPERS) == set(Strategy)
-    g = gate(link_facts([9.0, 3.0], [2.0, 3.0]), 0.01)
+    g = gate([9.0, 3.0], [2.0, 3.0], 0.01)
     for strategy in Strategy:
         assert split(g, strategy, FairnessConfig(alpha=1.0))[0].shape == (2,), strategy
     with pytest.raises(ValueError, match="unknown strategy"):
@@ -86,7 +85,7 @@ def test_every_decision_keeps_its_promises(link, alpha):
     crit = pairing_criterion(link.gamma_s, link.gamma_w)
     bounds = allocation_bounds(link)
     oma = (oma_rate(link.gamma_s), oma_rate(link.gamma_w))
-    g = gate(link_facts([link.gamma_s], [link.gamma_w]), link.beta)
+    g = gate([link.gamma_s], [link.gamma_w], link.beta)
     for strategy, decide in WRAPPERS.items():
         decision = decide(link, cfg)
         if strategy is Strategy.OMA:
@@ -198,15 +197,15 @@ def _cells(*cells):
 
 def _assert_stack_equals_one_beta_passes(users, betas):
     # Every strategy at several alphas: the (betas x strategies x 6) table of
-    # one pass must be, byte for byte, the one-beta tables stacked, whether
-    # the trial's gates were built by the one-beta passes or by a fresh trial.
-    strategies, trial = list(Strategy), _Trial(users)
+    # a trial gated at all the betas must be, byte for byte, the tables of
+    # trials gated at one beta each, stacked.
+    strategies, trial = list(Strategy), _Trial(users, betas)
     for alpha in (0.0, 0.5, 1.0, 3.0):
         cfg = FairnessConfig(alpha=alpha)
-        want = np.stack([trial.evaluate(strategies, cfg, [beta])[0] for beta in betas])
-        for got in (trial.evaluate(strategies, cfg, betas), _Trial(users).evaluate(strategies, cfg, betas)):
-            assert got.shape == (len(betas), len(strategies), 6)
-            assert got.tobytes() == want.tobytes(), (alpha, betas)
+        want = np.stack([_Trial(users, [beta]).evaluate(strategies, cfg)[0] for beta in betas])
+        got = trial.evaluate(strategies, cfg)
+        assert got.shape == (len(betas), len(strategies), 6)
+        assert got.tobytes() == want.tobytes(), (alpha, betas)
 
 
 # Two candidates with beta_star 0.061 and 0.092 (criterion met) in cell 0,
@@ -227,12 +226,12 @@ TWO_LINKS = _cells((100.0, 8.0, 2.0, 1.0), (3.0,))
     ids=["no_users", "only_singles", "every_candidate_rejected_at_one_beta", "rejected_first", "one_beta"],
 )
 def test_one_pass_over_betas_equals_one_beta_passes(users, betas, admitted):
-    trial = _Trial(users)
+    trial = _Trial(users, betas)
     if admitted is None:
         assert not trial.paired.any()
     else:
         # Each beta's gate admits the stated number of candidates.
-        opt = trial.evaluate([Strategy.OPTIMAL], FairnessConfig(alpha=1.0), betas)
+        opt = trial.evaluate([Strategy.OPTIMAL], FairnessConfig(alpha=1.0))
         assert opt[:, 0, 5].tolist() == admitted
     _assert_stack_equals_one_beta_passes(users, betas)
 
@@ -294,15 +293,14 @@ def test_batched_optimal_split_equals_per_link_reference():
     def check(drawn, alpha, tol):
         gw, ratio, share = (np.array(column) for column in zip(*drawn))
         gs = gw * ratio
-        links = link_facts(gs, gw)
-        beta = np.minimum(share * np.maximum(links.criterion.beta_star, 0.0), 1.0)
-        g = gate(links, beta)
+        beta = np.minimum(share * np.maximum(beta_star(gs, gw), 0.0), 1.0)
+        g = gate(gs, gw, beta)
         split_delta, split_value = split(g, Strategy.OPTIMAL, FairnessConfig(alpha=alpha))
         on = np.flatnonzero(g.admitted)
         delta, value = np.full((2, len(drawn)), np.nan)
         if on.size:
             delta[on], value[on] = allocator._maximize_on_interval(
-                gs[on], gw[on], beta[on], alpha, g.delta_lb[on], links.delta_ub[on], tol
+                gs[on], gw[on], beta[on], alpha, g.delta_lb[on], g.delta_ub[on], tol
             )
         if tol == allocator._SOLVER_TOL:
             assert delta.tobytes() == split_delta.tobytes() and value.tobytes() == split_value.tobytes()
@@ -313,7 +311,7 @@ def test_batched_optimal_split_equals_per_link_reference():
                 continue
             args = float(gs[i]), float(gw[i]), float(beta[i])
             want_delta, want_value, brackets = maximize_on_interval_ref(
-                lambda d: summed_utility(*args, d, alpha), float(g.delta_lb[i]), float(links.delta_ub[i]), tol
+                lambda d: summed_utility(*args, d, alpha), float(g.delta_lb[i]), float(g.delta_ub[i]), tol
             )
             assert (delta[i], value[i]) == (want_delta, want_value), (args, alpha, tol)
             seen["links"] += 1
