@@ -44,14 +44,15 @@ def _comma_list(item):
     """Parser of a comma list; ``item`` parses each nonblank entry.
 
     A list without entries is rejected, and so is a repeated entry (``1,1.0``
-    counts): it would repeat every row it produces.
+    counts), named as written: it would repeat every row it produces.
     """
 
     def parse(text):
-        entries = [item(part.strip()) for part in text.split(",") if part.strip()]
+        parts = [part.strip() for part in text.split(",") if part.strip()]
+        entries = [item(part) for part in parts]
         if not entries:
             raise ValueError(f"expected at least one value, got {text!r}")
-        repeated = [e for i, e in enumerate(entries) if e in entries[:i]]
+        repeated = [part for i, (part, e) in enumerate(zip(parts, entries)) if e in entries[:i]]
         if repeated:
             raise ValueError(f"repeated entry {repeated[0]!r}")
         return entries

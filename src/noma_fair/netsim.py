@@ -18,14 +18,14 @@ members' OMA rates, the pure-OMA strategy rejects everything.  Per-pair
 metrics (strong/weak rate, pair throughput, pair sum rate) are therefore
 directly comparable across strategies row by row.
 
-A trial is evaluated in array form: candidates are matched
-(:func:`noma_fair.pairing.match`), their OMA rates computed and their links
-gated (:func:`noma_fair.allocator.gate`) once per trial, against a column
-of the campaign's betas.  The splits of every strategy
-(:func:`noma_fair.allocator.split`), their rates and means run once per
-(trial, alpha) over all the betas, as one betas x strategies x metrics
-array.  The campaign is an alphas x betas grid; it stacks these arrays over
-trials and aggregates their columns.
+A trial is one call that returns its alphas x betas x strategies x metrics
+table: candidates are matched (:func:`noma_fair.pairing.match`), their OMA
+rates computed and their links gated (:func:`noma_fair.allocator.gate`)
+once, against a column of the campaign's betas; every strategy is split
+(:func:`noma_fair.allocator.split`) once per alpha, and the rates and means
+run once over the stack of all the alphas and betas.  The campaign is an
+alphas x betas grid; it maps trials over its workers, stacks their tables
+and aggregates their columns.
 
 All randomness is derived from (master seed, trial index) substreams;
 trials are independent and may run in separate processes without changing
@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import product
 from typing import Optional, Sequence
 
@@ -240,47 +241,44 @@ def _means(x: np.ndarray):
     return x.mean(axis=-1) if x.shape[-1] else np.full(x.shape[:-1], np.nan)
 
 
-class _Trial:
-    """One channel realization, matched and gated once at a column of betas,
-    evaluated at any alpha.
+def _trial_table(
+    users: np.ndarray, strategies: Sequence[Strategy], fairs: Sequence[FairnessConfig], betas: Sequence[float]
+) -> np.ndarray:
+    """A trial's (alphas x betas x strategies x 6) table: per sweep point, a
+    row per strategy with the five means in :class:`StrategyMetrics` field
+    order, NaN where a mean has no values, then the pair count.
 
-    Users sit in slots: cells ascending, and within a cell its candidates,
-    then its odd user out.  Every mean runs over its values in slot order.
+    The candidates are matched and gated once, against a column of the betas,
+    and each strategy is split once per alpha.  Users sit in slots: cells
+    ascending, and within a cell its candidates, then its odd user out.
+    Every mean runs over its values in slot order.
     """
-
-    def __init__(self, users: np.ndarray, betas: Sequence[float]):
-        self.population = len(users)
-        gamma = users["gamma"]
-        strong, weak = match(users)
-        self.single = weak < 0
-        self.paired = ~self.single
-        oma = oma_rate(gamma)
-        # Each slot's OMA rates: (strong, weak) of a candidate, (rate, unused) of a single.
-        self.oma = np.column_stack((oma[strong], np.where(self.single, 0.0, oma[weak])))
-        self.present = np.column_stack((np.ones_like(self.single), self.paired))
-        self.oma_strong, self.oma_weak = self.oma[self.paired].T
-        self.oma_single = self.oma[self.single, 0]
-        links = gamma[strong[self.paired]], gamma[weak[self.paired]]
-        self.gate = gate(*links, np.asarray(betas, dtype=float)[:, None])
-
-    def evaluate(self, strategies: Sequence[Strategy], fairness: FairnessConfig) -> np.ndarray:
-        """Per beta, a row per strategy: the five means in :class:`StrategyMetrics`
-        field order, NaN where a mean has no values, then the pair count."""
-        g = self.gate
-        delta = np.stack([split(g, strat, fairness)[0] for strat in strategies])
-        admitted = ~np.isnan(delta)
-        r_s = np.where(admitted, np.log2(1.0 + noma_sinr_strong(g.gamma_s, g.beta, delta)), self.oma_strong)
-        r_w = np.where(admitted, np.log2(1.0 + noma_sinr_weak(g.gamma_w, delta)), self.oma_weak)
-        # Per slot; a single rate is its own power mean and sum.
-        t, asr = np.empty((2, *delta.shape[:2], len(self.single)))
-        t[..., self.paired], asr[..., self.paired] = alpha_throughput(r_s, r_w, fairness.alpha), r_s + r_w
-        t[..., self.single] = asr[..., self.single] = self.oma_single
-        served_oma = np.broadcast_to(self.single, t.shape).copy()
-        served_oma[..., self.paired] = ~admitted
-        # Each row's OMA users differ, so their rates are gathered row by row.
-        oma = [[_means(self.oma[self.present & row[:, None]]) for row in rows] for rows in served_oma]
-        columns = (_means(r_s), _means(r_w), oma, _means(t), _means(asr), np.count_nonzero(admitted, axis=-1))
-        return np.stack(columns, axis=-1).swapaxes(0, 1)
+    gamma = users["gamma"]
+    strong, weak = match(users)
+    single = weak < 0
+    paired = ~single
+    rate = oma_rate(gamma)
+    # Each slot's OMA rates: (strong, weak) of a candidate, (rate, unused) of a single.
+    oma = np.column_stack((rate[strong], np.where(single, 0.0, rate[weak])))
+    present = np.column_stack((np.ones_like(single), paired))
+    g = gate(gamma[strong[paired]], gamma[weak[paired]], np.asarray(betas, dtype=float)[:, None])
+    delta = np.stack([[split(g, strat, fairness)[0] for strat in strategies] for fairness in fairs])
+    admitted = ~np.isnan(delta)
+    r_s = np.where(admitted, np.log2(1.0 + noma_sinr_strong(g.gamma_s, g.beta, delta)), oma[paired, 0])
+    r_w = np.where(admitted, np.log2(1.0 + noma_sinr_weak(g.gamma_w, delta)), oma[paired, 1])
+    # Per slot; a single rate is its own power mean and sum.
+    points = delta.shape[:3]
+    t, asr = np.empty((2, *points, len(single)))
+    t[..., paired] = [alpha_throughput(rs, rw, fairness.alpha) for fairness, rs, rw in zip(fairs, r_s, r_w)]
+    asr[..., paired] = r_s + r_w
+    t[..., single] = asr[..., single] = oma[single, 0]
+    served_oma = np.broadcast_to(single, t.shape).copy()
+    served_oma[..., paired] = ~admitted
+    # Each row's OMA users differ, so their rates are gathered row by row.
+    rows = served_oma.reshape(math.prod(points), -1)
+    mur_oma = np.reshape([_means(oma[present & row[:, None]]) for row in rows], points)
+    columns = (_means(r_s), _means(r_w), mur_oma, _means(t), _means(asr), np.count_nonzero(admitted, axis=-1))
+    return np.stack(columns, axis=-1).swapaxes(1, 2)
 
 
 def evaluate_strategies(
@@ -291,47 +289,40 @@ def evaluate_strategies(
 ) -> TrialMetrics:
     """Run every strategy on one channel realization and aggregate metrics.
 
-    The object view of :meth:`_Trial.evaluate`'s table, None where a mean
-    has no values; the campaign reads the table itself.
+    The object view of :func:`_trial_table` at one sweep point, None where a
+    mean has no values; the campaign reads the table itself.
     """
-    trial, strategies = _Trial(users, [beta]), list(dict.fromkeys(strategies))
-    per_strategy = {}
-    for strat, (*means, pairs) in zip(strategies, trial.evaluate(strategies, fairness)[0].tolist()):
+    strategies = list(dict.fromkeys(strategies))
+    table, per_strategy = _trial_table(users, strategies, [fairness], [beta])[0, 0], {}
+    for strat, (*means, pairs) in zip(strategies, table.tolist()):
         means = [None if math.isnan(m) else m for m in means]
-        per_strategy[strat] = StrategyMetrics(*means, int(pairs), trial.population - 2 * int(pairs))
-    return TrialMetrics(trial.population, per_strategy)
+        per_strategy[strat] = StrategyMetrics(*means, int(pairs), len(users) - 2 * int(pairs))
+    return TrialMetrics(len(users), per_strategy)
 
 
 # Campaign metric of each mean column of a trial's table.
 _METRICS = ("mur_strong", "mur_weak", "mur_oma", "t_alpha", "mean_asr")
 
 
-def _trial_chunk(args) -> np.ndarray:
-    """Worker: the (trials x alphas x betas x strategies x 6) table of a chunk of trials.
+def _trial(cfg: NetworkConfig, strategies, fairs, betas, t: int) -> np.ndarray:
+    """Worker: trial t's table.
 
-    Each alpha is evaluated in one pass over the betas.  A failure is
-    re-raised naming its trial index and, past the SINRs, its sweep point:
-    the first beta of the failing pass that fails on its own.
+    A failure is re-raised naming the trial index and, past the SINRs, its
+    sweep point: the first, alpha-major, that fails on its own.
     """
-    cfg, fairs, betas, strategies, indices = args
-    table = np.empty((len(indices), len(fairs), len(betas), len(strategies), len(_METRICS) + 1))
-    for t, rows in zip(indices, table):
-        point = ""  # the drop and SINRs serve every sweep point
+    point = ""  # the drop and SINRs serve every sweep point
+    try:
+        users = compute_sinrs(drop_network(cfg, t), cfg)
         try:
-            users = compute_sinrs(drop_network(cfg, t), cfg)
-            trial = _Trial(users, betas)
-            for fairness, row in zip(fairs, rows):
-                try:
-                    row[:] = trial.evaluate(strategies, fairness)
-                except Exception:
-                    for beta in betas:
-                        point = f", alpha={fairness.alpha}, beta={beta}"
-                        _Trial(users, [beta]).evaluate(strategies, fairness)
-                    point = f", alpha={fairness.alpha}"
-                    raise
-        except Exception as exc:
-            raise RuntimeError(f"trial {t}{point}: {exc}") from exc
-    return table
+            return _trial_table(users, strategies, fairs, betas)
+        except Exception:
+            for fairness, beta in product(fairs, betas):
+                point = f", alpha={fairness.alpha}, beta={beta}"
+                _trial_table(users, strategies, [fairness], [beta])
+            point = ""
+            raise
+    except Exception as exc:
+        raise RuntimeError(f"trial {t}{point}: {exc}") from exc
 
 
 def run_campaign(
@@ -346,8 +337,8 @@ def run_campaign(
     ``sweep`` must be ``[(a, b) for a in alphas for b in betas]`` of its
     distinct alphas and betas, and the strategies distinct.  The channel
     realization of trial t is shared by all sweep points, and aggregation
-    runs in trial order (chunks are contiguous and come back in order), so
-    the result is bit-identical for any ``threads`` setting.
+    runs in trial order (the workers' tables come back in order), so the
+    result is bit-identical for any ``threads`` setting.
     """
     if not sweep or not strategies:
         raise ValueError("sweep and strategies must be non-empty")
@@ -364,16 +355,13 @@ def run_campaign(
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads!r}")
     workers = min(threads, cfg.trials)
-    jobs = [
-        (cfg, fairs, betas, strategies, [int(t) for t in part])
-        for part in np.array_split(np.arange(cfg.trials), workers)
-    ]
+    trial = partial(_trial, cfg, strategies, fairs, betas)
     if workers == 1:
-        done = [_trial_chunk(jobs[0])]
+        tables = list(map(trial, range(cfg.trials)))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_trial_chunk, jobs))
-    table = np.concatenate(done)
+            tables = list(pool.map(trial, range(cfg.trials), chunksize=math.ceil(cfg.trials / workers)))
+    table = np.stack(tables)
     # Each (point, strategy, metric)'s column of trials, in row order.
     columns = np.moveaxis(table[..., : len(_METRICS)], 0, -1).reshape(-1, len(table))
 

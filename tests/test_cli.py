@@ -1,5 +1,6 @@
 import inspect
 import json
+import re
 import shlex
 from dataclasses import fields
 from pathlib import Path
@@ -282,7 +283,8 @@ class TestSweepCommand:
         base = tmp_path / "x"
         code = run(["sweep", *flags, "--gamma-s-db", "9", "--gamma-w-db", "2", "--out", str(base)])
         assert code == 2
-        assert f"bad value for {key!r}: repeated entry" in capsys.readouterr().err
+        entry = flags[-1].split(",")[-1]  # each list repeats at its last entry, named as written
+        assert capsys.readouterr().err == f"error: bad value for {key!r}: repeated entry {entry!r}\n"
         assert not base.with_suffix(".csv").exists()
 
     @pytest.mark.parametrize(
@@ -501,7 +503,26 @@ class TestSimulateCommand:
         out = tmp_path / "o"
         code = run(["simulate", "--config", str(cfg), "--threads", "1", "--out-dir", str(out)])
         assert code == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert re.search(rf"(^error: |bad value for '|unknown key '){re.escape(key)}\b", err), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, entry",
+        [("strategies", "oma,oma", "oma"), ("strategies", "near_far, oma ,near_far", "near_far"),
+         ("alphas", "1,1.0", "1.0"), ("betas", "0.1,0.05,0.10", "0.10")],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_repeated_entry_is_named_as_written(self, tmp_path, capsys, key, value, entry, source):
+        if source == "flag":
+            argv, where = [f"--{key}", value], ""
+        else:
+            cfg = tmp_path / "repeat.cfg"
+            cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+            argv, where = ["--config", str(cfg)], f"{cfg}:1: "
+        out = tmp_path / "o"
+        assert run(["simulate", "--trials", "1", "--threads", "1", *argv, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {where}bad value for {key!r}: repeated entry {entry!r}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -549,7 +570,7 @@ class TestSimulateCommand:
         assert "runtime error: trial 3, alpha=2.0, beta=0.05: boom" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-        # An alpha's betas are split in one pass; a failure at its second
+        # A trial's betas are split in one pass; a failure at its second
         # beta alone must still name that beta.
         def failing_at_beta(gate, strategy, fairness):
             if bad.intersection(gate.gamma_s.tolist()) and 0.05 in gate.beta.ravel().tolist():
@@ -564,6 +585,24 @@ class TestSimulateCommand:
         )
         assert code == 1
         assert "runtime error: trial 3, alpha=1.0, beta=0.05: boom at 0.05" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+        # All of a trial's points are one table; a failure at its last point
+        # alone must name both its alpha and its beta.
+        def failing_at_point(gate, strategy, fairness):
+            if (bad.intersection(gate.gamma_s.tolist()) and fairness.alpha == 2.0
+                    and 0.05 in gate.beta.ravel().tolist()):
+                raise ArithmeticError("boom at the point")
+            return split(gate, strategy, fairness)
+
+        monkeypatch.setattr(netsim, "split", failing_at_point)
+        code = run(
+            ["simulate", "--seed", "5", "--trials", "4", "--alphas", "1,2", "--betas", "0.01,0.05",
+             "--strategies", "suboptimal,oma", "--threads", threads,
+             "--out-dir", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert "runtime error: trial 3, alpha=2.0, beta=0.05: boom at the point" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")

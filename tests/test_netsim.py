@@ -249,7 +249,7 @@ class TestRunCampaign:
         ratio = s40 / s160
         assert 1.4 < ratio < 2.9  # ideal: 2
 
-    @pytest.mark.parametrize("threads", [2, 3, 7])  # 7 workers for 6 trials
+    @pytest.mark.parametrize("threads", [2, 3, 4, 7])  # 4: uneven chunks; 7 workers for 6 trials
     def test_thread_count_does_not_change_results(self, threads):
         cfg = NetworkConfig(trials=6, seed=33)
         sweep = [(a, b) for a in (1.0, 3.0) for b in (0.01, 0.05)]

@@ -2,8 +2,8 @@
 
 gamma_w in [0.1, 100], gamma_s / gamma_w in [1, 1000], beta in [0, 1] and
 alpha in [0, 25].  The batched campaign kernel is checked against its
-per-pair scalar reference on small drawn cells, its pass over several betas
-against its one-beta passes, the campaign rows against
+per-pair scalar reference on small drawn cells, its table over several
+alphas and betas against its one-point tables, the campaign rows against
 that reference aggregated trial by trial, the batched optimal solver
 against its per-link reference on drawn sets of links, and the row-blocked
 SINRs against the full-matrix reference on drawn windows, and the
@@ -34,13 +34,13 @@ from noma_fair.netsim import (
     _BLOCK_ENTRIES,
     NetworkConfig,
     NetworkRealization,
-    _Trial,
+    _trial_table,
     compute_sinrs,
     drop_network,
     evaluate_strategies,
     run_campaign,
 )
-from noma_fair.pairing import user_table
+from noma_fair.pairing import match, user_table
 from noma_fair.rates import PairLink, Strategy, noma_rates, oma_rate
 from noma_fair.report import METRIC_NAMES, ResultRow, emit_campaign_csv, emit_campaign_json, sort_rows
 
@@ -196,16 +196,15 @@ def _cells(*cells):
 
 
 def _assert_stack_equals_one_beta_passes(users, betas):
-    # Every strategy at several alphas: the (betas x strategies x 6) table of
-    # a trial gated at all the betas must be, byte for byte, the tables of
-    # trials gated at one beta each, stacked.
-    strategies, trial = list(Strategy), _Trial(users, betas)
-    for alpha in (0.0, 0.5, 1.0, 3.0):
-        cfg = FairnessConfig(alpha=alpha)
-        want = np.stack([_Trial(users, [beta]).evaluate(strategies, cfg)[0] for beta in betas])
-        got = trial.evaluate(strategies, cfg)
-        assert got.shape == (len(betas), len(strategies), 6)
-        assert got.tobytes() == want.tobytes(), (alpha, betas)
+    # Every strategy at alphas on both sides of suboptimal's switch and at the
+    # alpha = 0 and alpha = 1 branches: the (alphas x betas x strategies x 6)
+    # table of a trial must be, byte for byte, its one-point tables stacked.
+    strategies = list(Strategy)
+    fairs = [FairnessConfig(alpha=a) for a in (0.0, 0.5, 1.0, 1.0 + 1e-12, 3.0)]
+    got = _trial_table(users, strategies, fairs, betas)
+    want = np.stack([[_trial_table(users, strategies, [f], [b])[0, 0] for b in betas] for f in fairs])
+    assert got.shape == (len(fairs), len(betas), len(strategies), 6)
+    assert got.tobytes() == want.tobytes(), betas
 
 
 # Two candidates with beta_star 0.061 and 0.092 (criterion met) in cell 0,
@@ -226,12 +225,11 @@ TWO_LINKS = _cells((100.0, 8.0, 2.0, 1.0), (3.0,))
     ids=["no_users", "only_singles", "every_candidate_rejected_at_one_beta", "rejected_first", "one_beta"],
 )
 def test_one_pass_over_betas_equals_one_beta_passes(users, betas, admitted):
-    trial = _Trial(users, betas)
     if admitted is None:
-        assert not trial.paired.any()
+        assert (match(users)[1] < 0).all()
     else:
         # Each beta's gate admits the stated number of candidates.
-        opt = trial.evaluate([Strategy.OPTIMAL], FairnessConfig(alpha=1.0))
+        opt = _trial_table(users, [Strategy.OPTIMAL], [FairnessConfig(alpha=1.0)], betas)[0]
         assert opt[:, 0, 5].tolist() == admitted
     _assert_stack_equals_one_beta_passes(users, betas)
 
