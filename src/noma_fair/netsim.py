@@ -22,10 +22,10 @@ A trial is one call that returns its alphas x betas x strategies x metrics
 table: candidates are matched (:func:`noma_fair.pairing.match`), their OMA
 rates computed and their links gated (:func:`noma_fair.allocator.gate`)
 once, against a column of the campaign's betas; every strategy is split
-(:func:`noma_fair.allocator.split`) once per alpha, and the rates and means
-run once over the stack of all the alphas and betas.  The campaign is an
-alphas x betas grid; it maps trials over its workers, stacks their tables
-and aggregates their columns.
+(:func:`noma_fair.allocator.split`) once per alpha, the rates and means run
+once over the stack, and OMA rates are averaged once per served-OMA mask.
+The campaign is an alphas x betas grid; it maps trials over its workers,
+stacks their tables and reduces their columns once per NaN pattern.
 
 All randomness is derived from (master seed, trial index) substreams;
 trials are independent and may run in separate processes without changing
@@ -274,9 +274,10 @@ def _trial_table(
     t[..., single] = asr[..., single] = oma[single, 0]
     served_oma = np.broadcast_to(single, t.shape).copy()
     served_oma[..., paired] = ~admitted
-    # Each row's OMA users differ, so their rates are gathered row by row.
+    # At a beta every gated strategy serves the same users OMA: gather each distinct row once.
     rows = served_oma.reshape(math.prod(points), -1)
-    mur_oma = np.reshape([_means(oma[present & row[:, None]]) for row in rows], points)
+    gathered = {key: _means(oma[present & row[:, None]]) for key, row in {r.tobytes(): r for r in rows}.items()}
+    mur_oma = np.reshape([gathered[row.tobytes()] for row in rows], points)
     columns = (_means(r_s), _means(r_w), mur_oma, _means(t), _means(asr), np.count_nonzero(admitted, axis=-1))
     return np.stack(columns, axis=-1).swapaxes(1, 2)
 
@@ -325,6 +326,22 @@ def _trial(cfg: NetworkConfig, strategies, fairs, betas, t: int) -> np.ndarray:
         raise RuntimeError(f"trial {t}{point}: {exc}") from exc
 
 
+def _aggregate(columns: np.ndarray) -> tuple[list, list, list]:
+    """Each row's mean, count and stderr of its values that are not NaN (NaN, 0, NaN without any), reduced
+    once per NaN pattern on a C-contiguous block, which gives the bits of each row's own reduction."""
+    present = ~np.isnan(columns)
+    means, stderrs = np.full((2, len(columns)), np.nan)
+    groups: dict[bytes, list[int]] = {}
+    for i, key in enumerate(map(bytes, np.packbits(present, axis=1))):
+        groups.setdefault(key, []).append(i)
+    for idx in groups.values():
+        block = np.ascontiguousarray(columns[idx][:, present[idx[0]]])
+        if n := block.shape[1]:
+            means[idx] = block.mean(axis=1)
+            stderrs[idx] = block.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else 0.0
+    return means.tolist(), np.count_nonzero(present, axis=1).tolist(), stderrs.tolist()
+
+
 def run_campaign(
     cfg: NetworkConfig,
     sweep: Sequence[tuple[float, float]],
@@ -364,15 +381,8 @@ def run_campaign(
     table = np.stack(tables)
     # Each (point, strategy, metric)'s column of trials, in row order.
     columns = np.moveaxis(table[..., : len(_METRICS)], 0, -1).reshape(-1, len(table))
-
-    rows = []
-    for ((alpha, beta), strat, metric), column in zip(product(sweep, strategies, _METRICS), columns):
-        values = column[~np.isnan(column)]
-        n = len(values)
-        if not n:
-            continue
-        stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        rows.append(ResultRow(alpha, beta, None, None, strat.value, metric, float(values.mean()), n, stderr))
+    stats = zip(product(sweep, strategies, _METRICS), *_aggregate(columns))
+    rows = [ResultRow(a, b, None, None, s.value, metric, mean, n, err) for ((a, b), s, metric), mean, n, err in stats if n]
     if not rows:
         raise ValueError(f"all {cfg.trials} trials dropped zero users; no metric to report")
     return rows

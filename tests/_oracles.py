@@ -12,8 +12,10 @@ split, :func:`compute_sinrs_ref`, the full users x stations matrix form of
 the row-blocked SINRs, and :func:`emit_campaign_csv_ref` and
 :func:`emit_campaign_json_ref`, the row-by-row CSV writer and the
 ``json.dump(indent=2)`` of the parsed-back cells that the single-rendering
-emitters replace, and :func:`run_campaign_ref`, the campaign aggregated
-from per-trial :func:`evaluate_strategies_ref` objects.
+emitters replace, :func:`run_campaign_ref`, the campaign aggregated
+from per-trial :func:`evaluate_strategies_ref` objects, and
+:func:`aggregate_columns_ref`, the column-by-column mean and stderr that
+the campaign's one reduction per NaN pattern replaces.
 """
 
 from __future__ import annotations
@@ -289,6 +291,24 @@ def run_campaign_ref(cfg: NetworkConfig, sweep, strategies) -> list[ResultRow]:
                     ResultRow(alpha, beta, None, None, strat.value, metric, float(arr.mean()), len(arr), stderr)
                 )
     return rows
+
+
+def aggregate_columns_ref(columns: np.ndarray) -> tuple[list, list, list]:
+    """Per row of a (columns x trials) array, compacted on its own: the mean,
+    count and stderr of its values that are not NaN, (NaN, 0, NaN) for a
+    row without values."""
+    means, counts, stderrs = [], [], []
+    for column in columns:
+        values = column[~np.isnan(column)]
+        n = len(values)
+        counts.append(n)
+        if not n:
+            means.append(math.nan)
+            stderrs.append(math.nan)
+            continue
+        stderrs.append(float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0)
+        means.append(float(values.mean()))
+    return means, counts, stderrs
 
 
 def toroidal_distances_ref(a_xy: np.ndarray, b_xy: np.ndarray, side: float) -> np.ndarray:

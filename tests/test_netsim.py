@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from noma_fair import netsim
 from noma_fair.fairness import FairnessConfig
 from noma_fair.netsim import (
     NetworkConfig,
@@ -224,6 +225,28 @@ class TestRunTrial:
                     Strategy.OMA: StrategyMetrics(None, None, None, None, None, 1, 5)
                 },
             )
+
+    def test_oma_rates_gathered_once_per_served_mask(self, monkeypatch):
+        # At a beta every gated strategy serves the same users OMA, near_far
+        # the singles and oma everyone, at every alpha: an mc-fast-shaped
+        # trial gathers the OMA rates (the one-dimensional _means calls) at
+        # most once per beta and twice more, not once per table row.
+        gathers = []
+        means = netsim._means
+
+        def counted(x):
+            gathers.append(x.ndim == 1)
+            return means(x)
+
+        monkeypatch.setattr(netsim, "_means", counted)
+        cfg = NetworkConfig(trials=1, seed=1)
+        users = compute_sinrs(drop_network(cfg, 0), cfg)
+        fairs = [FairnessConfig(alpha=a) for a in (0.5, 1.0, 3.0, 25.0)]
+        betas = [0.01, 0.04, 0.08]
+        strategies = [Strategy.SUBOPTIMAL, Strategy.UPPER_BOUND, Strategy.LOWER_BOUND, Strategy.NEAR_FAR, Strategy.OMA]
+        table = netsim._trial_table(users, strategies, fairs, betas)
+        assert table.shape[:3] == (len(fairs), len(betas), len(strategies))
+        assert 2 < sum(gathers) <= len(betas) + 2 < table[..., 0].size
 
 
 class TestRunCampaign:

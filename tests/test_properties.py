@@ -4,7 +4,8 @@ gamma_w in [0.1, 100], gamma_s / gamma_w in [1, 1000], beta in [0, 1] and
 alpha in [0, 25].  The batched campaign kernel is checked against its
 per-pair scalar reference on small drawn cells, its table over several
 alphas and betas against its one-point tables, the campaign rows against
-that reference aggregated trial by trial, the batched optimal solver
+that reference aggregated trial by trial, the campaign's reduction once per
+NaN pattern against the column-by-column one, the batched optimal solver
 against its per-link reference on drawn sets of links, and the row-blocked
 SINRs against the full-matrix reference on drawn windows, and the
 single-rendering CSV/JSON emitters against the row-by-row writers on drawn
@@ -34,6 +35,7 @@ from noma_fair.netsim import (
     _BLOCK_ENTRIES,
     NetworkConfig,
     NetworkRealization,
+    _aggregate,
     _trial_table,
     compute_sinrs,
     drop_network,
@@ -46,6 +48,7 @@ from noma_fair.report import METRIC_NAMES, ResultRow, emit_campaign_csv, emit_ca
 
 from _oracles import (
     WRAPPERS,
+    aggregate_columns_ref,
     candidate_pairs_ref,
     compute_sinrs_ref,
     emit_campaign_csv_ref,
@@ -249,17 +252,65 @@ def test_one_pass_over_drawn_betas_equals_one_beta_passes(users, betas):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_campaign_rows_equal_per_trial_reference(threads):
-    # A 0.05 km2 window: a trial without users and two without a candidate,
-    # so metrics with no value in a trial are averaged over fewer trials.
-    cfg = NetworkConfig(area_km2=0.05, trials=16, seed=21)
-    sweep = [(a, b) for a in (0.0, 1.0, 2.5, 25.0) for b in (0.0, 0.03, 0.2)]
-    strategies = list(Strategy)
-    expected = run_campaign_ref(cfg, sweep, strategies)
-    trials = {r.metric: r.trials for r in expected if r.strategy == "oma" and r.beta == 0.0}
-    assert trials["mur_strong"] < trials["t_alpha"] < cfg.trials
+@pytest.mark.parametrize("shape", ["small_window", "one_trial", "mc_fast"])
+def test_campaign_rows_equal_per_trial_reference(shape, threads):
+    if shape == "small_window":
+        # A 0.05 km2 window: a trial without users and two without a candidate,
+        # so metrics with no value in a trial are averaged over fewer trials.
+        cfg = NetworkConfig(area_km2=0.05, trials=16, seed=21)
+        sweep = [(a, b) for a in (0.0, 1.0, 2.5, 25.0) for b in (0.0, 0.03, 0.2)]
+        strategies = list(Strategy)
+        expected = run_campaign_ref(cfg, sweep, strategies)
+        trials = {r.metric: r.trials for r in expected if r.strategy == "oma" and r.beta == 0.0}
+        assert trials["mur_strong"] < trials["t_alpha"] < cfg.trials
+    elif shape == "one_trial":
+        # Every metric is one trial's value, with stderr 0.
+        cfg = NetworkConfig(trials=1, seed=21)
+        sweep = [(a, b) for a in (0.0, 1.0, 25.0) for b in (0.0, 0.03, 0.2)]
+        strategies = list(Strategy)
+        expected = run_campaign_ref(cfg, sweep, strategies)
+        assert {(r.trials, r.stderr) for r in expected} == {(1, 0.0)}
+    else:
+        # The mc-fast workload's invocation: each of the five metric columns
+        # of every (point, strategy) is free of NaN.
+        cfg = NetworkConfig(trials=2, seed=1)
+        sweep = [(a, b) for a in (0.5, 1.0, 3.0, 25.0) for b in (0.01, 0.04, 0.08)]
+        strategies = [Strategy.SUBOPTIMAL, Strategy.UPPER_BOUND, Strategy.LOWER_BOUND, Strategy.NEAR_FAR, Strategy.OMA]
+        expected = run_campaign_ref(cfg, sweep, strategies)
+        assert len(expected) == len(sweep) * len(strategies) * 5
+        assert {r.trials for r in expected} == {cfg.trials}
     got = run_campaign(cfg, sweep, strategies, threads=threads)
     assert sort_rows(got) == sort_rows(expected)
+
+
+def test_grouped_aggregation_equals_column_by_column_reference():
+    # A drawn (columns x trials) table whose columns share NaN patterns: all
+    # NaN, none and, from two trials on, ``mixed`` patterns that hold both,
+    # each on at least one column.  Means, counts and stderrs must have the
+    # bits of the column-by-column reduction.  NumPy sums a contiguous row of
+    # 8 or more values in eight interleaved partial sums, and of more than
+    # 128 in halves, where a strided block is summed in order.
+    seen = {"one_trial": 0, "2-7": 0, "8-128": 0, "over_128": 0}
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(st.integers(1, 600), st.integers(1, 6), st.integers(0, 40), st.integers(0, 2**32 - 1))
+    def check(trials, mixed, extra, seed):
+        rng = np.random.default_rng(seed)
+        mixed = mixed if trials > 1 else 0
+        patterns = np.vstack((np.zeros(trials, bool), np.ones(trials, bool),
+                              rng.random((mixed, trials)) < rng.random((mixed, 1))))
+        for pattern in patterns[2:]:
+            pattern[rng.choice(trials, 2, replace=False)] = True, False
+        which = np.concatenate((np.arange(len(patterns)), rng.integers(0, len(patterns), extra)))
+        columns = rng.lognormal(0.0, 1.0, (len(which), trials)) * 10.0 ** rng.uniform(-3.0, 3.0, (len(which), 1))
+        columns[~patterns[which]] = np.nan
+        got, want = _aggregate(columns), aggregate_columns_ref(columns)
+        for g, w in zip(got, want):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+        seen["one_trial" if trials == 1 else "2-7" if trials < 8 else "8-128" if trials <= 128 else "over_128"] += 1
+
+    check()
+    assert min(seen.values()) >= 5, seen
 
 
 def test_batched_optimal_split_equals_per_link_reference():
