@@ -15,6 +15,9 @@ Each rule is written once, over arrays of links, in two stages:
   threshold ``tau`` it picks delta_lb for alpha > 1 and delta_ub for
   alpha <= 1; at or above tau, delta_ub for any alpha.  Upper_bound and
   lower_bound pin the split to one bound; near_far takes delta_ub ungated.
+* :func:`served_rates`: the (strong, weak) rates the links are served at
+  under those splits: the NOMA rates where a link is paired, its users' OMA
+  rates where it is rejected.
 
 :func:`solve_optimal`, :func:`solve_suboptimal`, :func:`allocate_fixed_bound`
 and :func:`near_far_decision` run the same stages on arrays of size 1 and
@@ -55,6 +58,7 @@ __all__ = [
     "Gate",
     "gate",
     "split",
+    "served_rates",
     "summed_utility",
     "solve_optimal",
     "solve_suboptimal",
@@ -242,6 +246,16 @@ def split(
     delta = np.where(paired, pick, np.nan)
     _require_split(delta[paired])
     return delta, objective
+
+
+def served_rates(g: Gate, delta, oma_s, oma_w) -> tuple[np.ndarray, np.ndarray]:
+    """The (strong, weak) rates of the gated links under the splits ``delta``:
+    log2(1 + SINR) where ``delta`` is a number, ``oma_s``/``oma_w`` where it
+    is NaN (the pair is served OMA)."""
+    paired = ~np.isnan(delta)
+    r_s = np.log2(1.0 + noma_sinr_strong(g.gamma_s, g.beta, delta))
+    r_w = np.log2(1.0 + noma_sinr_weak(g.gamma_w, delta))
+    return np.where(paired, r_s, oma_s), np.where(paired, r_w, oma_w)
 
 
 def _decide_one(link: PairLink, strategy: Strategy, cfg) -> AllocationDecision:

@@ -19,18 +19,15 @@ import re
 import shlex
 import sys
 from dataclasses import fields
+from itertools import product
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import __version__
-from .allocator import gate, split, summed_utility
+from .allocator import gate, served_rates, split
 from .fairness import FairnessConfig, alpha_throughput, utility
 from .netsim import NetworkConfig, run_campaign
-from .rates import (
-    Strategy, _require_positive_finite, db_to_linear, noma_sinr_strong, noma_sinr_weak, oma_rate
-)
+from .rates import Strategy, _require_positive_finite, db_to_linear, oma_rate
 from .report import BETA_STAR_TOKEN, emit_artifacts, emit_delta_sweep
 
 __all__ = ["main", "build_parser", "parse_config_file", "ConfigError", "SETTINGS"]
@@ -266,6 +263,7 @@ def _pair_report(args) -> dict:
     crit = g.criterion
     paired = not math.isnan(delta[0])
     r_s_oma, r_w_oma = oma_rate(gamma_s), oma_rate(gamma_w)
+    (r_s,), (r_w,) = served_rates(g, delta, r_s_oma, r_w_oma)
     report = {
         "gamma_s_db": args.gamma_s_db,
         "gamma_w_db": args.gamma_w_db,
@@ -283,27 +281,11 @@ def _pair_report(args) -> dict:
         "rate_weak_oma": r_w_oma,
     }
     if paired:
-        d = float(delta[0])
-        # split gives the summed utility of the optimal solver's split only.
-        if objective is None:
-            utility_sum = summed_utility(gamma_s, gamma_w, beta, d, args.alpha)
-        else:
-            utility_sum = float(objective[0])
-        r_s = float(np.log2(1.0 + noma_sinr_strong(gamma_s, beta, d)))
-        r_w = float(np.log2(1.0 + noma_sinr_weak(gamma_w, d)))
-        report.update(
-            delta_s=d,
-            rate_strong_noma=r_s,
-            rate_weak_noma=r_w,
-            utility_sum=utility_sum,
-            t_alpha=alpha_throughput(r_s, r_w, args.alpha),
-        )
-    else:
-        # Both users are served OMA; report the fairness metric they achieve.
-        report.update(
-            utility_sum=float(utility(r_s_oma, args.alpha) + utility(r_w_oma, args.alpha)),
-            t_alpha=alpha_throughput(r_s_oma, r_w_oma, args.alpha),
-        )
+        report.update(delta_s=float(delta[0]), rate_strong_noma=float(r_s), rate_weak_noma=float(r_w))
+    # split gives the summed utility of the optimal solver's admitted split only.
+    solved = paired and objective is not None
+    utility_sum = objective[0] if solved else utility(r_s, args.alpha) + utility(r_w, args.alpha)
+    report.update(utility_sum=float(utility_sum), t_alpha=alpha_throughput(r_s, r_w, args.alpha))
     return report
 
 
@@ -323,34 +305,30 @@ def _cmd_pair(args) -> int:
 def _cmd_sweep(args) -> int:
     axis_parse = {"alpha": _alpha_list, "beta": _sweep_beta_list}.get(args.axis, _sinr_db_list)
     axis_values = _parse("values", axis_parse, args.values)
+    # The four axes; the swept one holds the parsed values, each other one its fixed value.
+    grid = {
+        "alpha": _parse("alphas", _alpha_list, args.alphas),
+        "beta": _parse("betas", _sweep_beta_list, args.betas),
+        "gamma-s": [args.gamma_s_db],
+        "gamma-w": [args.gamma_w_db],
+    }
+    for key in ("gamma-s", "gamma-w"):
+        swept, given = key == args.axis, grid[key] != [None]
+        if swept and given:
+            raise ValueError(f"--{key}-db conflicts with --axis {key}, which takes its values from --values")
+        if not swept and not given:
+            raise ValueError(f"--{key}-db is required for axis {args.axis}")
+    grid[args.axis] = axis_values
 
-    alphas = _parse("alphas", _alpha_list, args.alphas)
-    betas = _parse("betas", _sweep_beta_list, args.betas)
-    if args.axis == "alpha":
-        alphas = axis_values
-    elif args.axis == "beta":
-        betas = axis_values
-
-    def _require(name, value):
-        if value is None:
-            raise ValueError(f"--{name} is required for axis {args.axis}")
-        return value
-
-    if args.axis == "gamma-s":
-        links = [(v, _require("gamma-w-db", args.gamma_w_db)) for v in axis_values]
-    elif args.axis == "gamma-w":
-        links = [(_require("gamma-s-db", args.gamma_s_db), v) for v in axis_values]
-    else:
-        links = [(_require("gamma-s-db", args.gamma_s_db), _require("gamma-w-db", args.gamma_w_db))]
-
-    rows = emit_delta_sweep(links, betas, alphas, tau=args.tau, solver=Strategy(args.solver))
+    links = list(product(grid["gamma-s"], grid["gamma-w"]))
+    rows = emit_delta_sweep(links, grid["beta"], grid["alpha"], tau=args.tau, solver=Strategy(args.solver))
     if not rows:
         raise ValueError("sweep produced no rows (all links infeasible at beta_star)")
     # Artifacts are <out>.csv, <out>.json and <out>.manifest.txt; a dot in <out> is kept.
     name = args.out.stem if args.out.suffix == ".csv" else args.out.name
     keys = ("axis", "values", "alphas", "betas", "gamma_s_db", "gamma_w_db", "tau", "solver")
     settings = {key: getattr(args, key) for key in keys}
-    settings.update(alphas=alphas, betas=betas)
+    settings.update(alphas=grid["alpha"], betas=grid["beta"])
     command = "noma-fair sweep " + " ".join(
         f"--{key.replace('_', '-')} {shlex.quote(str(getattr(args, key)))}"
         for key in (*keys, "out")

@@ -22,8 +22,9 @@ A trial is one call that returns its alphas x betas x strategies x metrics
 table: candidates are matched (:func:`noma_fair.pairing.match`), their OMA
 rates computed and their links gated (:func:`noma_fair.allocator.gate`)
 once, against a column of the campaign's betas; every strategy is split
-(:func:`noma_fair.allocator.split`) once per alpha, the rates and means run
-once over the stack, and OMA rates are averaged once per served-OMA mask.
+(:func:`noma_fair.allocator.split`) once per alpha, the served rates
+(:func:`noma_fair.allocator.served_rates`) and means run once over the
+stack, and OMA rates are averaged once per served-OMA mask.
 The campaign is an alphas x betas grid; it maps trials over its workers,
 stacks their tables and reduces their columns once per NaN pattern.
 
@@ -43,12 +44,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .allocator import gate, split
+from .allocator import gate, served_rates, split
 from .fairness import FairnessConfig, alpha_throughput
 from .pairing import match, user_table
-from .rates import (
-    Strategy, _require_positive_finite, db_to_linear, noma_sinr_strong, noma_sinr_weak, oma_rate
-)
+from .rates import Strategy, _require_positive_finite, db_to_linear, oma_rate
 from .report import ResultRow
 
 __all__ = [
@@ -264,8 +263,7 @@ def _trial_table(
     g = gate(gamma[strong[paired]], gamma[weak[paired]], np.asarray(betas, dtype=float)[:, None])
     delta = np.stack([[split(g, strat, fairness)[0] for strat in strategies] for fairness in fairs])
     admitted = ~np.isnan(delta)
-    r_s = np.where(admitted, np.log2(1.0 + noma_sinr_strong(g.gamma_s, g.beta, delta)), oma[paired, 0])
-    r_w = np.where(admitted, np.log2(1.0 + noma_sinr_weak(g.gamma_w, delta)), oma[paired, 1])
+    r_s, r_w = served_rates(g, delta, oma[paired, 0], oma[paired, 1])
     # Per slot; a single rate is its own power mean and sum.
     points = delta.shape[:3]
     t, asr = np.empty((2, *points, len(single)))

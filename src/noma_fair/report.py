@@ -118,11 +118,14 @@ def emit_delta_sweep(
     delta_lb, delta_ub and msd_satisfied rows, plus a delta_s row whenever
     the solver admits the pair.  ``betas`` entries may be numeric or the
     :data:`BETA_STAR_TOKEN` string.  ``solver`` is Strategy.OPTIMAL or
-    SUBOPTIMAL.
+    SUBOPTIMAL.  A repeated alpha, beta entry or link is rejected.
     """
-    links_db, betas, alphas = list(links_db), list(betas), list(alphas)
+    links_db, betas, alphas = [tuple(link) for link in links_db], list(betas), list(alphas)
     if not links_db or not betas or not alphas:
         raise ValueError("links, betas and alphas must all be non-empty")
+    for name, axis in (("alpha", alphas), ("beta entry", betas), ("link", links_db)):
+        if len(set(axis)) < len(axis):  # a repeated entry would repeat every row it produces
+            raise ValueError(f"repeated {name} {next(x for k, x in enumerate(axis) if x in axis[:k])!r}")
     if solver not in (Strategy.OPTIMAL, Strategy.SUBOPTIMAL):
         raise ValueError(f"solver must be optimal or suboptimal, got {solver!r}")
     linear = np.array([(db_to_linear(gs_db), db_to_linear(gw_db)) for gs_db, gw_db in links_db])

@@ -337,6 +337,22 @@ class TestSweepCommand:
         rows = parse_campaign_csv(base.with_suffix(".csv"))
         assert rows and {(r.gamma_s_db, r.gamma_w_db) for r in rows} == {(5.0, 2.0)}
 
+    @pytest.mark.parametrize(
+        "flags, key",
+        [
+            (["--axis", "gamma-s", "--values", "12,15", "--gamma-s-db", "99", "--gamma-w-db", "2"], "gamma-s"),
+            (["--axis", "gamma-w", "--values=-1,2", "--gamma-w-db", "99", "--gamma-s-db", "9"], "gamma-w"),
+        ],
+        ids=["gamma-s", "gamma-w"],
+    )
+    def test_fixed_sinr_of_the_swept_axis_is_rejected(self, tmp_path, capsys, flags, key):
+        # --values sets the swept SINR, so a fixed one would be ignored, yet
+        # recorded in the manifest and its reproduce line.
+        assert run(["sweep", *flags, "--out", str(tmp_path / "x")]) == 2
+        message = f"error: --{key}-db conflicts with --axis {key}, which takes its values from --values\n"
+        assert capsys.readouterr().err == message
+        assert not any(tmp_path.iterdir())
+
     def test_missing_fixed_gamma_exit_2(self, tmp_path):
         code = run(
             ["sweep", "--axis", "alpha", "--values", "1", "--gamma-w-db", "2",

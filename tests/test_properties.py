@@ -9,11 +9,14 @@ NaN pattern against the column-by-column one, the batched optimal solver
 against its per-link reference on drawn sets of links, and the row-blocked
 SINRs against the full-matrix reference on drawn windows, and the
 single-rendering CSV/JSON emitters against the row-by-row writers on drawn
-row sets.  Hypothesis runs derandomized, so every run draws the same cases.
+row sets.  ``pair`` must serve a link as a one-candidate campaign trial does.
+Hypothesis runs derandomized, so every run draws the same cases.
 """
 
+import collections
 import itertools
 import math
+from argparse import Namespace
 
 import hypothesis
 import numpy as np
@@ -30,6 +33,7 @@ from noma_fair.allocator import (
     summed_utility,
 )
 from noma_fair.bounds import allocation_bounds, beta_star, pairing_criterion
+from noma_fair.cli import _pair_report
 from noma_fair.fairness import FairnessConfig, alpha_throughput
 from noma_fair.netsim import (
     _BLOCK_ENTRIES,
@@ -43,7 +47,7 @@ from noma_fair.netsim import (
     run_campaign,
 )
 from noma_fair.pairing import match, user_table
-from noma_fair.rates import PairLink, Strategy, noma_rates, oma_rate
+from noma_fair.rates import PairLink, Strategy, db_to_linear, noma_rates, oma_rate
 from noma_fair.report import METRIC_NAMES, ResultRow, emit_campaign_csv, emit_campaign_json, sort_rows
 
 from _oracles import (
@@ -147,6 +151,41 @@ def test_alpha_throughput_is_a_mean_that_falls_with_alpha(link, alpha, step):
         t = alpha_throughput(r_s, r_w, alpha)
         assert lo * (1 - 1e-12) <= t <= hi * (1 + 1e-12), strategy
         assert alpha_throughput(r_s, r_w, alpha + step) <= t * (1 + 1e-12), strategy
+
+
+def test_pair_serves_a_link_as_a_one_candidate_trial():
+    # pair's served rates (NOMA when admitted, OMA when rejected), t_alpha,
+    # rate sum and mode against the campaign metrics of a trial whose one
+    # cell holds the link's two users, compared with ==.
+    seen = collections.Counter()
+
+    @PROPERTY
+    @given(
+        st.floats(-10.0, 20.0),
+        st.sampled_from([0.0, 7.0]) | st.floats(0.0, 30.0),
+        st.sampled_from([0.0, 1.0]) | st.floats(0.0, 0.1) | st.floats(0.0, 1.0),
+        st.sampled_from([0.0, 1.0, 1.0 + 1e-3, 3.0, 25.0]) | alphas,
+        st.just(FairnessConfig.tau) | st.floats(0.05, 0.95),
+        st.sampled_from(["optimal", "suboptimal"]),
+    )
+    def check(gw_db, offset_db, beta, alpha, tau, solver):
+        gs_db = gw_db + offset_db
+        users = user_table([0, 1], [0, 0], [db_to_linear(gs_db), db_to_linear(gw_db)], [2e-9, 1e-9])
+        table = _trial_table(users, [Strategy(solver)], [FairnessConfig(alpha=alpha, tau=tau)], [beta])
+        mur_s, mur_w, mur_oma, t, asr, pairs = table[0, 0, 0].tolist()
+        report = _pair_report(
+            Namespace(gamma_s_db=gs_db, gamma_w_db=gw_db, beta=beta, alpha=alpha, tau=tau, solver=solver)
+        )
+        paired = report["mode"] == "noma_paired"
+        oma = report["rate_strong_oma"], report["rate_weak_oma"]
+        served = (report["rate_strong_noma"], report["rate_weak_noma"]) if paired else oma
+        assert (mur_s, mur_w, t, asr, pairs) == (*served, report["t_alpha"], served[0] + served[1], paired)
+        assert math.isnan(mur_oma) if paired else mur_oma == (oma[0] + oma[1]) / 2
+        seen[solver, paired, "0" if alpha == 0 else "1" if alpha == 1 else ">1" if alpha > 1 else "(0, 1)"] += 1
+
+    check()
+    bands = itertools.product(("optimal", "suboptimal"), (True, False), ("0", "1", ">1"))
+    assert all(seen[band] >= 10 for band in bands), seen
 
 
 @st.composite

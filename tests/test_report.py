@@ -94,6 +94,22 @@ class TestDeltaSweep:
         with pytest.raises(ValueError):
             emit_delta_sweep([(9.0, 2.0)], ["half_star"], [1.0])
 
+    @pytest.mark.parametrize(
+        "links, betas, alphas, message",
+        [
+            ([(9.0, 2.0)], [0.0], [1.0, 3.0, 1], "repeated alpha 1"),
+            ([(9.0, 2.0)], [0.0, BETA_STAR_TOKEN, 0.05, BETA_STAR_TOKEN], [1.0], "repeated beta entry 'beta_star'"),
+            ([(9.0, 2.0)], [0.01, 0.0, 0.01], [1.0], "repeated beta entry 0.01"),
+            ([(9.0, 2.0), (4.0, 1.0), [9, 2]], [0.0], [1.0], r"repeated link \(9, 2\)"),
+        ],
+        ids=["alpha", "token", "beta", "link"],
+    )
+    def test_repeated_entry_rejected(self, links, betas, alphas, message):
+        # A repeated entry would repeat every row it produces; the first
+        # repeat is named as given.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            emit_delta_sweep(links, betas, alphas)
+
 
 class TestCsvContract:
     def test_zero_rows_creates_no_file(self, tmp_path):
