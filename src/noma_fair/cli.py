@@ -26,9 +26,9 @@ from typing import Optional, Sequence
 from . import __version__
 from .allocator import gate, served_rates, split
 from .fairness import FairnessConfig, alpha_throughput, utility
-from .netsim import NetworkConfig, run_campaign
+from .netsim import NetworkConfig, _campaign_table
 from .rates import Strategy, _require_positive_finite, db_to_linear, oma_rate
-from .report import BETA_STAR_TOKEN, emit_artifacts, emit_delta_sweep
+from .report import BETA_STAR_TOKEN, _require_distinct, _sweep_table, emit_artifacts
 
 __all__ = ["main", "build_parser", "parse_config_file", "ConfigError", "SETTINGS"]
 
@@ -40,8 +40,8 @@ class ConfigError(ValueError):
 def _comma_list(item):
     """Parser of a comma list; ``item`` parses each nonblank entry.
 
-    A list without entries is rejected, and so is a repeated entry (``1,1.0``
-    counts), named as written: it would repeat every row it produces.
+    A list without entries is rejected, and so is an entry that repeats or
+    prints like an earlier one (``1,1.0``), named as written: its rows would repeat.
     """
 
     def parse(text):
@@ -49,9 +49,7 @@ def _comma_list(item):
         entries = [item(part) for part in parts]
         if not entries:
             raise ValueError(f"expected at least one value, got {text!r}")
-        repeated = [part for i, (part, e) in enumerate(zip(parts, entries)) if e in entries[:i]]
-        if repeated:
-            raise ValueError(f"repeated entry {repeated[0]!r}")
+        _require_distinct("entry", parts, entries)
         return entries
 
     return parse
@@ -180,13 +178,13 @@ def _format_config_value(value) -> str:
     return str(value)
 
 
-def _write_run(rows, paths: tuple[Path, Path, Path], settings: dict, command: str) -> int:
+def _write_run(table, paths: tuple[Path, Path, Path], settings: dict, command: str) -> int:
     """Write a run's CSV and JSON artifacts and its key-value manifest, and
     say so.  Re-running the manifest's recorded command reproduces the
     artifacts byte-exactly."""
     csv_path, json_path, manifest_path = paths
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    emit_artifacts(rows, csv_path, json_path)
+    emit_artifacts(table, csv_path, json_path)
     lines = [
         "# noma-fair run manifest",
         f"# reproduce: {command}",
@@ -321,8 +319,8 @@ def _cmd_sweep(args) -> int:
     grid[args.axis] = axis_values
 
     links = list(product(grid["gamma-s"], grid["gamma-w"]))
-    rows = emit_delta_sweep(links, grid["beta"], grid["alpha"], tau=args.tau, solver=Strategy(args.solver))
-    if not rows:
+    table = _sweep_table(links, grid["beta"], grid["alpha"], tau=args.tau, solver=Strategy(args.solver))
+    if not table[0]:
         raise ValueError("sweep produced no rows (all links infeasible at beta_star)")
     # Artifacts are <out>.csv, <out>.json and <out>.manifest.txt; a dot in <out> is kept.
     name = args.out.stem if args.out.suffix == ".csv" else args.out.name
@@ -335,7 +333,7 @@ def _cmd_sweep(args) -> int:
         if getattr(args, key) is not None
     )
     paths = tuple(args.out.with_name(name + ext) for ext in (".csv", ".json", ".manifest.txt"))
-    return _write_run(rows, paths, settings, command)
+    return _write_run(table, paths, settings, command)
 
 
 def _cmd_simulate(args) -> int:
@@ -350,12 +348,12 @@ def _cmd_simulate(args) -> int:
 
     cfg = NetworkConfig(**{f.name: values[f.name] for f in fields(NetworkConfig)})
     sweep = [(a, b) for a in values["alphas"] for b in values["betas"]]
-    rows = run_campaign(cfg, sweep, values["strategies"], tau=values["tau"], threads=values["threads"])
+    table = _campaign_table(cfg, sweep, values["strategies"], tau=values["tau"], threads=values["threads"])
 
     out_dir = args.out_dir
     paths = (out_dir / "campaign.csv", out_dir / "campaign.json", out_dir / "manifest.txt")
     command = shlex.join(["noma-fair", "simulate", "--config", str(paths[2]), "--out-dir", str(out_dir)])
-    return _write_run(rows, paths, values, command)
+    return _write_run(table, paths, values, command)
 
 
 _COMMANDS = {"pair": _cmd_pair, "sweep": _cmd_sweep, "simulate": _cmd_simulate}

@@ -39,7 +39,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
-from itertools import product
+from itertools import compress, product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,7 +48,7 @@ from .allocator import gate, served_rates, split
 from .fairness import FairnessConfig, alpha_throughput
 from .pairing import match, user_table
 from .rates import Strategy, _require_positive_finite, db_to_linear, oma_rate
-from .report import ResultRow
+from .report import ResultRow, _require_distinct
 
 __all__ = [
     "NetworkConfig",
@@ -340,29 +340,14 @@ def _aggregate(columns: np.ndarray) -> tuple[list, list, list]:
     return means.tolist(), np.count_nonzero(present, axis=1).tolist(), stderrs.tolist()
 
 
-def run_campaign(
-    cfg: NetworkConfig,
-    sweep: Sequence[tuple[float, float]],
-    strategies: Sequence[Strategy],
-    tau: float = FairnessConfig.tau,
-    threads: int = 1,
-) -> list[ResultRow]:
-    """Average per-trial metrics over cfg.trials for every (alpha, beta) point.
-
-    ``sweep`` must be ``[(a, b) for a in alphas for b in betas]`` of its
-    distinct alphas and betas, and the strategies distinct.  The channel
-    realization of trial t is shared by all sweep points, and aggregation
-    runs in trial order (the workers' tables come back in order), so the
-    result is bit-identical for any ``threads`` setting.
-    """
+def _campaign_table(cfg: NetworkConfig, sweep, strategies, tau: float, threads: int) -> list[list]:
+    """The row table of :func:`run_campaign`."""
     if not sweep or not strategies:
         raise ValueError("sweep and strategies must be non-empty")
     if not all(0.0 <= beta <= 1.0 for _, beta in sweep):
         raise ValueError(f"betas must lie in [0, 1], got {sorted({b for _, b in sweep})}")
     strategies = list(strategies)
-    repeated = [s.value for k, s in enumerate(strategies) if s in strategies[:k]]
-    if repeated:
-        raise ValueError(f"repeated strategy {repeated[0]!r}")
+    _require_distinct("strategy", [s.value for s in strategies], strategies)
     alphas, betas = (list(dict.fromkeys(axis)) for axis in zip(*sweep))
     if list(map(tuple, sweep)) != list(product(alphas, betas)):
         raise ValueError(f"sweep must be the alpha-major grid of alphas {alphas} x betas {betas}")
@@ -379,8 +364,28 @@ def run_campaign(
     table = np.stack(tables)
     # Each (point, strategy, metric)'s column of trials, in row order.
     columns = np.moveaxis(table[..., : len(_METRICS)], 0, -1).reshape(-1, len(table))
-    stats = zip(product(sweep, strategies, _METRICS), *_aggregate(columns))
-    rows = [ResultRow(a, b, None, None, s.value, metric, mean, n, err) for ((a, b), s, metric), mean, n, err in stats if n]
-    if not rows:
+    means, counts, stderrs = _aggregate(columns)
+    keys = [(a, b, None, None, s.value, metric) for (a, b), s, metric in product(sweep, strategies, _METRICS)]
+    row_table = [list(compress(column, counts)) for column in (*zip(*keys), means, counts, stderrs)]
+    if not row_table[0]:
         raise ValueError(f"all {cfg.trials} trials dropped zero users; no metric to report")
-    return rows
+    return row_table
+
+
+def run_campaign(
+    cfg: NetworkConfig,
+    sweep: Sequence[tuple[float, float]],
+    strategies: Sequence[Strategy],
+    tau: float = FairnessConfig.tau,
+    threads: int = 1,
+) -> list[ResultRow]:
+    """Average per-trial metrics over cfg.trials for every (alpha, beta) point.
+
+    ``sweep`` must be ``[(a, b) for a in alphas for b in betas]`` of its
+    distinct alphas and betas, and the strategies distinct.  The channel
+    realization of trial t is shared by all sweep points, and aggregation
+    runs in trial order (the workers' tables come back in order), so the
+    result is bit-identical for any ``threads`` setting.  The object view
+    of the campaign's row table, without the metrics no trial has a value for.
+    """
+    return list(map(ResultRow, *_campaign_table(cfg, sweep, strategies, tau, threads)))

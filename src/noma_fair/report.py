@@ -10,20 +10,23 @@ tie-breakers, and all floats printed with 9 significant digits, which makes
 output byte-stable and round-trippable.  A JSON mirror (array of objects,
 same rows and precision) accompanies every CSV for programmatic consumers.
 
-A row set is sorted once and each distinct value of a column formatted
-once; both artifacts are written from that one rendering.  The JSON mirror
-is written as text directly, with the bytes ``json.dump(indent=2)`` gives
-for the CSV cells parsed back.  The row-by-row writers it replaces are kept
-as the reference in ``tests/_oracles.py``.
+Rows travel from the ``sweep`` and ``simulate`` producers to the artifacts
+as one row table, a list per CSV_HEADER column, with :class:`ResultRow` as
+its object view.  A table is sorted once and each distinct value of a
+column formatted once; both artifacts are written from that one rendering.
+The JSON mirror is written as text directly, with the bytes
+``json.dump(indent=2)`` gives for the CSV cells parsed back.  The row-by-row
+writers it replaces are kept as the reference in ``tests/_oracles.py``.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
@@ -90,48 +93,53 @@ def format_value(value: float) -> str:
     return format(float(value), ".9g")
 
 
-def _sort_key(row: ResultRow):
-    return (
-        row.alpha,
-        row.beta,
-        row.strategy,
-        row.metric,
-        row.gamma_s_db if row.gamma_s_db is not None else -math.inf,
-        row.gamma_w_db if row.gamma_w_db is not None else -math.inf,
-    )
+def _table(rows: Sequence[ResultRow]) -> list[list]:
+    """The row table of ``rows``: one list per :data:`CSV_HEADER` column."""
+    return [list(map(attrgetter(key), rows)) for key in CSV_HEADER]
+
+
+def _order(table: Sequence[list]) -> list[int]:
+    """A row table's row indices sorted by (alpha, beta, strategy, metric),
+    then the link SINRs, None first; equal keys keep their order."""
+    alpha, beta, gamma_s, gamma_w, strategy, metric = table[:6]
+    sinr_keys = ([-math.inf if v is None else v for v in column] for column in (gamma_s, gamma_w))
+    keys = list(zip(alpha, beta, strategy, metric, *sinr_keys))
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def sort_rows(rows: Sequence[ResultRow]) -> list[ResultRow]:
-    return sorted(rows, key=_sort_key)
+    return list(map(rows.__getitem__, _order(_table(rows))))
 
 
-def emit_delta_sweep(
-    links_db: Sequence[tuple[float, float]],
-    betas: Sequence[Union[float, str]],
-    alphas: Sequence[float],
-    tau: float = FairnessConfig.tau,
-    solver: Strategy = Strategy.OPTIMAL,
-) -> list[ResultRow]:
-    """Per-(alpha, beta, link) power-split rows.
+def _printed(value):
+    """``value`` as the artifacts print it: a number (-0.0 as 0.0, which equals it) or a tuple's items."""
+    if isinstance(value, tuple):
+        return tuple(map(_printed, value))
+    return format_value(value or 0.0) if isinstance(value, (int, float)) else value
 
-    ``links_db`` holds (gamma_s_db, gamma_w_db) pairs.  Each point gets
-    delta_lb, delta_ub and msd_satisfied rows, plus a delta_s row whenever
-    the solver admits the pair.  ``betas`` entries may be numeric or the
-    :data:`BETA_STAR_TOKEN` string.  ``solver`` is Strategy.OPTIMAL or
-    SUBOPTIMAL.  A repeated alpha, beta entry or link is rejected.
-    """
+
+def _require_distinct(name: str, given: Sequence, values: Sequence) -> None:
+    """Reject a value that repeats or prints like an earlier one, whose rows
+    would repeat key cells; both are named as ``given``."""
+    first: dict = {}
+    for i, key in enumerate(map(_printed, values)):
+        if (k := first.setdefault(key, i)) < i:
+            alike = "" if values[k] == values[i] else f", which prints like {given[k]!r} at 9 significant digits"
+            raise ValueError(f"repeated {name} {given[i]!r}{alike}")
+
+
+def _sweep_table(links_db, betas, alphas, tau: float, solver: Strategy) -> list[list]:
+    """The row table of :func:`emit_delta_sweep`."""
     links_db, betas, alphas = [tuple(link) for link in links_db], list(betas), list(alphas)
     if not links_db or not betas or not alphas:
         raise ValueError("links, betas and alphas must all be non-empty")
     for name, axis in (("alpha", alphas), ("beta entry", betas), ("link", links_db)):
-        if len(set(axis)) < len(axis):  # a repeated entry would repeat every row it produces
-            raise ValueError(f"repeated {name} {next(x for k, x in enumerate(axis) if x in axis[:k])!r}")
+        _require_distinct(name, axis, axis)
     if solver not in (Strategy.OPTIMAL, Strategy.SUBOPTIMAL):
         raise ValueError(f"solver must be optimal or suboptimal, got {solver!r}")
-    linear = np.array([(db_to_linear(gs_db), db_to_linear(gw_db)) for gs_db, gw_db in links_db])
-    gs, gw = linear[:, 0], linear[:, 1]
+    gs, gw = np.array([(db_to_linear(gs_db), db_to_linear(gw_db)) for gs_db, gw_db in links_db]).T
+    links = np.array(links_db, dtype=float)
     star = beta_star(gs, gw)
-    fair = [FairnessConfig(alpha=alpha, tau=tau) for alpha in alphas]
     misordered = np.flatnonzero(gs < gw).tolist()
     # Every link is gated at every beta entry at once; a token entry gives
     # each link its own beta and skips links with beta_star <= 0.
@@ -147,99 +155,122 @@ def emit_delta_sweep(
         skip.append((star <= 0) & token)
         beta.append(np.where(skip[-1], 0.0, star * (1.0 - _BETA_STAR_MARGIN) if token else float(entry)))
     g = gate(gs, gw, np.array(beta))
-    skip, beta, delta_lb = np.array(skip).tolist(), g.beta.tolist(), g.delta_lb.tolist()
-    delta_ub, msd_satisfied = g.delta_ub.tolist(), g.criterion.satisfied.astype(float).tolist()
-    deltas = np.stack([split(g, solver, cfg)[0] for cfg in fair], axis=1).tolist()  # entries x alphas x links
-    # One decision per (beta entry, alpha), turned into per-link lists once.
-    decisions = [
-        (float(alpha), skip[e], beta[e], list(zip(delta_lb[e], delta_ub, msd_satisfied, delta_s)))
-        for e in range(len(betas))
-        for alpha, delta_s in zip(alphas, deltas[e])
-    ]
-
-    metrics = ("delta_lb", "delta_ub", "msd_satisfied", "delta_s")
-    rows: list[ResultRow] = []
-    for i, (gs_db, gw_db) in enumerate(links_db):
-        link = (float(gs_db), float(gw_db), solver.value)
-        for alpha, skip, beta, values in decisions:
-            if not skip[i]:
-                rows += [
-                    ResultRow(alpha, beta[i], *link, metric, value, 1, 0.0)
-                    for metric, value in zip(metrics, values[i])
-                    if not math.isnan(value)  # no delta_s for a rejected pair
-                ]
-    return rows
+    # A (links x beta entries x alphas x metrics) grid of values; a skipped
+    # point and a rejected pair's delta_s (NaN) give no row.
+    values = np.empty((len(links_db), len(betas), len(alphas), 4))
+    values[..., 0] = g.delta_lb.T[..., None]
+    values[..., 1] = g.delta_ub[:, None, None]
+    values[..., 2] = g.criterion.satisfied[:, None, None]
+    values[..., 3] = np.stack([split(g, solver, FairnessConfig(alpha=a, tau=tau))[0] for a in alphas]).T
+    keep = ~np.isnan(values) & ~np.array(skip).T[..., None, None]
+    link, entry, alpha, metric = np.nonzero(keep)
+    n = len(link)
+    return [np.array(alphas, dtype=float)[alpha].tolist(), g.beta[entry, link].tolist(), *links[link].T.tolist(),
+            [solver.value] * n, np.array(("delta_lb", "delta_ub", "msd_satisfied", "delta_s"))[metric].tolist(),
+            values[keep].tolist(), [1] * n, [0.0] * n]
 
 
-# The JSON mirror's object for one row, written as json.dump(indent=2) would.
-_JSON_OBJECT = "  {\n" + ",\n".join(f'    "{key}": %s' for key in CSV_HEADER) + "\n  }"
+def emit_delta_sweep(
+    links_db: Sequence[tuple[float, float]],
+    betas: Sequence[Union[float, str]],
+    alphas: Sequence[float],
+    tau: float = FairnessConfig.tau,
+    solver: Strategy = Strategy.OPTIMAL,
+) -> list[ResultRow]:
+    """Per-(alpha, beta, link) power-split rows.
+
+    ``links_db`` holds (gamma_s_db, gamma_w_db) pairs.  Each point gets
+    delta_lb, delta_ub and msd_satisfied rows, plus a delta_s row whenever
+    the solver admits the pair.  ``betas`` entries may be numeric or the
+    :data:`BETA_STAR_TOKEN` string.  ``solver`` is Strategy.OPTIMAL or
+    SUBOPTIMAL.  An alpha, beta entry or link that repeats or prints like
+    an earlier one is rejected.  The object view of the sweep's row table.
+    """
+    return list(map(ResultRow, *_sweep_table(links_db, betas, alphas, tau, solver)))
+
+
+# One row of each artifact, written as csv.writer and json.dump(indent=2)
+# would; a JSON object after the first follows a ",\n".
+_CSV_LINE = ",".join(["%s"] * len(CSV_HEADER)) + "\r\n"
+_JSON_OBJECT = ",\n  {\n" + ",\n".join(f'    "{key}": %s' for key in CSV_HEADER) + "\n  }"
 _TEXT_KEYS = ("strategy", "metric")
+
+
+def _cell_formats(line: str) -> list[str]:
+    """``line`` as one ``%s`` format per column, with the text before the cell (and
+    after the last one), so that a row is its formatted cells joined with ""."""
+    *before, after = line.split("%s")
+    return [text + "%s" for text in before[:-1]] + [before[-1] + "%s" + after]
 
 
 def _cell_texts(key: str, value) -> tuple[str, str]:
     """A cell's CSV text and the JSON text of what that CSV text parses back to."""
-    if key in _TEXT_KEYS:
-        return value, json.dumps(value)
+    if key in _TEXT_KEYS:  # quoted as csv.writer quotes a cell of a row
+        csv.writer(line := io.StringIO()).writerow((value, ""))
+        return line.getvalue()[: -len(",\r\n")], json.dumps(value)
     if key == "trials":
         text = str(int(value))
         return text, text
     if value is None:  # a campaign row's link SINRs
         return "", "null"
     text = format_value(value)
-    return text, json.dumps(float(text))
+    parsed = float(text)  # json.dumps writes a finite float as its repr
+    return text, repr(parsed) if math.isfinite(parsed) else json.dumps(parsed)
 
 
-def _render(rows: Sequence[ResultRow]) -> tuple[Iterator[tuple[str, ...]], Iterator[tuple[str, ...]]]:
-    """The sorted rows' CSV cell texts and JSON value texts, row by row.
-
-    Each distinct value of a column is formatted once.  A float zero (and
-    None) is keyed by its repr: -0.0 and 0.0 hash alike but print "-0"
-    and "0".  Refuses empty input, so no emitter touches disk for it.
-    """
-    if not rows:
+def _render(table: Sequence[list]) -> tuple[Iterator[str], Iterator[str]]:
+    """The rows' CSV lines and JSON objects, sorted once (:func:`_order`).
+    Each distinct value of a column is formatted once, with its line's text
+    around it; a float zero (and None) is keyed by its repr, as -0.0 and 0.0
+    hash alike but print "-0" and "0".  Refuses empty input, so no emitter
+    touches disk for it."""
+    if not table[0]:
         raise ValueError("no rows to emit")
-    ordered = sort_rows(rows)
+    order = _order(table)
+    permute = itemgetter(*order) if len(order) > 1 else tuple  # itemgetter(i) gives an item, not a tuple
     csv_columns, json_columns = [], []
-    for key in CSV_HEADER:
-        values = list(map(attrgetter(key), ordered))
+    for key, values, csv_format, json_format in zip(CSV_HEADER, table, *map(_cell_formats, (_CSV_LINE, _JSON_OBJECT))):
         memo_keys = values if key in _TEXT_KEYS else [v or repr(v) for v in values]
-        texts = {k: _cell_texts(key, v) for k, v in dict(zip(memo_keys, values)).items()}
-        csv_columns.append([texts[k][0] for k in memo_keys])
-        json_columns.append([texts[k][1] for k in memo_keys])
-    # Rows are zipped as they are written, so no row tuple outlives its write.
-    return zip(*csv_columns), zip(*json_columns)
+        csv_texts, json_texts = {}, {}
+        for k, v in dict(zip(memo_keys, values)).items():
+            csv_text, json_text = _cell_texts(key, v)
+            csv_texts[k], json_texts[k] = csv_format % csv_text, json_format % json_text
+        memo_keys = permute(memo_keys)
+        csv_columns.append(map(csv_texts.__getitem__, memo_keys))
+        json_columns.append(map(json_texts.__getitem__, memo_keys))
+    # Rows are joined as they are written, so no row outlives its write.
+    return map("".join, zip(*csv_columns)), map("".join, zip(*json_columns))
 
 
-def _write_csv(cells: Iterator[tuple[str, ...]], path: Path) -> Path:
+def _write_csv(lines: Iterator[str], path: Path) -> Path:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        writer.writerows(cells)
+        fh.write(_CSV_LINE % CSV_HEADER)
+        fh.writelines(lines)
     return path
 
 
-def _write_json(cells: Iterator[tuple[str, ...]], path: Path) -> Path:
+def _write_json(objects: Iterator[str], path: Path) -> Path:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("[\n" + _JSON_OBJECT % next(cells))
-        fh.writelines(map((",\n" + _JSON_OBJECT).__mod__, cells))
+        fh.write("[" + next(objects)[1:])  # the first object's "\n" without its ","
+        fh.writelines(objects)
         fh.write("\n]\n")
     return path
 
 
 def emit_campaign_csv(rows: Sequence[ResultRow], path) -> Path:
     """Write sorted rows as UTF-8 CSV.  Refuses empty input before touching disk."""
-    return _write_csv(_render(rows)[0], Path(path))
+    return _write_csv(_render(_table(rows))[0], Path(path))
 
 
 def emit_campaign_json(rows: Sequence[ResultRow], path) -> Path:
     """JSON mirror of the CSV: each object is a CSV row's cells, parsed back."""
-    return _write_json(_render(rows)[1], Path(path))
+    return _write_json(_render(_table(rows))[1], Path(path))
 
 
-def emit_artifacts(rows: Sequence[ResultRow], csv_path, json_path) -> tuple[Path, Path]:
-    """Both artifacts of one row set from a single rendering."""
-    csv_cells, json_cells = _render(rows)
-    return _write_csv(csv_cells, Path(csv_path)), _write_json(json_cells, Path(json_path))
+def emit_artifacts(table: Sequence[list], csv_path, json_path) -> tuple[Path, Path]:
+    """Both artifacts of a row table (a list per :data:`CSV_HEADER` column) from a single rendering."""
+    csv_lines, json_objects = _render(table)
+    return _write_csv(csv_lines, Path(csv_path)), _write_json(json_objects, Path(json_path))
 
 
 def _parse_cell(key: str, text: str):

@@ -2,6 +2,7 @@ import inspect
 import json
 import re
 import shlex
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -288,6 +289,37 @@ class TestSweepCommand:
         assert not base.with_suffix(".csv").exists()
 
     @pytest.mark.parametrize(
+        "flags, key, earlier, entry",
+        [
+            (["--axis", "gamma-s", "--values", "12.3456789001,12.3456789002", "--gamma-w-db", "2"],
+             "values", "12.3456789001", "12.3456789002"),
+            (["--axis", "gamma-w", "--values", "1,1.0000000001", "--gamma-s-db", "9"], "values", "1", "1.0000000001"),
+            (["--axis", "beta", "--values", "0.1", "--alphas", "2,1,1.0000000001", "--gamma-s-db", "9",
+              "--gamma-w-db", "2"], "alphas", "1", "1.0000000001"),
+            (["--axis", "alpha", "--values", "1", "--betas", "beta_star,0.01,0.0100000000001", "--gamma-s-db", "9",
+              "--gamma-w-db", "2"], "betas", "0.01", "0.0100000000001"),
+        ],
+    )
+    def test_entries_that_print_alike_are_rejected(self, tmp_path, capsys, flags, key, earlier, entry):
+        # The artifacts print 9 significant digits, so two such entries would
+        # write every row's key cells twice.
+        base = tmp_path / "x"
+        assert run(["sweep", *flags, "--out", str(base)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad value for {key!r}: repeated entry {entry!r}, which prints like {earlier!r} at 9 significant digits\n"
+        )
+        assert not any(tmp_path.iterdir())
+
+    def test_a_repeat_at_the_end_of_a_long_list_is_named_quickly(self, tmp_path, capsys):
+        values = ",".join(map(str, range(50_000))) + ",7.0"
+        start = time.perf_counter()
+        code = run(["sweep", "--axis", "alpha", "--values", values, "--gamma-s-db", "9", "--gamma-w-db", "2",
+                    "--out", str(tmp_path / "x")])
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        assert capsys.readouterr().err == "error: bad value for 'values': repeated entry '7.0'\n"
+
+    @pytest.mark.parametrize(
         "flags, key",
         [
             (["--axis", "beta", "--values", "0.1", "--alphas", "-1"], "alphas"),
@@ -539,6 +571,21 @@ class TestSimulateCommand:
         out = tmp_path / "o"
         assert run(["simulate", "--trials", "1", "--threads", "1", *argv, "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {where}bad value for {key!r}: repeated entry {entry!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_alphas_that_print_alike_are_rejected(self, tmp_path, capsys, source):
+        if source == "flag":
+            argv, where = ["--alphas", "1,1.0000000001"], ""
+        else:
+            cfg = tmp_path / "alike.cfg"
+            cfg.write_text("alphas = 1,1.0000000001\n", encoding="utf-8")
+            argv, where = ["--config", str(cfg)], f"{cfg}:1: "
+        out = tmp_path / "o"
+        assert run(["simulate", "--trials", "1", "--threads", "1", *argv, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {where}bad value for 'alphas': repeated entry '1.0000000001', which prints like '1' at 9 significant digits\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -9,11 +9,15 @@ NaN pattern against the column-by-column one, the batched optimal solver
 against its per-link reference on drawn sets of links, and the row-blocked
 SINRs against the full-matrix reference on drawn windows, and the
 single-rendering CSV/JSON emitters against the row-by-row writers on drawn
-row sets.  ``pair`` must serve a link as a one-candidate campaign trial does.
-Hypothesis runs derandomized, so every run draws the same cases.
+row sets.  The artifacts ``sweep`` and ``simulate`` write from their row
+tables must be those writers' bytes for the rows of ``emit_delta_sweep`` and
+of the campaign reference.  ``pair`` must serve a link as a one-candidate
+campaign trial does.  Hypothesis runs derandomized, so every run draws the
+same cases.
 """
 
 import collections
+import functools
 import itertools
 import math
 from argparse import Namespace
@@ -33,7 +37,7 @@ from noma_fair.allocator import (
     summed_utility,
 )
 from noma_fair.bounds import allocation_bounds, beta_star, pairing_criterion
-from noma_fair.cli import _pair_report
+from noma_fair.cli import _pair_report, main
 from noma_fair.fairness import FairnessConfig, alpha_throughput
 from noma_fair.netsim import (
     _BLOCK_ENTRIES,
@@ -48,7 +52,16 @@ from noma_fair.netsim import (
 )
 from noma_fair.pairing import match, user_table
 from noma_fair.rates import PairLink, Strategy, db_to_linear, noma_rates, oma_rate
-from noma_fair.report import METRIC_NAMES, ResultRow, emit_campaign_csv, emit_campaign_json, sort_rows
+from noma_fair.report import (
+    BETA_STAR_TOKEN,
+    METRIC_NAMES,
+    ResultRow,
+    emit_campaign_csv,
+    emit_campaign_json,
+    emit_delta_sweep,
+    format_value,
+    sort_rows,
+)
 
 from _oracles import (
     WRAPPERS,
@@ -516,3 +529,94 @@ def test_emitters_equal_row_by_row_reference(tmp_path):
 
     check()
     assert min(seen.values()) >= 50, seen
+
+
+def _assert_written_as_by_the_reference(rows, csv_path, json_path, scratch):
+    """The CSV and JSON at the two paths are the row-by-row writers' bytes for ``rows``."""
+    emit_campaign_csv_ref(rows, scratch / "want.csv")
+    emit_campaign_json_ref(rows, scratch / "want.json")
+    assert csv_path.read_bytes() == (scratch / "want.csv").read_bytes()
+    assert json_path.read_bytes() == (scratch / "want.json").read_bytes()
+
+
+def test_sweep_artifacts_equal_row_by_row_writers(tmp_path):
+    # `sweep` renders its row table without building rows; its artifacts
+    # must be the row-by-row writers' bytes for emit_delta_sweep's rows,
+    # taken one (link, beta entry, alpha) point at a time.
+    # SINRs are in tenths of a dB, the swept ones as offsets from the fixed
+    # one: a negative offset gives a misordered link (then only the token is
+    # a valid beta), a zero one an equal link (skipped at the token), and a
+    # small one a pair the criterion rejects.
+    tenths = st.integers(-100, 200)
+    offsets = st.lists(st.sampled_from([0, -5, 2, 70]) | st.integers(-30, 300), min_size=1, max_size=6, unique=True)
+    betas = st.lists(st.sampled_from([0.0, 0.001, 0.02, 0.05, 0.3, 1.0, BETA_STAR_TOKEN]),
+                     min_size=1, max_size=4, unique=True)
+    alphas = st.lists(st.sampled_from([0.0, 0.3, 1.0, 2.5, 25.0]) | st.floats(0.0, 35.0),
+                      min_size=1, max_size=3, unique_by=format_value)
+    solvers = st.sampled_from([Strategy.OPTIMAL, Strategy.SUBOPTIMAL])
+    cases = ("misordered", "equal", "rejected", "skipped", "no_rows", "optimal", "suboptimal", "numeric_beta")
+    seen = dict.fromkeys(cases, 0)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(st.sampled_from(["gamma-s", "gamma-w"]), tenths, offsets, betas, alphas, solvers, st.floats(0.05, 0.95))
+    def check(axis, fixed, offsets, betas, alphas, solver, tau):
+        if axis == "gamma-s":
+            values, links = [(fixed + k) / 10 for k in offsets], [((fixed + k) / 10, fixed / 10) for k in offsets]
+        else:
+            values, links = [(fixed - k) / 10 for k in offsets], [(fixed / 10, (fixed - k) / 10) for k in offsets]
+        if min(offsets) < 0:
+            betas = [BETA_STAR_TOKEN]  # a numeric beta needs every link ordered
+        rows = [row for link, entry, alpha in itertools.product(links, betas, alphas)
+                for row in emit_delta_sweep([link], [entry], [alpha], tau=tau, solver=solver)]
+        fixed_flag = "--gamma-w-db" if axis == "gamma-s" else "--gamma-s-db"
+        base = tmp_path / "got"
+        argv = ["sweep", "--axis", axis, "--values=" + ",".join(map(repr, values)), f"{fixed_flag}={fixed / 10!r}",
+                "--betas", ",".join(map(str, betas)), "--alphas", ",".join(map(repr, alphas)),
+                "--tau", repr(tau), "--solver", solver.value, "--out", str(base)]
+        assert main(argv) == (0 if rows else 2)
+        seen["no_rows"] += not rows
+        if rows:
+            _assert_written_as_by_the_reference(rows, base.with_suffix(".csv"), base.with_suffix(".json"), tmp_path)
+        points = len(links) * len(betas) * len(alphas)
+        metrics = collections.Counter(r.metric for r in rows)
+        seen["misordered"] += min(offsets) < 0
+        seen["equal"] += 0 in offsets
+        seen["rejected"] += metrics["delta_s"] < metrics["delta_lb"]
+        seen["skipped"] += metrics["delta_lb"] < points
+        seen[solver.value] += 1
+        seen["numeric_beta"] += betas != [BETA_STAR_TOKEN]
+
+    check()
+    assert min(seen.values()) >= 10, seen
+
+
+@functools.cache
+def _campaign_shape(shape: str):
+    """The NetworkConfig fields, alphas, betas and strategies of a shape of
+    test_campaign_rows_equal_per_trial_reference, and its reference rows."""
+    network, alphas, betas, strategies = {
+        "small_window": ({"area_km2": 0.05, "trials": 16, "seed": 21}, (0.0, 1.0, 2.5, 25.0), (0.0, 0.03, 0.2),
+                         tuple(Strategy)),
+        "one_trial": ({"trials": 1, "seed": 21}, (0.0, 1.0, 25.0), (0.0, 0.03, 0.2), tuple(Strategy)),
+        "mc_fast": ({"trials": 2, "seed": 1}, (0.5, 1.0, 3.0, 25.0), (0.01, 0.04, 0.08),
+                    (Strategy.SUBOPTIMAL, Strategy.UPPER_BOUND, Strategy.LOWER_BOUND, Strategy.NEAR_FAR, Strategy.OMA)),
+    }[shape]
+    sweep = [(a, b) for a in alphas for b in betas]
+    return network, alphas, betas, strategies, run_campaign_ref(NetworkConfig(**network), sweep, list(strategies))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("shape", ["small_window", "one_trial", "mc_fast"])
+def test_simulate_artifacts_equal_row_by_row_writers(tmp_path, shape, threads):
+    # `simulate` renders the campaign's row table without building rows; its
+    # artifacts must be the row-by-row writers' bytes for the rows of the
+    # campaign aggregated trial by trial.
+    network, alphas, betas, strategies, expected = _campaign_shape(shape)
+    config = tmp_path / "shape.cfg"
+    config.write_text("".join(f"{key} = {value!r}\n" for key, value in network.items()), encoding="utf-8")
+    out = tmp_path / "run"
+    argv = ["simulate", "--config", str(config), "--alphas", ",".join(map(repr, alphas)),
+            "--betas", ",".join(map(repr, betas)), "--strategies", ",".join(s.value for s in strategies),
+            "--threads", str(threads), "--out-dir", str(out)]
+    assert main(argv) == 0
+    _assert_written_as_by_the_reference(expected, out / "campaign.csv", out / "campaign.json", tmp_path)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from noma_fair.report import (
     CSV_HEADER,
     METRIC_NAMES,
     ResultRow,
+    _table,
     emit_artifacts,
     emit_campaign_csv,
     emit_campaign_json,
@@ -110,6 +112,32 @@ class TestDeltaSweep:
         with pytest.raises(ValueError, match=f"^{message}$"):
             emit_delta_sweep(links, betas, alphas)
 
+    @pytest.mark.parametrize(
+        "links, betas, alphas, message",
+        [
+            ([(9.0, 2.0)], [0.0], [2.0, 1, 1.0000000001], "repeated alpha 1.0000000001, which prints like 1"),
+            ([(9.0, 2.0)], [0.01, 0.0100000000001], [1.0], "repeated beta entry 0.0100000000001, which prints like 0.01"),
+            ([(12.3456789001, 2.0), (12.3456789002, 2.0)], [0.0], [1.0],
+             r"repeated link \(12.3456789002, 2.0\), which prints like \(12.3456789001, 2.0\)"),
+        ],
+        ids=["alpha", "beta", "link"],
+    )
+    def test_entries_that_print_alike_rejected(self, links, betas, alphas, message):
+        # The artifacts print 9 significant digits: such entries would repeat
+        # the key cells of every row they produce.
+        with pytest.raises(ValueError, match=f"^{message} at 9 significant digits$"):
+            emit_delta_sweep(links, betas, alphas)
+
+    def test_signed_zeros_are_one_entry(self):
+        with pytest.raises(ValueError, match="^repeated beta entry -0.0$"):
+            emit_delta_sweep([(9.0, 2.0)], [0.0, -0.0], [1.0])
+
+    def test_a_repeat_at_the_end_of_a_long_axis_is_named_quickly(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^repeated alpha 7$"):
+            emit_delta_sweep([(9.0, 2.0)], [0.0], [*map(float, range(50_000)), 7])
+        assert time.perf_counter() - start < 5.0
+
 
 class TestCsvContract:
     def test_zero_rows_creates_no_file(self, tmp_path):
@@ -188,7 +216,7 @@ class TestEmitArtifacts:
         rows = emit_delta_sweep([(9.0, 2.0), (4.0, 1.0)], [0.0, BETA_STAR_TOKEN], [0.5, 3.0])
         rows += [make_row(), make_row(gamma_s_db=-0.0, value=-0.0, strategy="\u00e9", trials=1)]
         random.Random(3).shuffle(rows)
-        both = emit_artifacts(rows, tmp_path / "a.csv", tmp_path / "a.json")
+        both = emit_artifacts(_table(rows), tmp_path / "a.csv", tmp_path / "a.json")
         assert both == (tmp_path / "a.csv", tmp_path / "a.json")
         emit_campaign_csv(rows, tmp_path / "b.csv")
         emit_campaign_json(rows, tmp_path / "b.json")
@@ -197,5 +225,5 @@ class TestEmitArtifacts:
 
     def test_zero_rows_creates_no_file(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_artifacts([], tmp_path / "a.csv", tmp_path / "a.json")
+            emit_artifacts(_table([]), tmp_path / "a.csv", tmp_path / "a.json")
         assert not any(tmp_path.iterdir())
