@@ -18,15 +18,17 @@ members' OMA rates, the pure-OMA strategy rejects everything.  Per-pair
 metrics (strong/weak rate, pair throughput, pair sum rate) are therefore
 directly comparable across strategies row by row.
 
-A trial is one call that returns its alphas x betas x strategies x metrics
-table: candidates are matched (:func:`noma_fair.pairing.match`), their OMA
-rates computed and their links gated (:func:`noma_fair.allocator.gate`)
-once, against a column of the campaign's betas; every strategy is split
+A chunk of trials is one call that returns each trial's alphas x betas x
+strategies x metrics table: candidates are matched
+(:func:`noma_fair.pairing.match`) in cells keyed by (trial, cell), their OMA
+rates computed and their links gated (:func:`noma_fair.allocator.gate`) once,
+against a column of the campaign's betas; every strategy is split
 (:func:`noma_fair.allocator.split`) once per alpha, the served rates
-(:func:`noma_fair.allocator.served_rates`) and means run once over the
-stack, and OMA rates are averaged once per served-OMA mask.
-The campaign is an alphas x betas grid; it maps trials over its workers,
-stacks their tables and reduces their columns once per NaN pattern.
+(:func:`noma_fair.allocator.served_rates`) and power means run once over the
+stack; each trial's means are taken on its own slots, its OMA rates once per
+served-OMA mask.  The campaign, an alphas x betas grid, runs its first share
+of trials in the parent beside a pool for the others, stacks the tables in
+trial order and reduces their columns once per NaN pattern.
 
 All randomness is derived from (master seed, trial index) substreams;
 trials are independent and may run in separate processes without changing
@@ -36,7 +38,6 @@ any output.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import compress, product
@@ -69,6 +70,9 @@ _FADING_STREAM = 1
 # compute_sinrs takes users in row blocks of about this many (user, station)
 # entries, so that a block's float64 buffers stay in cache.
 _BLOCK_ENTRIES = 1 << 14
+# A campaign runs its trials in chunks of about this many (sweep point x strategy
+# x user) entries at the mean user count, which bounds a chunk's stacked tables.
+_CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -240,18 +244,23 @@ def _means(x: np.ndarray):
     return x.mean(axis=-1) if x.shape[-1] else np.full(x.shape[:-1], np.nan)
 
 
-def _trial_table(
-    users: np.ndarray, strategies: Sequence[Strategy], fairs: Sequence[FairnessConfig], betas: Sequence[float]
+def _trial_tables(
+    chunk: Sequence[np.ndarray], strategies: Sequence[Strategy], fairs: Sequence[FairnessConfig],
+    betas: Sequence[float],
 ) -> np.ndarray:
-    """A trial's (alphas x betas x strategies x 6) table: per sweep point, a
-    row per strategy with the five means in :class:`StrategyMetrics` field
-    order, NaN where a mean has no values, then the pair count.
+    """Each trial's (alphas x betas x strategies x 6) table, for a chunk of
+    user tables: per sweep point, a row per strategy with the five means in
+    :class:`StrategyMetrics` field order, NaN where a mean has no values,
+    then the pair count.
 
     The candidates are matched and gated once, against a column of the betas,
-    and each strategy is split once per alpha.  Users sit in slots: cells
-    ascending, and within a cell its candidates, then its odd user out.
-    Every mean runs over its values in slot order.
+    and each strategy is split once per alpha.  Users sit in slots: trials,
+    then cells ascending, and within a cell its candidates, then its odd user
+    out.  Each trial's means run over its own slots, in slot order.
     """
+    users = np.concatenate(chunk)
+    trial = np.repeat(np.arange(len(chunk)), [len(u) for u in chunk])
+    users["serving_bs_id"] += trial * (users["serving_bs_id"].max(initial=-1) + 1)  # cells keyed by (trial, cell)
     gamma = users["gamma"]
     strong, weak = match(users)
     single = weak < 0
@@ -263,21 +272,37 @@ def _trial_table(
     g = gate(gamma[strong[paired]], gamma[weak[paired]], np.asarray(betas, dtype=float)[:, None])
     delta = np.stack([[split(g, strat, fairness)[0] for strat in strategies] for fairness in fairs])
     admitted = ~np.isnan(delta)
-    r_s, r_w = served_rates(g, delta, oma[paired, 0], oma[paired, 1])
+    served = np.stack(served_rates(g, delta, oma[paired, 0], oma[paired, 1]))
     # Per slot; a single rate is its own power mean and sum.
     points = delta.shape[:3]
-    t, asr = np.empty((2, *points, len(single)))
-    t[..., paired] = [alpha_throughput(rs, rw, fairness.alpha) for fairness, rs, rw in zip(fairs, r_s, r_w)]
-    asr[..., paired] = r_s + r_w
+    t, asr = t_asr = np.empty((2, *points, len(single)))
+    t[..., paired] = [alpha_throughput(rs, rw, fairness.alpha) for fairness, rs, rw in zip(fairs, *served)]
+    asr[..., paired] = served[0] + served[1]
     t[..., single] = asr[..., single] = oma[single, 0]
     served_oma = np.broadcast_to(single, t.shape).copy()
     served_oma[..., paired] = ~admitted
+    # Each trial's range of slots and of links (paired slots).
+    slots = np.searchsorted(trial[strong], np.arange(len(chunk) + 1))
+    links = np.cumsum(np.r_[0, paired])[slots]
+    spans = list(zip(slots, slots[1:], links, links[1:]))
+    table = np.empty((len(chunk), 6, *points))
+    for k, (lo, hi, a, b) in enumerate(spans):
+        table[k, :2], table[k, 3:5] = _means(served[..., a:b]), _means(t_asr[..., lo:hi])
+        table[k, 5] = np.count_nonzero(admitted[..., a:b], axis=-1)
     # At a beta every gated strategy serves the same users OMA: gather each distinct row once.
-    rows = served_oma.reshape(math.prod(points), -1)
-    gathered = {key: _means(oma[present & row[:, None]]) for key, row in {r.tobytes(): r for r in rows}.items()}
-    mur_oma = np.reshape([gathered[row.tobytes()] for row in rows], points)
-    columns = (_means(r_s), _means(r_w), mur_oma, _means(t), _means(asr), np.count_nonzero(admitted, axis=-1))
-    return np.stack(columns, axis=-1).swapaxes(1, 2)
+    masks: dict[bytes, tuple] = {}
+    for i, row in enumerate(served_oma.reshape(math.prod(points), -1)):
+        masks.setdefault(row.tobytes(), (present & row[:, None], []))[1].append(i)
+    mur_oma = np.empty((len(chunk), math.prod(points)))
+    for mask, rows in masks.values():
+        mur_oma[:, rows] = [[_means(oma[lo:hi][mask[lo:hi]])] for lo, hi, _, _ in spans]
+    table[:, 2] = mur_oma.reshape(-1, *points)
+    return table.transpose(0, 2, 4, 3, 1)
+
+
+def _trial_table(users: np.ndarray, strategies, fairs, betas) -> np.ndarray:
+    """One trial's table: :func:`_trial_tables` of a chunk of one."""
+    return _trial_tables([users], strategies, fairs, betas)[0]
 
 
 def evaluate_strategies(
@@ -304,24 +329,28 @@ _METRICS = ("mur_strong", "mur_weak", "mur_oma", "t_alpha", "mean_asr")
 
 
 def _trial(cfg: NetworkConfig, strategies, fairs, betas, t: int) -> np.ndarray:
-    """Worker: trial t's table.
-
-    A failure is re-raised naming the trial index and, past the SINRs, its
-    sweep point: the first, alpha-major, that fails on its own.
-    """
+    """Trial t's table, after each sweep point alone.  A failure is re-raised
+    naming the trial index and, past the SINRs, its sweep point: the first,
+    alpha-major, that fails on its own."""
     point = ""  # the drop and SINRs serve every sweep point
     try:
         users = compute_sinrs(drop_network(cfg, t), cfg)
-        try:
-            return _trial_table(users, strategies, fairs, betas)
-        except Exception:
-            for fairness, beta in product(fairs, betas):
-                point = f", alpha={fairness.alpha}, beta={beta}"
-                _trial_table(users, strategies, [fairness], [beta])
-            point = ""
-            raise
+        for fairness, beta in product(fairs, betas):
+            point = f", alpha={fairness.alpha}, beta={beta}"
+            _trial_table(users, strategies, [fairness], [beta])
+        point = ""
+        return _trial_table(users, strategies, fairs, betas)
     except Exception as exc:
         raise RuntimeError(f"trial {t}{point}: {exc}") from exc
+
+
+def _chunk(cfg: NetworkConfig, strategies, fairs, betas, trials: range) -> np.ndarray:
+    """Worker: the tables of a run of trials, from one kernel call.  A failure
+    re-runs them one at a time through :func:`_trial`, which names the first that fails."""
+    try:
+        return _trial_tables([compute_sinrs(drop_network(cfg, t), cfg) for t in trials], strategies, fairs, betas)
+    except Exception:
+        return np.stack([_trial(cfg, strategies, fairs, betas, t) for t in trials])
 
 
 def _aggregate(columns: np.ndarray) -> tuple[list, list, list]:
@@ -355,13 +384,22 @@ def _campaign_table(cfg: NetworkConfig, sweep, strategies, tau: float, threads: 
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads!r}")
     workers = min(threads, cfg.trials)
-    trial = partial(_trial, cfg, strategies, fairs, betas)
+    # One contiguous share of trials per worker, in chunks of about _CHUNK_ENTRIES entries: a
+    # trial stacks its mean user count of entries per point and strategy, and its table 6 more.
+    entries = (cfg.user_density * cfg.area_km2 + 6) * len(sweep) * len(strategies)
+    step = max(1, int(_CHUNK_ENTRIES // entries))
+    shares = [range(cfg.trials * k // workers, cfg.trials * (k + 1) // workers) for k in range(workers)]
+    chunks = [share[i : i + step] for share in shares for i in range(0, len(share), step)]
+    own = math.ceil(len(shares[0]) / step)  # the parent's chunks
+    run = partial(_chunk, cfg, strategies, fairs, betas)
     if workers == 1:
-        tables = list(map(trial, range(cfg.trials)))
+        tables = list(map(run, chunks))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            tables = list(pool.map(trial, range(cfg.trials), chunksize=math.ceil(cfg.trials / workers)))
-    table = np.stack(tables)
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays for its import
+        with ProcessPoolExecutor(max_workers=workers - 1) as pool:  # beside the parent's own share
+            rest = pool.map(run, chunks[own:])
+            tables = [*map(run, chunks[:own]), *rest]
+    table = np.concatenate(tables)
     # Each (point, strategy, metric)'s column of trials, in row order.
     columns = np.moveaxis(table[..., : len(_METRICS)], 0, -1).reshape(-1, len(table))
     means, counts, stderrs = _aggregate(columns)
@@ -384,8 +422,11 @@ def run_campaign(
     ``sweep`` must be ``[(a, b) for a in alphas for b in betas]`` of its
     distinct alphas and betas, and the strategies distinct.  The channel
     realization of trial t is shared by all sweep points, and aggregation
-    runs in trial order (the workers' tables come back in order), so the
-    result is bit-identical for any ``threads`` setting.  The object view
-    of the campaign's row table, without the metrics no trial has a value for.
+    runs in trial order, so the result is bit-identical for any ``threads``
+    and chunking: the parent runs the first of ``threads`` contiguous shares
+    of trials beside a pool for the others, each in chunks of one kernel call.
+    A failure names the lowest failing trial and its first failing point.
+    The object view of the campaign's row table, without the metrics no
+    trial has a value for.
     """
     return list(map(ResultRow, *_campaign_table(cfg, sweep, strategies, tau, threads)))

@@ -12,7 +12,8 @@ split, :func:`compute_sinrs_ref`, the full users x stations matrix form of
 the row-blocked SINRs, and :func:`emit_campaign_csv_ref` and
 :func:`emit_campaign_json_ref`, the row-by-row CSV writer and the
 ``json.dump(indent=2)`` of the parsed-back cells that the single-rendering
-emitters replace, :func:`run_campaign_ref`, the campaign aggregated
+emitters replace (both sort the rows with their own key, with Python's
+``sorted``), :func:`run_campaign_ref`, the campaign aggregated
 from per-trial :func:`evaluate_strategies_ref` objects, and
 :func:`aggregate_columns_ref`, the column-by-column mean and stderr that
 the campaign's one reduction per NaN pattern replaces.
@@ -39,7 +40,7 @@ from noma_fair.netsim import (
 )
 from noma_fair.pairing import user_table
 from noma_fair.rates import PairLink, Strategy, noma_rates, noma_sinr_strong, noma_sinr_weak, oma_rate
-from noma_fair.report import CSV_HEADER, ResultRow, format_value, sort_rows
+from noma_fair.report import CSV_HEADER, ResultRow, format_value
 
 
 def oma_rate_ref(gamma):
@@ -372,12 +373,23 @@ def _parse_cell_ref(key: str, text: str):
     return float(text) if text else None
 
 
+def _sorted_ref(rows) -> list:
+    """Rows in artifact order: by (alpha, beta, strategy, metric, gamma_s_db,
+    gamma_w_db), a None SINR before any number; equal keys keep their order."""
+
+    def key(row):
+        sinrs = ((v is not None, 0.0 if v is None else v) for v in (row.gamma_s_db, row.gamma_w_db))
+        return (row.alpha, row.beta, row.strategy, row.metric, *sinrs)
+
+    return sorted(rows, key=key)
+
+
 def emit_campaign_csv_ref(rows, path) -> None:
     """Sorted rows written one csv.writer row at a time."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for row in sort_rows(rows):
+        for row in _sorted_ref(rows):
             writer.writerow(_row_strings_ref(row))
 
 
@@ -385,7 +397,7 @@ def emit_campaign_json_ref(rows, path) -> None:
     """``json.dump(indent=2)`` of each sorted row's CSV cells, parsed back."""
     payload = [
         {key: _parse_cell_ref(key, text) for key, text in zip(CSV_HEADER, _row_strings_ref(row))}
-        for row in sort_rows(rows)
+        for row in _sorted_ref(rows)
     ]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)

@@ -1,7 +1,10 @@
 import inspect
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from dataclasses import fields
 from pathlib import Path
@@ -667,6 +670,49 @@ class TestSimulateCommand:
         assert code == 1
         assert "runtime error: trial 3, alpha=2.0, beta=0.05: boom at the point" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_failures_in_two_shares_name_the_lower_trial(self, tmp_path, capsys, monkeypatch, threads):
+        # At --threads 2 and 3, trial 1 runs in the parent's share and trial 4
+        # in a pool share.  Both fail, trial 4 at an earlier point; the lower
+        # trial and its first failing point are named, as at one worker.
+        net = NetworkConfig(seed=5)
+        gammas = {t: set(compute_sinrs(drop_network(net, t), net).gamma.tolist()) for t in (1, 4)}
+        split = netsim.split
+
+        def failing(gate, strategy, fairness):
+            here, betas = set(gate.gamma_s.tolist()), gate.beta.ravel().tolist()
+            if here & gammas[1] and fairness.alpha == 2.0 and 0.05 in betas:
+                raise ArithmeticError("boom in trial 1")
+            if here & gammas[4]:
+                raise ArithmeticError("boom in trial 4")
+            return split(gate, strategy, fairness)
+
+        monkeypatch.setattr(netsim, "split", failing)
+        code = run(
+            ["simulate", "--seed", "5", "--trials", "6", "--alphas", "1,2", "--betas", "0.01,0.05",
+             "--strategies", "suboptimal,oma", "--threads", threads,
+             "--out-dir", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert "runtime error: trial 1, alpha=2.0, beta=0.05: boom in trial 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_pool_module_is_imported_only_by_a_pool(self, tmp_path):
+        # Importing the CLI and a one-worker run leave the process pool's
+        # module unimported; only a run with a pool pays for it.
+        script = (
+            "import sys\n"
+            "import noma_fair.cli as cli\n"
+            "assert 'concurrent.futures.process' not in sys.modules\n"
+            f"argv = ['simulate', '--trials', '1', '--threads', '1', '--out-dir', {str(tmp_path / 'o')!r}]\n"
+            "assert cli.main(argv) == 0\n"
+            "assert 'concurrent.futures.process' not in sys.modules\n"
+        )
+        src = str(Path(netsim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        subprocess.run([sys.executable, "-c", script], check=True, env=env, cwd=tmp_path)
+        assert (tmp_path / "o" / "campaign.csv").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("threads", ["1", "2"])

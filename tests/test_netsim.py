@@ -281,6 +281,36 @@ class TestRunCampaign:
         par = run_campaign(cfg, sweep, strategies, threads=threads)
         assert seq == par
 
+    @pytest.mark.parametrize("budget", [None, 3500])  # one chunk of six trials; chunks of three
+    def test_failure_inside_a_chunk_names_its_trial_and_point(self, monkeypatch, budget):
+        # Trials 2 and 4 fail, trial 4 at an earlier point.  The failing chunk
+        # is re-run a trial at a time, so the lower trial and its first
+        # failing (alpha, beta) are named.
+        cfg = NetworkConfig(trials=6, seed=5)
+        gammas = {t: set(compute_sinrs(drop_network(cfg, t), cfg).gamma.tolist()) for t in (2, 4)}
+        split, tables, chunks = netsim.split, netsim._trial_tables, []
+
+        def failing(gate, strategy, fairness):
+            here, betas = set(gate.gamma_s.tolist()), gate.beta.ravel().tolist()
+            if here & gammas[2] and fairness.alpha == 3.0 and 0.05 in betas:
+                raise ArithmeticError("boom in trial 2")
+            if here & gammas[4]:
+                raise ArithmeticError("boom in trial 4")
+            return split(gate, strategy, fairness)
+
+        def counted(chunk, *args):
+            chunks.append(len(chunk))
+            return tables(chunk, *args)
+
+        monkeypatch.setattr(netsim, "split", failing)
+        monkeypatch.setattr(netsim, "_trial_tables", counted)
+        if budget is not None:
+            monkeypatch.setattr(netsim, "_CHUNK_ENTRIES", budget)
+        sweep = [(a, b) for a in (1.0, 3.0) for b in (0.01, 0.05)]
+        with pytest.raises(RuntimeError, match=r"^trial 2, alpha=3\.0, beta=0\.05: boom in trial 2$"):
+            run_campaign(cfg, sweep, [Strategy.SUBOPTIMAL, Strategy.OMA])
+        assert chunks[0] == 6 if budget is None else 1 < chunks[0] < 6
+
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):
             run_campaign(SMALL, [], [Strategy.OMA])

@@ -3,7 +3,8 @@
 gamma_w in [0.1, 100], gamma_s / gamma_w in [1, 1000], beta in [0, 1] and
 alpha in [0, 25].  The batched campaign kernel is checked against its
 per-pair scalar reference on small drawn cells, its table over several
-alphas and betas against its one-point tables, the campaign rows against
+alphas and betas against its one-point tables, its tables of a chunk of
+trials against the trials' one-trial tables, the campaign rows against
 that reference aggregated trial by trial, the campaign's reduction once per
 NaN pattern against the column-by-column one, the batched optimal solver
 against its per-link reference on drawn sets of links, and the row-blocked
@@ -45,6 +46,7 @@ from noma_fair.netsim import (
     NetworkRealization,
     _aggregate,
     _trial_table,
+    _trial_tables,
     compute_sinrs,
     drop_network,
     evaluate_strategies,
@@ -301,6 +303,47 @@ def test_one_pass_over_betas_equals_one_beta_passes_on_network_trials():
                          min_size=1, max_size=5, unique=True))
 def test_one_pass_over_drawn_betas_equals_one_beta_passes(users, betas):
     _assert_stack_equals_one_beta_passes(users, betas)
+
+
+def test_chunked_kernel_equals_one_trial_tables():
+    # Drawn trials, cut into drawn chunks: each chunk's per-trial tables must
+    # be, byte for byte, its trials' one-trial tables, and the chunk's user
+    # tables must come back unchanged.  Trials without users and trials of
+    # singles only are drawn, also next to trials with candidates.
+    seen = collections.Counter()
+    singles = st.lists(st.floats(0.1, 1000.0), min_size=1, max_size=4).map(lambda g: _cells(*zip(g)))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(
+        st.lists(drops() | singles, min_size=1, max_size=6),
+        st.lists(st.integers(1, 6), min_size=6, max_size=6),
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0, 25.0]) | alphas, min_size=1, max_size=3, unique=True),
+        st.lists(st.sampled_from([0.0, 0.01, 0.04, 0.2, 1.0]) | st.floats(0.0, 1.0),
+                 min_size=1, max_size=3, unique=True),
+        st.permutations(list(Strategy)).flatmap(lambda s: st.integers(1, len(s)).map(lambda n: s[:n])),
+    )
+    def check(trials, sizes, alphas_, betas, strategies):
+        fairs = [FairnessConfig(alpha=a) for a in alphas_]
+        want = [_trial_table(users, strategies, fairs, betas) for users in trials]
+        copies = [users.copy() for users in trials]
+        lo = 0
+        for size in sizes:
+            chunk = trials[lo : lo + size]
+            if not chunk:
+                break
+            got = _trial_tables(chunk, strategies, fairs, betas)
+            assert got.shape == (len(chunk), *want[0].shape)
+            assert got.tobytes() == np.stack(want[lo : lo + size]).tobytes()
+            seen["multi_trial_chunk"] += len(chunk) > 1
+            lo += size
+        assert all(users.tobytes() == copy.tobytes() for users, copy in zip(trials, copies))
+        kinds = {"no_users" if not len(u) else "only_singles" if (match(u)[1] < 0).all() else "candidates"
+                 for u in trials}
+        seen.update(kinds)
+        seen["mixed"] += len(kinds) > 1
+
+    check()
+    assert min(seen[k] for k in ("no_users", "only_singles", "candidates", "mixed", "multi_trial_chunk")) >= 10, seen
 
 
 @pytest.mark.parametrize("threads", [1, 2])
