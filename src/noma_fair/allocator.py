@@ -9,12 +9,13 @@ Each rule is written once, over arrays of links, in two stages:
   [delta_lb, delta_ub] is nonempty (``delta_lb < delta_ub``, which is
   ``beta < beta_star`` away from rounding); otherwise it is served OMA.  An
   admitted split always lies in that interval.
-* :func:`split`: every gated link's delta_s under one strategy.  Optimal
-  maximizes the summed alpha-fair utility of the two NOMA rates over the
-  interval.  Suboptimal is the endpoint rule: below the imperfection-ratio
-  threshold ``tau`` it picks delta_lb for alpha > 1 and delta_ub for
-  alpha <= 1; at or above tau, delta_ub for any alpha.  Upper_bound and
-  lower_bound pin the split to one bound; near_far takes delta_ub ungated.
+* :func:`split`: every gated link's delta_s under one strategy, the splits
+  alone.  Optimal maximizes the summed alpha-fair utility of the two NOMA
+  rates over the interval.  Suboptimal is the endpoint rule: below the
+  imperfection-ratio threshold ``tau`` it picks delta_lb for alpha > 1 and
+  delta_ub for alpha <= 1; at or above tau, delta_ub for any alpha.
+  Upper_bound and lower_bound pin the split to one bound; near_far takes
+  delta_ub ungated.
 * :func:`served_rates`: the (strong, weak) rates the links are served at
   under those splits: the NOMA rates where a link is paired, its users' OMA
   rates where it is rejected.
@@ -173,13 +174,13 @@ def _golden_max(fn: Callable, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.
 def _maximize_on_interval(gs, gw, beta, alpha: float, lo, hi, tol: float):
     """Grid scan plus golden-section refinement of every link at once.
 
-    Returns (delta_s, objective), one per link.  Each link's grid of
-    _GRID_POINTS splits is scanned; every local grid peak within
-    _BRACKET_SLACK of the link's best is refined, and the endpoints enter
-    as exact candidates (golden section only returns interior points, which
-    loses real objective on boundary maxima where the slope does not
-    vanish).  The best refined value is kept; values within 1e-12 of it tie
-    and go to the smallest delta_s, which favors the weak user.
+    Returns delta_s, one per link.  Each link's grid of _GRID_POINTS splits
+    is scanned; every local grid peak within _BRACKET_SLACK of the link's best
+    is refined, and the endpoints enter as exact candidates (golden section
+    only returns interior points, which loses real objective on boundary
+    maxima where the slope does not vanish).  The best refined value is kept;
+    values within 1e-12 of it tie and go to the smallest delta_s, which
+    favors the weak user.
     """
     last = _GRID_POINTS - 1
     ends_x, ends_y, links, lows, highs = [], [], [], [], []
@@ -208,26 +209,19 @@ def _maximize_on_interval(gs, gw, beta, alpha: float, lo, hi, tol: float):
     tie = top - 1e-12
     delta = np.where(ends_y >= tie[:, None], ends_x, np.inf).min(axis=1)
     np.minimum.at(delta, link, np.where(y >= tie[link], x, np.inf))
-    return delta, top
+    return delta
 
 
-def split(
-    g: Gate, strategy: Strategy, cfg: Optional[FairnessConfig]
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def split(g: Gate, strategy: Strategy, cfg: Optional[FairnessConfig]) -> np.ndarray:
     """Every gated link's delta_s under ``strategy``, NaN where it is served
-    OMA, in the shape of ``g.delta_lb``.
-
-    The second value is the summed utility the optimal solver reached, in
-    the same shape (NaN where rejected); None for every other strategy.  ``cfg``
-    is read by the optimal and suboptimal rules only.
-    """
-    lb, ub, paired, objective = g.delta_lb, g.delta_ub, g.admitted, None
+    OMA, in the shape of ``g.delta_lb``.  ``cfg`` is read by the optimal and
+    suboptimal rules only."""
+    lb, ub, paired = g.delta_lb, g.delta_ub, g.admitted
     if strategy is Strategy.OPTIMAL:
-        pick, objective = np.full(lb.shape, np.nan), np.full(lb.shape, np.nan)
-        on = np.nonzero(paired)
+        pick, on = np.full(lb.shape, np.nan), np.nonzero(paired)
         if on[0].size:
             gs, gw, beta, hi = (np.broadcast_to(x, lb.shape)[on] for x in (g.gamma_s, g.gamma_w, g.beta, ub))
-            pick[on], objective[on] = _maximize_on_interval(gs, gw, beta, cfg.alpha, lb[on], hi, _SOLVER_TOL)
+            pick[on] = _maximize_on_interval(gs, gw, beta, cfg.alpha, lb[on], hi, _SOLVER_TOL)
     elif strategy is Strategy.SUBOPTIMAL:
         # Rejected links may have beta_star <= 0; their picks are dropped.
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -245,7 +239,7 @@ def split(
         raise ValueError(f"unknown strategy {strategy!r}")
     delta = np.where(paired, pick, np.nan)
     _require_split(delta[paired])
-    return delta, objective
+    return delta
 
 
 def served_rates(g: Gate, delta, oma_s, oma_w) -> tuple[np.ndarray, np.ndarray]:
@@ -261,7 +255,7 @@ def served_rates(g: Gate, delta, oma_s, oma_w) -> tuple[np.ndarray, np.ndarray]:
 def _decide_one(link: PairLink, strategy: Strategy, cfg) -> AllocationDecision:
     """:func:`split` on one link."""
     g = gate([link.gamma_s], [link.gamma_w], link.beta)
-    delta = float(split(g, strategy, cfg)[0][0])
+    delta = float(split(g, strategy, cfg)[0])
     return AllocationDecision(None if math.isnan(delta) else PowerAllocation(delta))
 
 

@@ -198,6 +198,12 @@ def _write_run(table, paths: tuple[Path, Path, Path], settings: dict, command: s
     return 0
 
 
+# The flag (argparse dest) that fixes each sweep axis, and its default.  On the swept
+# axis a flag may hold only its default; off it, a flag without a default is required.
+_SWEEP_FIXED = {"alpha": ("alphas", "1"), "beta": ("betas", "0"),
+                "gamma-s": ("gamma_s_db", None), "gamma-w": ("gamma_w_db", None)}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="noma-fair",
@@ -223,10 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma list of axis values; beta axis accepts the literal beta_star",
     )
-    sweep.add_argument("--alphas", default="1", help="fixed alpha grid when axis != alpha")
+    sweep.add_argument("--alphas", default=_SWEEP_FIXED["alpha"][1], help="fixed alpha grid when axis != alpha")
     sweep.add_argument(
         "--betas",
-        default="0",
+        default=_SWEEP_FIXED["beta"][1],
         help="fixed beta grid when axis != beta (beta_star accepted)",
     )
     sweep.add_argument("--gamma-s-db", type=float, default=None)
@@ -257,7 +263,7 @@ def _pair_report(args) -> dict:
     beta = _beta(args.beta)
     cfg = FairnessConfig(alpha=args.alpha, tau=args.tau)
     g = gate([gamma_s], [gamma_w], beta)
-    delta, objective = split(g, Strategy(args.solver), cfg)
+    delta = split(g, Strategy(args.solver), cfg)
     crit = g.criterion
     paired = not math.isnan(delta[0])
     r_s_oma, r_w_oma = oma_rate(gamma_s), oma_rate(gamma_w)
@@ -280,9 +286,7 @@ def _pair_report(args) -> dict:
     }
     if paired:
         report.update(delta_s=float(delta[0]), rate_strong_noma=float(r_s), rate_weak_noma=float(r_w))
-    # split gives the summed utility of the optimal solver's admitted split only.
-    solved = paired and objective is not None
-    utility_sum = objective[0] if solved else utility(r_s, args.alpha) + utility(r_w, args.alpha)
+    utility_sum = utility(r_s, args.alpha) + utility(r_w, args.alpha)
     report.update(utility_sum=float(utility_sum), t_alpha=alpha_throughput(r_s, r_w, args.alpha))
     return report
 
@@ -310,12 +314,12 @@ def _cmd_sweep(args) -> int:
         "gamma-s": [args.gamma_s_db],
         "gamma-w": [args.gamma_w_db],
     }
-    for key in ("gamma-s", "gamma-w"):
-        swept, given = key == args.axis, grid[key] != [None]
-        if swept and given:
-            raise ValueError(f"--{key}-db conflicts with --axis {key}, which takes its values from --values")
-        if not swept and not given:
-            raise ValueError(f"--{key}-db is required for axis {args.axis}")
+    for key, (dest, default) in _SWEEP_FIXED.items():
+        flag, given = "--" + dest.replace("_", "-"), getattr(args, dest) != default
+        if key == args.axis and given:
+            raise ValueError(f"{flag} conflicts with --axis {key}, which takes its values from --values")
+        if key != args.axis and not given and default is None:
+            raise ValueError(f"{flag} is required for axis {args.axis}")
     grid[args.axis] = axis_values
 
     links = list(product(grid["gamma-s"], grid["gamma-w"]))

@@ -270,7 +270,7 @@ def _trial_tables(
     oma = np.column_stack((rate[strong], np.where(single, 0.0, rate[weak])))
     present = np.column_stack((np.ones_like(single), paired))
     g = gate(gamma[strong[paired]], gamma[weak[paired]], np.asarray(betas, dtype=float)[:, None])
-    delta = np.stack([[split(g, strat, fairness)[0] for strat in strategies] for fairness in fairs])
+    delta = np.stack([[split(g, strat, fairness) for strat in strategies] for fairness in fairs])
     admitted = ~np.isnan(delta)
     served = np.stack(served_rates(g, delta, oma[paired, 0], oma[paired, 1]))
     # Per slot; a single rate is its own power mean and sum.

@@ -99,10 +99,10 @@ def _table(rows: Sequence[ResultRow]) -> list[list]:
 
 
 def _order(table: Sequence[list]) -> list[int]:
-    """A row table's row indices sorted by (alpha, beta, strategy, metric),
-    then the link SINRs, None first; equal keys keep their order."""
+    """A row table's row indices sorted by (alpha, beta, strategy, metric), then the
+    link SINRs, None before any number, -inf and NaN too; equal keys keep their order."""
     alpha, beta, gamma_s, gamma_w, strategy, metric = table[:6]
-    sinr_keys = ([-math.inf if v is None else v for v in column] for column in (gamma_s, gamma_w))
+    sinr_keys = ([(v is not None, v) for v in column] if None in column else column for column in (gamma_s, gamma_w))
     keys = list(zip(alpha, beta, strategy, metric, *sinr_keys))
     return sorted(range(len(keys)), key=keys.__getitem__)
 
@@ -161,7 +161,7 @@ def _sweep_table(links_db, betas, alphas, tau: float, solver: Strategy) -> list[
     values[..., 0] = g.delta_lb.T[..., None]
     values[..., 1] = g.delta_ub[:, None, None]
     values[..., 2] = g.criterion.satisfied[:, None, None]
-    values[..., 3] = np.stack([split(g, solver, FairnessConfig(alpha=a, tau=tau))[0] for a in alphas]).T
+    values[..., 3] = np.stack([split(g, solver, FairnessConfig(alpha=a, tau=tau)) for a in alphas]).T
     keep = ~np.isnan(values) & ~np.array(skip).T[..., None, None]
     link, entry, alpha, metric = np.nonzero(keep)
     n = len(link)

@@ -13,6 +13,7 @@ from noma_fair.allocator import (
     solve_optimal,
     solve_suboptimal,
     split,
+    summed_utility,
 )
 from noma_fair.bounds import beta_star, delta_lower_bound, delta_upper_bound, msd_threshold
 from noma_fair.fairness import FairnessConfig, alpha_throughput, utility
@@ -79,7 +80,7 @@ class TestSolveOptimal:
         d = solve_optimal(link, FairnessConfig(alpha=1.0))
         assert d.mode is DecisionMode.OMA_FALLBACK
         assert d.allocation is None
-        assert np.isnan(split(one_link_gate(link), Strategy.OPTIMAL, FairnessConfig(alpha=1.0))[1]).all()
+        assert np.isnan(split(one_link_gate(link), Strategy.OPTIMAL, FairnessConfig(alpha=1.0))).all()
 
     def test_beta_at_bound_falls_back_to_oma(self):
         link = PairLink(gamma_s=GS, gamma_w=GW, beta=BETA_STAR)
@@ -100,12 +101,12 @@ class TestSolveOptimal:
         for _ in range(100):
             link, alpha = feasible_link(rng)
             cfg = FairnessConfig(alpha=alpha)
-            delta, objective = split(one_link_gate(link), Strategy.OPTIMAL, cfg)
+            delta = split(one_link_gate(link), Strategy.OPTIMAL, cfg)
             assert solve_optimal(link, cfg).allocation.delta_s == delta[0]
             lb = delta_lower_bound(link.gamma_s, link.beta)
             ub = delta_upper_bound(link.gamma_w)
             grid_best = float(np.max(objective_of(link, alpha, np.linspace(lb, ub, 100000))))
-            assert objective[0] >= grid_best - 1e-6
+            assert summed_utility(link.gamma_s, link.gamma_w, link.beta, delta[0], alpha) >= grid_best - 1e-6
 
     def test_constraints_hold_for_random_decisions(self):
         rng = np.random.default_rng(32)
@@ -140,7 +141,7 @@ class TestSolveSuboptimal:
         cfg = FairnessConfig(alpha=3.0, tau=0.5)
         d = solve_suboptimal(link, cfg)
         assert d.allocation.delta_s == delta_lower_bound(GS, 0.0)
-        assert d.allocation.delta_s == split(one_link_gate(link), Strategy.SUBOPTIMAL, cfg)[0][0]
+        assert d.allocation.delta_s == split(one_link_gate(link), Strategy.SUBOPTIMAL, cfg)[0]
 
     def test_small_ratio_low_alpha_takes_upper_bound(self):
         link = PairLink(gamma_s=GS, gamma_w=GW, beta=0.0)
@@ -193,9 +194,7 @@ class TestAllocateFixedBound:
         link = PairLink(gamma_s=GS, gamma_w=GW, beta=0.02)
         d = allocate_fixed_bound(link, Strategy.UPPER_BOUND)
         assert d.allocation.delta_s == delta_upper_bound(GW)
-        delta, objective = split(one_link_gate(link), Strategy.UPPER_BOUND, None)
-        assert d.allocation.delta_s == delta[0]
-        assert objective is None
+        assert d.allocation.delta_s == split(one_link_gate(link), Strategy.UPPER_BOUND, None)[0]
 
     def test_lower(self):
         link = PairLink(gamma_s=GS, gamma_w=GW, beta=0.02)
@@ -239,7 +238,7 @@ class TestBatchedDecision:
         for alpha in (0.5, 1.0, 3.0):
             cfg = FairnessConfig(alpha=alpha)
             for strategy in Strategy:
-                delta, _ = split(g, strategy, cfg)
+                delta = split(g, strategy, cfg)
                 one = [
                     WRAPPERS[strategy](PairLink(gamma_s=gs[i], gamma_w=gw[i], beta=beta[i]), cfg)
                     for i in range(gs.size)
@@ -263,13 +262,7 @@ class TestBatchedDecision:
         for alpha in (0.5, 1.0, 3.0):
             cfg = FairnessConfig(alpha=alpha)
             for strategy in Strategy:
-                delta, objective = split(column, strategy, cfg)
-                want = [split(r, strategy, cfg) for r in rows]
-                assert bits(delta) == bits([w[0] for w in want]), strategy
-                if strategy is Strategy.OPTIMAL:
-                    assert bits(objective) == bits([w[1] for w in want])
-                else:
-                    assert objective is None
+                assert bits(split(column, strategy, cfg)) == bits([split(r, strategy, cfg) for r in rows]), strategy
 
     def test_optimal_solver_stays_batched(self, monkeypatch):
         # One split(OPTIMAL) call evaluates the objective once per grid block

@@ -16,7 +16,7 @@ import pytest
 from noma_fair import netsim
 from noma_fair.bounds import beta_star, msd_threshold
 from noma_fair.cli import SETTINGS, build_parser, main, parse_config_file
-from noma_fair.fairness import FairnessConfig
+from noma_fair.fairness import FairnessConfig, utility
 from noma_fair.netsim import NetworkConfig, compute_sinrs, drop_network, run_campaign
 from noma_fair.rates import Strategy, db_to_linear
 from noma_fair.report import emit_delta_sweep, format_value, parse_campaign_csv
@@ -140,6 +140,9 @@ class TestPairCommand:
             ("9", "2", "0.01", "1", True),
             ("9", "2", "0.2", "3", False),  # beta above beta_star = 0.108
             ("3", "3", "0", "0.5", False),  # equal SINRs fail the criterion
+            # The optimal split lies about 4e-10 below delta_ub, whose utility
+            # is higher than that of the split's own rates in the last bits.
+            ("34.8", "15.3", "0.0007", "0.27", True),
         ],
     )
     def test_report_pins_every_field(self, tmp_path, capsys, solver, gs_db, gw_db, beta, alpha, admitted):
@@ -185,8 +188,9 @@ class TestPairCommand:
                 assert r_w == pytest.approx(noma_rate_weak_ref(gw, d), rel=1e-15)
                 want = alpha_fair_objective_ref(gs, gw, b, d, a)
                 grid = np.linspace(report["delta_lb"], report["delta_ub"], 100_001)
-                rates = noma_rate_strong_ref(gs, b, grid), noma_rate_weak_ref(gw, grid)
-                grid_best = np.max(np.log(rates[0]) + np.log(rates[1]))  # U at alpha = 1
+                u = [np.log(r) if a == 1 else r ** (1 - a) / (1 - a)
+                     for r in (noma_rate_strong_ref(gs, b, grid), noma_rate_weak_ref(gw, grid))]
+                grid_best = np.max(u[0] + u[1])
                 if solver == "optimal":
                     assert report["utility_sum"] >= grid_best - 1e-9
                 else:  # alpha <= 1 takes delta_ub below tau
@@ -196,6 +200,8 @@ class TestPairCommand:
                 u = [mpmath.log(r) if a == 1 else mpmath.mpf(r) ** (1 - a) / (1 - a) for r in (r_s, r_w)]
                 want = u[0] + u[1]
             assert report["utility_sum"] == pytest.approx(float(want), rel=1e-13)
+            # The utility of the served rates the report shows, by the one rule.
+            assert report["utility_sum"] == utility(r_s, a) + utility(r_w, a)
             p = 1 - mpmath.mpf(a)
             if a == 1:
                 mean = mpmath.sqrt(mpmath.mpf(r_s) * r_w)
@@ -387,6 +393,24 @@ class TestSweepCommand:
         message = f"error: --{key}-db conflicts with --axis {key}, which takes its values from --values\n"
         assert capsys.readouterr().err == message
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "axis, values, flag, ignored, default",
+        [("alpha", "1,3", "--alphas", "7", "1"), ("beta", "0,0.1", "--betas", "0.05", "0")],
+    )
+    def test_fixed_grid_of_the_swept_axis_is_rejected(self, tmp_path, capsys, axis, values, flag, ignored, default):
+        # The same for --alphas and --betas, except that the flag's default is
+        # accepted: every reproduce line records it, also for the swept axis.
+        argv = ["sweep", "--axis", axis, "--values", values, "--gamma-s-db", "9", "--gamma-w-db", "2"]
+        assert run([*argv, flag, ignored, "--out", str(tmp_path / "x")]) == 2
+        message = f"error: {flag} conflicts with --axis {axis}, which takes its values from --values\n"
+        assert capsys.readouterr().err == message
+        assert not any(tmp_path.iterdir())
+        base = tmp_path / "default" / "x"
+        assert run([*argv, "--out", str(base)]) == 0
+        manifest = base.with_name("x.manifest.txt")
+        assert f" {flag} {default} " in manifest.read_text(encoding="utf-8")
+        assert_reproduced(base.with_suffix(".csv"), base.with_suffix(".json"), manifest)
 
     def test_missing_fixed_gamma_exit_2(self, tmp_path):
         code = run(

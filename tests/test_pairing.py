@@ -85,7 +85,7 @@ class TestNearFar:
         g = gated(strong, weak, 0.3)
         assert not g.criterion.satisfied[0]
         assert decision.mode is DecisionMode.NOMA_PAIRED
-        assert decision.allocation.delta_s == split(g, Strategy.NEAR_FAR, None)[0][0]
+        assert decision.allocation.delta_s == split(g, Strategy.NEAR_FAR, None)[0]
         assert decision.allocation.delta_s == g.delta_ub[0]
         assert decision.allocation.delta_s == delta_upper_bound(9.5)
 
@@ -157,4 +157,4 @@ class TestMsdPairing:
                 gs, gw = strong.gamma, weak.gamma
                 assert gs - gw > msd_threshold(gs, gw)
                 assert beta < beta_star(gs, gw)
-                assert d.allocation.delta_s == split(gated(strong, weak, beta), strategy, cfg)[0][0]
+                assert d.allocation.delta_s == split(gated(strong, weak, beta), strategy, cfg)[0]

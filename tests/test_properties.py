@@ -29,7 +29,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from noma_fair import allocator
+from noma_fair import allocator, cli
 from noma_fair.allocator import (
     _GRID_BLOCK,
     DecisionMode,
@@ -38,8 +38,8 @@ from noma_fair.allocator import (
     summed_utility,
 )
 from noma_fair.bounds import allocation_bounds, beta_star, pairing_criterion
-from noma_fair.cli import _pair_report, main
-from noma_fair.fairness import FairnessConfig, alpha_throughput
+from noma_fair.cli import main
+from noma_fair.fairness import FairnessConfig, alpha_throughput, utility
 from noma_fair.netsim import (
     _BLOCK_ENTRIES,
     NetworkConfig,
@@ -95,7 +95,7 @@ def test_one_decision_per_strategy():
     assert set(WRAPPERS) == set(Strategy)
     g = gate([9.0, 3.0], [2.0, 3.0], 0.01)
     for strategy in Strategy:
-        assert split(g, strategy, FairnessConfig(alpha=1.0))[0].shape == (2,), strategy
+        assert split(g, strategy, FairnessConfig(alpha=1.0)).shape == (2,), strategy
     with pytest.raises(ValueError, match="unknown strategy"):
         split(g, "bogus", FairnessConfig(alpha=1.0))
 
@@ -122,7 +122,7 @@ def test_every_decision_keeps_its_promises(link, alpha):
             assert paired == (crit.satisfied and bounds.delta_lb < bounds.delta_ub), strategy
         if not paired:
             continue
-        assert decision.allocation.delta_s == split(g, strategy, cfg)[0][0], strategy
+        assert decision.allocation.delta_s == split(g, strategy, cfg)[0], strategy
         if strategy in GATED:
             assert bounds.delta_lb <= decision.allocation.delta_s <= bounds.delta_ub, strategy
             r_s, r_w = noma_rates(link, decision.allocation)
@@ -173,6 +173,18 @@ def test_pair_serves_a_link_as_a_one_candidate_trial():
     # rate sum and mode against the campaign metrics of a trial whose one
     # cell holds the link's two users, compared with ==.
     seen = collections.Counter()
+
+    # The CLI's report, whose utility_sum must be the utility of its served
+    # rates.  Checked here, under the name check calls, because derandomized
+    # Hypothesis draws from the source of check: an edit there re-draws the
+    # examples that the band counts below were met on.
+    def _pair_report(args):
+        report = cli._pair_report(args)
+        paired = report["mode"] == "noma_paired"
+        served = [report["rate_strong_noma" if paired else "rate_strong_oma"],
+                  report["rate_weak_noma" if paired else "rate_weak_oma"]]
+        assert report["utility_sum"] == utility(served[0], args.alpha) + utility(served[1], args.alpha)
+        return report
 
     @PROPERTY
     @given(
@@ -439,25 +451,25 @@ def test_batched_optimal_split_equals_per_link_reference():
         gs = gw * ratio
         beta = np.minimum(share * np.maximum(beta_star(gs, gw), 0.0), 1.0)
         g = gate(gs, gw, beta)
-        split_delta, split_value = split(g, Strategy.OPTIMAL, FairnessConfig(alpha=alpha))
+        split_delta = split(g, Strategy.OPTIMAL, FairnessConfig(alpha=alpha))
         on = np.flatnonzero(g.admitted)
-        delta, value = np.full((2, len(drawn)), np.nan)
+        delta = np.full(len(drawn), np.nan)
         if on.size:
-            delta[on], value[on] = allocator._maximize_on_interval(
+            delta[on] = allocator._maximize_on_interval(
                 gs[on], gw[on], beta[on], alpha, g.delta_lb[on], g.delta_ub[on], tol
             )
         if tol == allocator._SOLVER_TOL:
-            assert delta.tobytes() == split_delta.tobytes() and value.tobytes() == split_value.tobytes()
+            assert delta.tobytes() == split_delta.tobytes()
         seen["several_blocks"] += int(on.size > _GRID_BLOCK)
         for i in range(len(drawn)):
             if not g.admitted[i]:
-                assert np.isnan(split_delta[i]) and np.isnan(split_value[i])
+                assert np.isnan(split_delta[i])
                 continue
             args = float(gs[i]), float(gw[i]), float(beta[i])
-            want_delta, want_value, brackets = maximize_on_interval_ref(
+            want_delta, _, brackets = maximize_on_interval_ref(
                 lambda d: summed_utility(*args, d, alpha), float(g.delta_lb[i]), float(g.delta_ub[i]), tol
             )
-            assert (delta[i], value[i]) == (want_delta, want_value), (args, alpha, tol)
+            assert delta[i] == want_delta, (args, alpha, tol)
             seen["links"] += 1
             seen["several_brackets"] += len(brackets) > 1
             seen["narrow_brackets"] += any(hi - lo <= tol for lo, hi in brackets)

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -177,6 +178,15 @@ class TestCsvContract:
         path = emit_campaign_csv(rows, tmp_path / "c.csv")
         parsed_keys = [(r.alpha, r.beta, r.strategy, r.metric) for r in parse_campaign_csv(path)]
         assert parsed_keys == keys
+
+    @pytest.mark.parametrize("number", [-math.inf, math.nan])
+    def test_none_sinr_sorts_before_every_number(self, tmp_path, number):
+        # At equal (alpha, beta, strategy, metric) a row without an SINR comes
+        # first, also before an SINR of -inf or NaN, as in _oracles._sorted_ref.
+        rows = [make_row(gamma_s_db=number, value=1.0), make_row(gamma_s_db=None, value=2.0)]
+        assert sort_rows(rows) == rows[::-1]
+        parsed = parse_campaign_csv(emit_campaign_csv(rows, tmp_path / "out.csv"))
+        assert [r.value for r in parsed] == [2.0, 1.0]
 
     def test_nine_significant_digits(self):
         assert format_value(0.123456789123) == "0.123456789"
