@@ -23,6 +23,8 @@ from itertools import product
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import __version__
 from .allocator import gate, served_rates, split
 from .fairness import FairnessConfig, alpha_throughput, utility
@@ -111,7 +113,7 @@ SETTINGS = {
     "alphas": (_alpha_list, (1.0,)),
     "betas": (_beta_list, (0.01, 0.06)),
     "strategies": (_comma_list(_strategy), tuple(Strategy)),
-    "threads": (_threads, None),  # None: machine parallelism
+    "threads": (_threads, None),  # None: the CPUs this process may run on
 }
 
 # Settings that `simulate` also takes as flags, with their help texts.
@@ -121,7 +123,7 @@ _SIMULATE_FLAGS = {
     "strategies": "comma list of strategies",
     "alphas": "comma list of alpha sweep values",
     "betas": "comma list of beta sweep values",
-    "threads": "default: machine parallelism",
+    "threads": "default: the CPUs this process may run on",
 }
 
 
@@ -165,7 +167,8 @@ def parse_config_file(path) -> dict:
 
 
 def _resolve_threads(flag_value: Optional[int]) -> int:
-    return (os.cpu_count() or 1) if flag_value is None else flag_value
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return cpus if flag_value is None else flag_value
 
 
 def _format_config_value(value) -> str:
@@ -185,10 +188,13 @@ def _write_run(table, paths: tuple[Path, Path, Path], settings: dict, command: s
     csv_path, json_path, manifest_path = paths
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
     emit_artifacts(table, csv_path, json_path)
+    umath = np._core._multiarray_umath  # NumPy's runtime CPU data
+    found = " ".join(target for target in umath.__cpu_dispatch__ if umath.__cpu_features__.get(target))
     lines = [
         "# noma-fair run manifest",
         f"# reproduce: {command}",
         f"# artifacts: {csv_path.name} {json_path.name}",
+        f"# numpy {np.__version__}; SIMD baseline: {' '.join(umath.__cpu_baseline__)}; dispatch on this CPU: {found}",
         f"version = {__version__}",
         *(f"{key} = {_format_config_value(settings[key])}" for key in sorted(settings)),
     ]

@@ -27,8 +27,8 @@ against a column of the campaign's betas; every strategy is split
 (:func:`noma_fair.allocator.served_rates`) and power means run once over the
 stack; each trial's means are taken on its own slots, its OMA rates once per
 served-OMA mask.  The campaign, an alphas x betas grid, runs its first share
-of trials in the parent beside a pool for the others, stacks the tables in
-trial order and reduces their columns once per NaN pattern.
+of trials in the parent beside forked children for the others, stacks the
+tables in trial order and reduces their columns once per NaN pattern.
 
 All randomness is derived from (master seed, trial index) substreams;
 trials are independent and may run in separate processes without changing
@@ -38,6 +38,9 @@ any output.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import sys
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import compress, product
@@ -70,8 +73,8 @@ _FADING_STREAM = 1
 # compute_sinrs takes users in row blocks of about this many (user, station)
 # entries, so that a block's float64 buffers stay in cache.
 _BLOCK_ENTRIES = 1 << 14
-# A campaign runs its trials in chunks of about this many (sweep point x strategy
-# x user) entries at the mean user count, which bounds a chunk's stacked tables.
+# A campaign's parent and forked children run their shares of trials in chunks of about this many
+# (sweep point x strategy x user) entries at the mean user count, which bounds a chunk's stacked tables.
 _CHUNK_ENTRIES = 1 << 18
 
 
@@ -369,6 +372,41 @@ def _aggregate(columns: np.ndarray) -> tuple[list, list, list]:
     return means.tolist(), np.count_nonzero(present, axis=1).tolist(), stderrs.tolist()
 
 
+def _run_shares(run, shares: list[list[range]]) -> list[np.ndarray]:
+    """``run`` of each share's chunks, in order: the first share here, each other one in a forked child."""
+    children: dict[int, int] = {}  # read end -> pid
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            if not (pid := os.fork()):
+                try:  # the child, which never returns
+                    os.close(r)
+                    try:
+                        result = True, list(map(run, share))
+                    except Exception as exc:
+                        result = False, exc
+                    with open(w, "wb") as pipe:
+                        pickle.dump(result, pipe)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children[r] = pid
+        tables = list(map(run, shares[0]))
+        for r, share in zip(children, shares[1:]):  # failures re-raise in trial order
+            data = open(r, "rb", closefd=False).read()
+            missing = RuntimeError(f"trials {share[0].start}-{share[-1].stop - 1}: worker left no result")
+            ok, result = pickle.loads(data) if data else (False, missing)
+            if not ok:
+                raise result
+            tables += result
+        return tables
+    finally:
+        for r in children:  # first, so that a child blocked on a full pipe gets BrokenPipeError
+            os.close(r)
+        for pid in children.values():
+            os.waitpid(pid, 0)
+
+
 def _campaign_table(cfg: NetworkConfig, sweep, strategies, tau: float, threads: int) -> list[list]:
     """The row table of :func:`run_campaign`."""
     if not sweep or not strategies:
@@ -383,23 +421,14 @@ def _campaign_table(cfg: NetworkConfig, sweep, strategies, tau: float, threads: 
     fairs = [FairnessConfig(alpha=a, tau=tau) for a in alphas]
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads!r}")
-    workers = min(threads, cfg.trials)
+    workers = min(threads, cfg.trials) if sys.platform == "linux" else 1  # fork after NumPy's import: Linux only
     # One contiguous share of trials per worker, in chunks of about _CHUNK_ENTRIES entries: a
     # trial stacks its mean user count of entries per point and strategy, and its table 6 more.
     entries = (cfg.user_density * cfg.area_km2 + 6) * len(sweep) * len(strategies)
     step = max(1, int(_CHUNK_ENTRIES // entries))
     shares = [range(cfg.trials * k // workers, cfg.trials * (k + 1) // workers) for k in range(workers)]
-    chunks = [share[i : i + step] for share in shares for i in range(0, len(share), step)]
-    own = math.ceil(len(shares[0]) / step)  # the parent's chunks
-    run = partial(_chunk, cfg, strategies, fairs, betas)
-    if workers == 1:
-        tables = list(map(run, chunks))
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool pays for its import
-        with ProcessPoolExecutor(max_workers=workers - 1) as pool:  # beside the parent's own share
-            rest = pool.map(run, chunks[own:])
-            tables = [*map(run, chunks[:own]), *rest]
-    table = np.concatenate(tables)
+    chunks = [[share[i : i + step] for i in range(0, len(share), step)] for share in shares]
+    table = np.concatenate(_run_shares(partial(_chunk, cfg, strategies, fairs, betas), chunks))
     # Each (point, strategy, metric)'s column of trials, in row order.
     columns = np.moveaxis(table[..., : len(_METRICS)], 0, -1).reshape(-1, len(table))
     means, counts, stderrs = _aggregate(columns)
@@ -424,7 +453,7 @@ def run_campaign(
     realization of trial t is shared by all sweep points, and aggregation
     runs in trial order, so the result is bit-identical for any ``threads``
     and chunking: the parent runs the first of ``threads`` contiguous shares
-    of trials beside a pool for the others, each in chunks of one kernel call.
+    of trials beside forked children for the others (Linux only), in chunks of one kernel call.
     A failure names the lowest failing trial and its first failing point.
     The object view of the campaign's row table, without the metrics no
     trial has a value for.

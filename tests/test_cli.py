@@ -479,6 +479,20 @@ class TestSimulateCommand:
         assert (out / "campaign.json").exists()
         assert (out / "manifest.txt").exists()
 
+    def test_manifests_record_the_numpy_build(self, tmp_path):
+        # The artifacts' last bits rest on NumPy's version and the SIMD loops it dispatches to.
+        umath = np._core._multiarray_umath
+        assert self._simulate(tmp_path / "run") == 0
+        flags = ["--axis", "alpha", "--values", "1", "--gamma-s-db", "9", "--gamma-w-db", "2"]
+        assert run(["sweep", *flags, "--out", str(tmp_path / "sweep")]) == 0
+        for manifest in (tmp_path / "run" / "manifest.txt", tmp_path / "sweep.manifest.txt"):
+            [line] = [line for line in manifest.read_text(encoding="utf-8").splitlines() if line.startswith("# numpy")]
+            pattern = r"# numpy (\S+); SIMD baseline: (.*); dispatch on this CPU: (.*)"
+            version, baseline, found = re.fullmatch(pattern, line).groups()
+            assert version == np.__version__
+            assert baseline.split() == list(umath.__cpu_baseline__)
+            assert found.split() == [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]]
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         self._simulate(a)
@@ -722,21 +736,27 @@ class TestSimulateCommand:
         assert "runtime error: trial 1, alpha=2.0, beta=0.05: boom in trial 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_pool_module_is_imported_only_by_a_pool(self, tmp_path):
-        # Importing the CLI and a one-worker run leave the process pool's
-        # module unimported; only a run with a pool pays for it.
+    def test_no_process_pool_module_is_imported(self, tmp_path):
+        # Importing the CLI, a one-worker run and a two-worker run leave
+        # multiprocessing and concurrent.futures unimported: a campaign's
+        # extra workers are forked with os.fork.
         script = (
             "import sys\n"
             "import noma_fair.cli as cli\n"
-            "assert 'concurrent.futures.process' not in sys.modules\n"
+            "pools = ('multiprocessing', 'concurrent.futures', 'concurrent.futures.process')\n"
+            "assert not any(name in sys.modules for name in pools)\n"
             f"argv = ['simulate', '--trials', '1', '--threads', '1', '--out-dir', {str(tmp_path / 'o')!r}]\n"
             "assert cli.main(argv) == 0\n"
-            "assert 'concurrent.futures.process' not in sys.modules\n"
+            "assert not any(name in sys.modules for name in pools)\n"
+            f"argv = ['simulate', '--trials', '2', '--threads', '2', '--out-dir', {str(tmp_path / 'o2')!r}]\n"
+            "assert cli.main(argv) == 0\n"
+            "assert not any(name in sys.modules for name in pools)\n"
         )
         src = str(Path(netsim.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
         subprocess.run([sys.executable, "-c", script], check=True, env=env, cwd=tmp_path)
         assert (tmp_path / "o" / "campaign.csv").exists()
+        assert (tmp_path / "o2" / "campaign.csv").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -814,7 +834,7 @@ class TestPairSweepAgreement:
 
 class TestSettingsTable:
     # README defaults that are descriptions rather than values.
-    DESCRIBED = {"strategies": "all six", "threads": "machine parallelism"}
+    DESCRIBED = {"strategies": "all six", "threads": "the CPUs this process may run on"}
 
     def test_readme_lists_exactly_the_settings(self):
         assert sorted(key for key, _ in readme_config_table()) == sorted(SETTINGS)
@@ -887,3 +907,12 @@ class TestConfigFile:
 
         assert _resolve_threads(2) == 2
         assert _resolve_threads(None) >= 1
+
+    def test_threads_default_to_the_cpus_this_process_may_run_on(self, monkeypatch):
+        # As under `taskset -c 0`: one allowed CPU is one worker, whatever the machine has.
+        from noma_fair.cli import _resolve_threads
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert _resolve_threads(None) == 1
+        assert _resolve_threads(3) == 3

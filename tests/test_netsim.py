@@ -1,10 +1,15 @@
 import math
+import os
+import signal
+import sys
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from noma_fair import netsim
+from noma_fair.cli import main
 from noma_fair.fairness import FairnessConfig
 from noma_fair.netsim import (
     NetworkConfig,
@@ -344,3 +349,82 @@ class TestRunCampaign:
         message = r"sweep must be the alpha-major grid of alphas \[1.0, 2.0\] x betas \[0.01, 0.05\]"
         with pytest.raises(ValueError, match=message):
             run_campaign(SMALL, sweep, [Strategy.OMA])
+
+
+@contextmanager
+def _deadline(seconds: int):
+    """Raise TimeoutError in this process if the block takes longer than ``seconds``."""
+
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="campaigns fork on Linux only")
+class TestForkedShares:
+    """The parent runs the first share of trials while a forked child runs each
+    other share; whatever happens, no child outlives the campaign."""
+
+    SWEEP = [(1.0, 0.01), (1.0, 0.05)]
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_success_leaves_no_child(self, threads, tmp_path):
+        cfg = NetworkConfig(trials=6, seed=33)
+        strategies = [Strategy.SUBOPTIMAL, Strategy.OMA]
+        parent = os.getpid()
+        try:
+            rows = run_campaign(cfg, self.SWEEP, strategies, threads=threads)
+        finally:
+            if os.getpid() != parent:  # a child came back into the caller, which it must never do
+                (tmp_path / f"returned-{os.getpid()}").touch()
+                os._exit(0)
+        assert not list(tmp_path.iterdir())
+        assert rows == run_campaign(cfg, self.SWEEP, strategies, threads=1)
+
+    def test_a_child_that_leaves_no_result_is_named(self, monkeypatch, tmp_path, capsys):
+        parent, chunk = os.getpid(), netsim._chunk
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return chunk(*args)
+
+        monkeypatch.setattr(netsim, "_chunk", dying)
+        with pytest.raises(RuntimeError, match=r"^trials 3-5: worker left no result$"):
+            run_campaign(NetworkConfig(trials=6, seed=5), self.SWEEP, [Strategy.OMA], threads=2)
+        argv = ["simulate", "--seed", "5", "--trials", "6", "--strategies", "oma", "--threads", "2"]
+        assert main([*argv, "--out-dir", str(tmp_path / "o")]) == 1
+        assert "runtime error: trials 3-5: worker left no result" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_a_failing_parent_does_not_wait_on_a_full_pipe(self, monkeypatch):
+        # The child's 20 trials of tables exceed a 64 KiB pipe, so it blocks
+        # writing them until the parent closes its read end.
+        cfg = NetworkConfig(trials=40, seed=5)
+        sweep = [(a, b) for a in (0.5, 1.0, 2.0, 3.0) for b in (0.01, 0.02, 0.04, 0.06, 0.08)]
+        strategies = [Strategy.SUBOPTIMAL, Strategy.UPPER_BOUND, Strategy.LOWER_BOUND, Strategy.OMA]
+        assert 20 * len(sweep) * len(strategies) * 6 * 8 > 64 * 1024
+        trial_0 = set(compute_sinrs(drop_network(cfg, 0), cfg).gamma.tolist())
+        split = netsim.split
+
+        def failing(gate, strategy, fairness):
+            if trial_0 & set(gate.gamma_s.tolist()):
+                raise ArithmeticError("boom in trial 0")
+            return split(gate, strategy, fairness)
+
+        monkeypatch.setattr(netsim, "split", failing)
+        with _deadline(60), pytest.raises(RuntimeError, match=r"^trial 0, alpha=0\.5, beta=0\.01: boom in trial 0$"):
+            run_campaign(cfg, sweep, strategies, threads=2)
