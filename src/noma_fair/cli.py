@@ -113,7 +113,7 @@ SETTINGS = {
     "alphas": (_alpha_list, (1.0,)),
     "betas": (_beta_list, (0.01, 0.06)),
     "strategies": (_comma_list(_strategy), tuple(Strategy)),
-    "threads": (_threads, None),  # None: the CPUs this process may run on
+    "threads": (_threads, None),  # the most workers; None: the CPUs this process may run on
 }
 
 # Settings that `simulate` also takes as flags, with their help texts.
@@ -123,7 +123,8 @@ _SIMULATE_FLAGS = {
     "strategies": "comma list of strategies",
     "alphas": "comma list of alpha sweep values",
     "betas": "comma list of beta sweep values",
-    "threads": "default: the CPUs this process may run on",
+    "threads": "most workers, the parent included; a worker is forked only for a share of at least "
+    "one chunk budget of work (default: the CPUs this process may run on)",
 }
 
 

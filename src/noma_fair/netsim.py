@@ -27,8 +27,9 @@ against a column of the campaign's betas; every strategy is split
 (:func:`noma_fair.allocator.served_rates`) and power means run once over the
 stack; each trial's means are taken on its own slots, its OMA rates once per
 served-OMA mask.  The campaign, an alphas x betas grid, runs its first share
-of trials in the parent beside forked children for the others, stacks the
-tables in trial order and reduces their columns once per NaN pattern.
+of trials in the parent beside forked children for the others, one share per
+worker up to ``threads`` and each share at least one chunk budget of work,
+stacks the tables in trial order and reduces their columns once per NaN pattern.
 
 All randomness is derived from (master seed, trial index) substreams;
 trials are independent and may run in separate processes without changing
@@ -40,6 +41,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import signal
 import sys
 from dataclasses import dataclass, fields
 from functools import partial
@@ -48,7 +50,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .allocator import gate, served_rates, split
+from .allocator import _GRID_POINTS, gate, served_rates, split
 from .fairness import FairnessConfig, alpha_throughput
 from .pairing import match, user_table
 from .rates import Strategy, _require_positive_finite, db_to_linear, oma_rate
@@ -74,7 +76,8 @@ _FADING_STREAM = 1
 # entries, so that a block's float64 buffers stay in cache.
 _BLOCK_ENTRIES = 1 << 14
 # A campaign's parent and forked children run their shares of trials in chunks of about this many
-# (sweep point x strategy x user) entries at the mean user count, which bounds a chunk's stacked tables.
+# (sweep point x strategy x user) entries at the mean user count, which bounds a chunk's stacked tables;
+# a share is forked only when it holds at least this much work.
 _CHUNK_ENTRIES = 1 << 18
 
 
@@ -373,8 +376,10 @@ def _aggregate(columns: np.ndarray) -> tuple[list, list, list]:
 
 
 def _run_shares(run, shares: list[list[range]]) -> list[np.ndarray]:
-    """``run`` of each share's chunks, in order: the first share here, each other one in a forked child."""
+    """``run`` of each share's chunks, in order: the first share here, each other one in a forked child.
+    A failure kills the children whose results are not yet read."""
     children: dict[int, int] = {}  # read end -> pid
+    read = 0  # children whose results are read
     try:
         for share in shares[1:]:
             r, w = os.pipe()
@@ -394,6 +399,7 @@ def _run_shares(run, shares: list[list[range]]) -> list[np.ndarray]:
         tables = list(map(run, shares[0]))
         for r, share in zip(children, shares[1:]):  # failures re-raise in trial order
             data = open(r, "rb", closefd=False).read()
+            read += 1
             missing = RuntimeError(f"trials {share[0].start}-{share[-1].stop - 1}: worker left no result")
             ok, result = pickle.loads(data) if data else (False, missing)
             if not ok:
@@ -401,8 +407,10 @@ def _run_shares(run, shares: list[list[range]]) -> list[np.ndarray]:
             tables += result
         return tables
     finally:
-        for r in children:  # first, so that a child blocked on a full pipe gets BrokenPipeError
+        for r in children:
             os.close(r)
+        for pid in list(children.values())[read:]:  # after a failure: their tables are not needed
+            os.kill(pid, signal.SIGKILL)
         for pid in children.values():
             os.waitpid(pid, 0)
 
@@ -421,11 +429,17 @@ def _campaign_table(cfg: NetworkConfig, sweep, strategies, tau: float, threads: 
     fairs = [FairnessConfig(alpha=a, tau=tau) for a in alphas]
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads!r}")
-    workers = min(threads, cfg.trials) if sys.platform == "linux" else 1  # fork after NumPy's import: Linux only
     # One contiguous share of trials per worker, in chunks of about _CHUNK_ENTRIES entries: a
     # trial stacks its mean user count of entries per point and strategy, and its table 6 more.
-    entries = (cfg.user_density * cfg.area_km2 + 6) * len(sweep) * len(strategies)
+    users = cfg.user_density * cfg.area_km2
+    entries = (users + 6) * len(sweep) * len(strategies)
     step = max(1, int(_CHUNK_ENTRIES // entries))
+    # A worker is forked only for a share of at least one chunk budget of work, which outweighs its fork: a
+    # trial's SINR matrix, its stacked tables and, with optimal, the solver's grid per candidate link.
+    work = users * cfg.bs_density * cfg.area_km2 + entries
+    work += users / 2 * len(sweep) * _GRID_POINTS if Strategy.OPTIMAL in strategies else 0
+    workers = max(1, min(threads, cfg.trials, int(cfg.trials * work // _CHUNK_ENTRIES)))
+    workers = workers if sys.platform == "linux" else 1  # fork after NumPy's import: Linux only
     shares = [range(cfg.trials * k // workers, cfg.trials * (k + 1) // workers) for k in range(workers)]
     chunks = [[share[i : i + step] for i in range(0, len(share), step)] for share in shares]
     table = np.concatenate(_run_shares(partial(_chunk, cfg, strategies, fairs, betas), chunks))
@@ -452,8 +466,9 @@ def run_campaign(
     distinct alphas and betas, and the strategies distinct.  The channel
     realization of trial t is shared by all sweep points, and aggregation
     runs in trial order, so the result is bit-identical for any ``threads``
-    and chunking: the parent runs the first of ``threads`` contiguous shares
-    of trials beside forked children for the others (Linux only), in chunks of one kernel call.
+    and chunking: the parent runs the first of at most ``threads`` contiguous shares
+    of trials beside forked children for the others (Linux only), in chunks of one kernel call;
+    a child is forked only for a share of at least one chunk budget of work.
     A failure names the lowest failing trial and its first failing point.
     The object view of the campaign's row table, without the metrics no
     trial has a value for.

@@ -1,5 +1,7 @@
+import csv
 import inspect
 import json
+import math
 import os
 import re
 import shlex
@@ -653,8 +655,11 @@ class TestSimulateCommand:
         assert "all 5 trials dropped zero users" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_trial_failure_names_trial_and_point(self, tmp_path, capsys, monkeypatch, threads):
-        # Trial 3 runs in the second worker at --threads 2.
+    def test_trial_failure_names_trial_and_point(self, tmp_path, capsys, monkeypatch, threads, forks):
+        # Trial 3 runs in the second worker at --threads 2, forked on Linux
+        # under a budget of one entry.
+        if threads != "1":
+            monkeypatch.setattr(netsim, "_CHUNK_ENTRIES", 1)
         net = NetworkConfig(seed=5)
         bad = set(compute_sinrs(drop_network(net, 3), net).gamma.tolist())
         split = netsim.split
@@ -708,12 +713,16 @@ class TestSimulateCommand:
         assert code == 1
         assert "runtime error: trial 3, alpha=2.0, beta=0.05: boom at the point" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+        assert len(forks) == (3 * (int(threads) - 1) if sys.platform == "linux" else 0)
 
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
-    def test_failures_in_two_shares_name_the_lower_trial(self, tmp_path, capsys, monkeypatch, threads):
+    def test_failures_in_two_shares_name_the_lower_trial(self, tmp_path, capsys, monkeypatch, threads, forks):
         # At --threads 2 and 3, trial 1 runs in the parent's share and trial 4
-        # in a pool share.  Both fail, trial 4 at an earlier point; the lower
-        # trial and its first failing point are named, as at one worker.
+        # in a forked child's share, under a budget of one entry.  Both fail,
+        # trial 4 at an earlier point; the lower trial and its first failing
+        # point are named, as at one worker.
+        if threads != "1":
+            monkeypatch.setattr(netsim, "_CHUNK_ENTRIES", 1)
         net = NetworkConfig(seed=5)
         gammas = {t: set(compute_sinrs(drop_network(net, t), net).gamma.tolist()) for t in (1, 4)}
         split = netsim.split
@@ -735,22 +744,26 @@ class TestSimulateCommand:
         assert code == 1
         assert "runtime error: trial 1, alpha=2.0, beta=0.05: boom in trial 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+        assert len(forks) == (int(threads) - 1 if sys.platform == "linux" else 0)
 
     def test_no_process_pool_module_is_imported(self, tmp_path):
         # Importing the CLI, a one-worker run and a two-worker run leave
         # multiprocessing and concurrent.futures unimported: a campaign's
-        # extra workers are forked with os.fork.
+        # extra workers are forked with os.fork, once at five default trials.
         script = (
-            "import sys\n"
+            "import os, sys\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(None) or fork()\n"
             "import noma_fair.cli as cli\n"
             "pools = ('multiprocessing', 'concurrent.futures', 'concurrent.futures.process')\n"
             "assert not any(name in sys.modules for name in pools)\n"
             f"argv = ['simulate', '--trials', '1', '--threads', '1', '--out-dir', {str(tmp_path / 'o')!r}]\n"
             "assert cli.main(argv) == 0\n"
             "assert not any(name in sys.modules for name in pools)\n"
-            f"argv = ['simulate', '--trials', '2', '--threads', '2', '--out-dir', {str(tmp_path / 'o2')!r}]\n"
+            f"argv = ['simulate', '--trials', '5', '--threads', '2', '--out-dir', {str(tmp_path / 'o2')!r}]\n"
             "assert cli.main(argv) == 0\n"
             "assert not any(name in sys.modules for name in pools)\n"
+            "assert len(forks) == (sys.platform == 'linux')\n"
         )
         src = str(Path(netsim.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -760,7 +773,7 @@ class TestSimulateCommand:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_sinr_failure_names_its_trial(self, tmp_path, capsys, threads):
+    def test_sinr_failure_names_its_trial(self, tmp_path, capsys, threads, forks):
         # A 4000 dB/decade slope overflows the received powers of users
         # within 1 km of a station; the drop and SINRs precede every sweep point.
         cfg = tmp_path / "steep.cfg"
@@ -775,6 +788,7 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "runtime error: trial 0: user 891: gamma must be positive and finite, got 0.0" in err
         assert not (tmp_path / "o").exists()
+        assert len(forks) == (int(threads) - 1 if sys.platform == "linux" else 0)
 
     def test_unknown_strategy_exit_2(self, tmp_path):
         code = run(
@@ -916,3 +930,53 @@ class TestConfigFile:
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         assert _resolve_threads(None) == 1
         assert _resolve_threads(3) == 3
+
+
+def _dispatched_avx512() -> list[str]:
+    umath = np._core._multiarray_umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t] and (t == "X86_V4" or t.startswith("AVX512"))]
+
+
+@pytest.mark.skipif(not _dispatched_avx512(), reason="NumPy dispatches no AVX-512 target on this CPU")
+@pytest.mark.parametrize(
+    "argv, rel_tol",
+    [
+        # Measured: campaign values and stderrs moved by at most 3.2e-9 relative
+        # and the `optimal` sweep splits by at most 2.2e-7 (README, Determinism).
+        (["simulate", "--seed", "2", "--trials", "30", "--alphas", "1,3", "--betas", "0.01,0.06,0.1",
+          "--threads", "1", "--out-dir", "run"], 1e-8),
+        (["sweep", "--axis", "gamma-s", "--values=" + ",".join(f"{11.05 + 0.9 * i:.2f}" for i in range(40)),
+          "--gamma-w-db=11", "--alphas", "0.3,0.7,1", "--betas", "0,0.02,beta_star", "--solver", "optimal",
+          "--out", "run/sweep"], 1e-6),
+    ],
+    ids=["campaign", "sweep"],
+)
+def test_artifacts_agree_across_simd_dispatch_targets(tmp_path, argv, rel_tol):
+    # Switching NumPy's AVX-512 targets off moves its transcendental loops to
+    # another code path, which may round differently in the last bit: keys,
+    # trial counts and row order stay, and the values agree within rel_tol.
+    targets = _dispatched_avx512()
+    src = str(Path(netsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    runs = []
+    for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)}):
+        cwd = tmp_path / str(len(runs))
+        cwd.mkdir()
+        subprocess.run([sys.executable, "-m", "noma_fair.cli", *argv], check=True, env={**env, **extra}, cwd=cwd)
+        [csv_path] = (cwd / "run").glob("*.csv")
+        [manifest] = (cwd / "run").glob("*manifest.txt")
+        [found] = re.findall(r"dispatch on this CPU: (.*)", manifest.read_text(encoding="utf-8"))
+        with open(csv_path, encoding="utf-8", newline="") as fh:
+            runs.append((found.split(), list(csv.DictReader(fh))))
+    (default, rows), (switched, other) = runs
+    assert set(targets) <= set(default) and not set(targets) & set(switched)
+
+    def keys(table):
+        return [{k: v for k, v in row.items() if k not in ("value", "stderr")} for row in table]
+
+    def agree(a, b):
+        return a == b or math.isclose(float(a), float(b), rel_tol=rel_tol, abs_tol=0.0)
+
+    assert keys(rows) == keys(other)
+    assert all(agree(x[k], y[k]) for x, y in zip(rows, other) for k in ("value", "stderr"))

@@ -2,6 +2,7 @@ import math
 import os
 import signal
 import sys
+import time
 import tracemalloc
 from contextlib import contextmanager
 
@@ -277,14 +278,37 @@ class TestRunCampaign:
         ratio = s40 / s160
         assert 1.4 < ratio < 2.9  # ideal: 2
 
-    @pytest.mark.parametrize("threads", [2, 3, 4, 7])  # 4: uneven chunks; 7 workers for 6 trials
-    def test_thread_count_does_not_change_results(self, threads):
+    @pytest.mark.parametrize("threads", [2, 3, 4, 7])  # 4: uneven shares; 7 threads for 6 trials
+    def test_thread_count_does_not_change_results(self, threads, monkeypatch, forks):
+        # A budget of one entry forks a child for every share, even of one trial, on Linux.
+        monkeypatch.setattr(netsim, "_CHUNK_ENTRIES", 1)
         cfg = NetworkConfig(trials=6, seed=33)
         sweep = [(a, b) for a in (1.0, 3.0) for b in (0.01, 0.05)]
         strategies = [Strategy.OPTIMAL, Strategy.NEAR_FAR, Strategy.OMA]
         seq = run_campaign(cfg, sweep, strategies, threads=1)
         par = run_campaign(cfg, sweep, strategies, threads=threads)
         assert seq == par
+        assert len(forks) == (min(threads, 6) - 1 if sys.platform == "linux" else 0)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="campaigns fork on Linux only")
+    def test_a_worker_is_forked_only_for_a_chunk_budget_of_work(self, forks):
+        # At two trials and --threads 2, the benchmark's mc-fast shape (about 10.5k
+        # entries a trial) runs in one process, and forks from 50 trials; its
+        # mc-optimal shape (about 366k, mostly the optimal grid) and a 36 km2 oma
+        # window (about 3.9M, the SINR matrix) fork.
+        fast = [(a, b) for a in (0.5, 1.0, 3.0, 25.0) for b in (0.01, 0.04, 0.08)]
+        closed = [Strategy.SUBOPTIMAL, Strategy.UPPER_BOUND, Strategy.LOWER_BOUND, Strategy.NEAR_FAR, Strategy.OMA]
+        made = []
+        for trials in (2, 49, 50):
+            run_campaign(NetworkConfig(trials=trials), fast, closed, threads=2)
+            made.append(len(forks))
+        acceptance = [(1.0, b) for b in (0.01, 0.02, 0.04, 0.06, 0.08, 0.1)]
+        strategies = [Strategy.OPTIMAL, Strategy.SUBOPTIMAL, Strategy.NEAR_FAR, Strategy.OMA]
+        run_campaign(NetworkConfig(trials=2), acceptance, strategies, threads=2)
+        made.append(len(forks))
+        run_campaign(NetworkConfig(trials=2, area_km2=36.0), [(1.0, 0.04)], [Strategy.OMA], threads=2)
+        made.append(len(forks))
+        assert made == [0, 0, 1, 2, 3]
 
     @pytest.mark.parametrize("budget", [None, 3500])  # one chunk of six trials; chunks of three
     def test_failure_inside_a_chunk_names_its_trial_and_point(self, monkeypatch, budget):
@@ -375,13 +399,15 @@ class TestForkedShares:
     SWEEP = [(1.0, 0.01), (1.0, 0.05)]
 
     @pytest.fixture(autouse=True)
-    def no_child_left(self):
+    def no_child_left(self, monkeypatch):
+        # A budget of one entry forks a child for every share of these small campaigns.
+        monkeypatch.setattr(netsim, "_CHUNK_ENTRIES", 1)
         yield
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("threads", [2, 3])
-    def test_success_leaves_no_child(self, threads, tmp_path):
+    def test_success_leaves_no_child(self, threads, tmp_path, forks):
         cfg = NetworkConfig(trials=6, seed=33)
         strategies = [Strategy.SUBOPTIMAL, Strategy.OMA]
         parent = os.getpid()
@@ -392,9 +418,10 @@ class TestForkedShares:
                 (tmp_path / f"returned-{os.getpid()}").touch()
                 os._exit(0)
         assert not list(tmp_path.iterdir())
+        assert len(forks) == threads - 1
         assert rows == run_campaign(cfg, self.SWEEP, strategies, threads=1)
 
-    def test_a_child_that_leaves_no_result_is_named(self, monkeypatch, tmp_path, capsys):
+    def test_a_child_that_leaves_no_result_is_named(self, monkeypatch, tmp_path, capsys, forks):
         parent, chunk = os.getpid(), netsim._chunk
 
         def dying(*args):
@@ -409,10 +436,11 @@ class TestForkedShares:
         assert main([*argv, "--out-dir", str(tmp_path / "o")]) == 1
         assert "runtime error: trials 3-5: worker left no result" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+        assert len(forks) == 2
 
-    def test_a_failing_parent_does_not_wait_on_a_full_pipe(self, monkeypatch):
+    def test_a_failing_parent_does_not_wait_on_a_full_pipe(self, monkeypatch, forks):
         # The child's 20 trials of tables exceed a 64 KiB pipe, so it blocks
-        # writing them until the parent closes its read end.
+        # writing them until the parent kills it.
         cfg = NetworkConfig(trials=40, seed=5)
         sweep = [(a, b) for a in (0.5, 1.0, 2.0, 3.0) for b in (0.01, 0.02, 0.04, 0.06, 0.08)]
         strategies = [Strategy.SUBOPTIMAL, Strategy.UPPER_BOUND, Strategy.LOWER_BOUND, Strategy.OMA]
@@ -428,3 +456,26 @@ class TestForkedShares:
         monkeypatch.setattr(netsim, "split", failing)
         with _deadline(60), pytest.raises(RuntimeError, match=r"^trial 0, alpha=0\.5, beta=0\.01: boom in trial 0$"):
             run_campaign(cfg, sweep, strategies, threads=2)
+        assert len(forks) == 1
+
+    def test_a_failing_parent_does_not_wait_on_a_running_child(self, monkeypatch, forks):
+        # The child's share would take a minute; trial 0 fails in the parent's.
+        cfg = NetworkConfig(trials=4, seed=5)
+        trial_0 = set(compute_sinrs(drop_network(cfg, 0), cfg).gamma.tolist())
+        parent, chunk, split = os.getpid(), netsim._chunk, netsim.split
+
+        def slow(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return chunk(*args)
+
+        def failing(gate, strategy, fairness):
+            if trial_0 & set(gate.gamma_s.tolist()):
+                raise ArithmeticError("boom in trial 0")
+            return split(gate, strategy, fairness)
+
+        monkeypatch.setattr(netsim, "_chunk", slow)
+        monkeypatch.setattr(netsim, "split", failing)
+        with _deadline(10), pytest.raises(RuntimeError, match=r"^trial 0, alpha=1\.0, beta=0\.01: boom in trial 0$"):
+            run_campaign(cfg, self.SWEEP, [Strategy.SUBOPTIMAL, Strategy.OMA], threads=2)
+        assert len(forks) == 1
