@@ -140,9 +140,9 @@ def parse_config_file(path) -> dict:
     """Parse a flat key-value config file against :data:`SETTINGS`.
 
     Raises :class:`ConfigError` naming the offending key and line for any
-    unknown key, malformed line, or unconvertible value.
+    unknown or repeated key, malformed line, or unconvertible value.
     """
-    parsed = {}
+    parsed, first_line = {}, {}
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -156,6 +156,8 @@ def parse_config_file(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
+        if (first := first_line.setdefault(key, lineno)) < lineno:
+            raise ConfigError(f"{path}:{lineno}: repeated key {key!r}, first set on line {first}")
         if key == "version":
             continue
         if key not in SETTINGS:

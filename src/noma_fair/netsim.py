@@ -306,11 +306,6 @@ def _trial_tables(
     return table.transpose(0, 2, 4, 3, 1)
 
 
-def _trial_table(users: np.ndarray, strategies, fairs, betas) -> np.ndarray:
-    """One trial's table: :func:`_trial_tables` of a chunk of one."""
-    return _trial_tables([users], strategies, fairs, betas)[0]
-
-
 def evaluate_strategies(
     users: np.ndarray,
     strategies: Sequence[Strategy],
@@ -319,11 +314,11 @@ def evaluate_strategies(
 ) -> TrialMetrics:
     """Run every strategy on one channel realization and aggregate metrics.
 
-    The object view of :func:`_trial_table` at one sweep point, None where a
-    mean has no values; the campaign reads the table itself.
+    The object view of :func:`_trial_tables` of this one trial at one sweep
+    point, None where a mean has no values; the campaign reads the table itself.
     """
     strategies = list(dict.fromkeys(strategies))
-    table, per_strategy = _trial_table(users, strategies, [fairness], [beta])[0, 0], {}
+    table, per_strategy = _trial_tables([users], strategies, [fairness], [beta])[0, 0, 0], {}
     for strat, (*means, pairs) in zip(strategies, table.tolist()):
         means = [None if math.isnan(m) else m for m in means]
         per_strategy[strat] = StrategyMetrics(*means, int(pairs), len(users) - 2 * int(pairs))
@@ -335,17 +330,17 @@ _METRICS = ("mur_strong", "mur_weak", "mur_oma", "t_alpha", "mean_asr")
 
 
 def _trial(cfg: NetworkConfig, strategies, fairs, betas, t: int) -> np.ndarray:
-    """Trial t's table, after each sweep point alone.  A failure is re-raised
-    naming the trial index and, past the SINRs, its sweep point: the first,
-    alpha-major, that fails on its own."""
+    """Trial t's table, from :func:`_trial_tables` of it alone, after each sweep
+    point alone.  A failure is re-raised naming the trial index and, past the
+    SINRs, its sweep point: the first, alpha-major, that fails on its own."""
     point = ""  # the drop and SINRs serve every sweep point
     try:
         users = compute_sinrs(drop_network(cfg, t), cfg)
         for fairness, beta in product(fairs, betas):
             point = f", alpha={fairness.alpha}, beta={beta}"
-            _trial_table(users, strategies, [fairness], [beta])
+            _trial_tables([users], strategies, [fairness], [beta])
         point = ""
-        return _trial_table(users, strategies, fairs, betas)
+        return _trial_tables([users], strategies, fairs, betas)[0]
     except Exception as exc:
         raise RuntimeError(f"trial {t}{point}: {exc}") from exc
 

@@ -43,12 +43,10 @@ __all__ = [
     "BETA_STAR_TOKEN",
     "ResultRow",
     "format_value",
-    "sort_rows",
     "emit_delta_sweep",
     "emit_campaign_csv",
     "emit_campaign_json",
     "emit_artifacts",
-    "parse_campaign_csv",
 ]
 
 # The full metric vocabulary appearing in artifacts.
@@ -105,10 +103,6 @@ def _order(table: Sequence[list]) -> list[int]:
     sinr_keys = ([(v is not None, v) for v in column] if None in column else column for column in (gamma_s, gamma_w))
     keys = list(zip(alpha, beta, strategy, metric, *sinr_keys))
     return sorted(range(len(keys)), key=keys.__getitem__)
-
-
-def sort_rows(rows: Sequence[ResultRow]) -> list[ResultRow]:
-    return list(map(rows.__getitem__, _order(_table(rows))))
 
 
 def _printed(value):
@@ -271,25 +265,3 @@ def emit_artifacts(table: Sequence[list], csv_path, json_path) -> tuple[Path, Pa
     """Both artifacts of a row table (a list per :data:`CSV_HEADER` column) from a single rendering."""
     csv_lines, json_objects = _render(table)
     return _write_csv(csv_lines, Path(csv_path)), _write_json(json_objects, Path(json_path))
-
-
-def _parse_cell(key: str, text: str):
-    """A CSV cell's value: str, int for trials, float, or None if empty."""
-    if key in _TEXT_KEYS:
-        return text
-    if key == "trials":
-        return int(text)
-    return float(text) if text else None
-
-
-def parse_campaign_csv(path) -> list[ResultRow]:
-    """Read back an emitted CSV; inverse of :func:`emit_campaign_csv`."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header!r} in {path}")
-        return [
-            ResultRow(**{key: _parse_cell(key, text) for key, text in zip(CSV_HEADER, rec)})
-            for rec in reader
-        ]

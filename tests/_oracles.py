@@ -373,6 +373,14 @@ def _parse_cell_ref(key: str, text: str):
     return float(text) if text else None
 
 
+def parse_campaign_csv_ref(path) -> list[ResultRow]:
+    """The rows of an emitted CSV, read back with csv.reader; its header must be CSV_HEADER."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        assert tuple(next(reader)) == CSV_HEADER, path
+        return [ResultRow(**{key: _parse_cell_ref(key, text) for key, text in zip(CSV_HEADER, rec)}) for rec in reader]
+
+
 def _sorted_ref(rows) -> list:
     """Rows in artifact order: by (alpha, beta, strategy, metric, gamma_s_db,
     gamma_w_db), a None SINR before any number; equal keys keep their order."""

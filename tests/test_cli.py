@@ -21,7 +21,7 @@ from noma_fair.cli import SETTINGS, build_parser, main, parse_config_file
 from noma_fair.fairness import FairnessConfig, utility
 from noma_fair.netsim import NetworkConfig, compute_sinrs, drop_network, run_campaign
 from noma_fair.rates import Strategy, db_to_linear
-from noma_fair.report import emit_delta_sweep, format_value, parse_campaign_csv
+from noma_fair.report import emit_delta_sweep, format_value
 
 from _oracles import (
     alpha_fair_objective_ref,
@@ -30,6 +30,7 @@ from _oracles import (
     noma_rate_strong_ref,
     noma_rate_weak_ref,
     oma_rate_ref,
+    parse_campaign_csv_ref,
 )
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -225,7 +226,7 @@ class TestSweepCommand:
             ]
         )
         assert code == 0
-        rows = parse_campaign_csv(base.with_suffix(".csv"))
+        rows = parse_campaign_csv_ref(base.with_suffix(".csv"))
         assert {r.alpha for r in rows} == {0.3, 0.6, 1.0, 25.0, 35.0}
         assert len({r.beta for r in rows}) == 4
         assert base.with_suffix(".json").exists()
@@ -243,7 +244,7 @@ class TestSweepCommand:
             ]
         )
         assert code == 0
-        rows = parse_campaign_csv(base.with_suffix(".csv"))
+        rows = parse_campaign_csv_ref(base.with_suffix(".csv"))
         assert {r.gamma_s_db for r in rows} == {4.0, 6.0, 8.0, 10.0, 12.0}
         assert {r.gamma_w_db for r in rows} == {1.0}
 
@@ -257,7 +258,7 @@ class TestSweepCommand:
             ]
         )
         assert code == 0
-        rows = parse_campaign_csv(base.with_suffix(".csv"))
+        rows = parse_campaign_csv_ref(base.with_suffix(".csv"))
         assert {r.beta for r in rows} == {0.05}
 
     def test_empty_values_exit_2(self, tmp_path, capsys):
@@ -275,7 +276,7 @@ class TestSweepCommand:
         assert run(["sweep", *flags, "--values", "1", "--out", str(tmp_path / "run.v1")]) == 0
         assert run(["sweep", *flags, "--values", "2", "--out", str(tmp_path / "run.v2.csv")]) == 0
         for name, alpha in (("run.v1", 1.0), ("run.v2", 2.0)):
-            assert {r.alpha for r in parse_campaign_csv(tmp_path / f"{name}.csv")} == {alpha}
+            assert {r.alpha for r in parse_campaign_csv_ref(tmp_path / f"{name}.csv")} == {alpha}
             assert [r["alpha"] for r in json.loads((tmp_path / f"{name}.json").read_text())] == [alpha] * 4
             manifest = (tmp_path / f"{name}.manifest.txt").read_text(encoding="utf-8")
             assert f"# artifacts: {name}.csv {name}.json\n" in manifest
@@ -360,7 +361,7 @@ class TestSweepCommand:
             assert a.with_suffix(suffix).read_bytes() == b.with_suffix(suffix).read_bytes()
         manifest = (a.parent / "x.manifest.txt").read_text(encoding="utf-8")
         assert manifest.replace(str(a), str(b)) == (b.parent / "x.manifest.txt").read_text(encoding="utf-8")
-        rows = parse_campaign_csv(a.with_suffix(".csv"))
+        rows = parse_campaign_csv_ref(a.with_suffix(".csv"))
         assert sorted({r.gamma_w_db for r in rows}) == [-5.0, -2.0, 0.0]
 
     def test_reproduce_line_quotes_a_path_with_a_space(self, tmp_path):
@@ -377,7 +378,7 @@ class TestSweepCommand:
         assert not any(tmp_path.iterdir())
         # The token alone skips the misordered link (beta_star < 0).
         assert run([*argv, "--betas", "beta_star"]) == 0
-        rows = parse_campaign_csv(base.with_suffix(".csv"))
+        rows = parse_campaign_csv_ref(base.with_suffix(".csv"))
         assert rows and {(r.gamma_s_db, r.gamma_w_db) for r in rows} == {(5.0, 2.0)}
 
     @pytest.mark.parametrize(
@@ -520,7 +521,7 @@ class TestSimulateCommand:
             ]
         )
         assert code == 0
-        rows = parse_campaign_csv(out / "campaign.csv")
+        rows = parse_campaign_csv_ref(out / "campaign.csv")
         t = {r.strategy: r.value for r in rows if r.metric == "t_alpha"}
         assert t["near_far"] < t["oma"]
 
@@ -544,6 +545,15 @@ class TestSimulateCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "bogus_key" in err and ":2" in err
+
+    def test_repeated_config_key_exit_2(self, tmp_path, capsys):
+        # The last value would win silently; the error names the key and both lines.
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("trials = 2\n# again\ntrials = 3\n", encoding="utf-8")
+        code = run(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "twice.cfg:3: repeated key 'trials', first set on line 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_line_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -814,7 +824,7 @@ class TestPairSweepAgreement:
                  "--solver", solver, "--out", str(base)]
             )
             assert code == 0
-            rows = parse_campaign_csv(base.with_name(base.name + ".csv"))  # "sweep_4_3.5.csv"
+            rows = parse_campaign_csv_ref(base.with_name(base.name + ".csv"))  # "sweep_4_3.5.csv"
             swept = {(r.alpha, r.beta, r.metric): r.value for r in rows}
             star = beta_star(db_to_linear(float(gs_db)), db_to_linear(float(gw_db)))
             assert {r.beta for r in rows} - {0.0, 0.04, 0.3} == (

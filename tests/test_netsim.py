@@ -250,7 +250,7 @@ class TestRunTrial:
         fairs = [FairnessConfig(alpha=a) for a in (0.5, 1.0, 3.0, 25.0)]
         betas = [0.01, 0.04, 0.08]
         strategies = [Strategy.SUBOPTIMAL, Strategy.UPPER_BOUND, Strategy.LOWER_BOUND, Strategy.NEAR_FAR, Strategy.OMA]
-        table = netsim._trial_table(users, strategies, fairs, betas)
+        table = netsim._trial_tables([users], strategies, fairs, betas)[0]
         assert table.shape[:3] == (len(fairs), len(betas), len(strategies))
         assert 2 < sum(gathers) <= len(betas) + 2 < table[..., 0].size
 

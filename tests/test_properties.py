@@ -45,7 +45,6 @@ from noma_fair.netsim import (
     NetworkConfig,
     NetworkRealization,
     _aggregate,
-    _trial_table,
     _trial_tables,
     compute_sinrs,
     drop_network,
@@ -62,11 +61,11 @@ from noma_fair.report import (
     emit_campaign_json,
     emit_delta_sweep,
     format_value,
-    sort_rows,
 )
 
 from _oracles import (
     WRAPPERS,
+    _sorted_ref,
     aggregate_columns_ref,
     candidate_pairs_ref,
     compute_sinrs_ref,
@@ -174,18 +173,10 @@ def test_pair_serves_a_link_as_a_one_candidate_trial():
     # cell holds the link's two users, compared with ==.
     seen = collections.Counter()
 
-    # The CLI's report, whose utility_sum must be the utility of its served
-    # rates.  Checked here, under the name check calls, because derandomized
-    # Hypothesis draws from the source of check: an edit there re-draws the
-    # examples that the band counts below were met on.
-    def _pair_report(args):
-        report = cli._pair_report(args)
-        paired = report["mode"] == "noma_paired"
-        served = [report["rate_strong_noma" if paired else "rate_strong_oma"],
-                  report["rate_weak_noma" if paired else "rate_weak_oma"]]
-        assert report["utility_sum"] == utility(served[0], args.alpha) + utility(served[1], args.alpha)
-        return report
-
+    # Derandomized Hypothesis seeds a test from its source, so an edit to check
+    # would re-draw the examples that the band counts below were met on.  The
+    # seed is the one its source gave before it was pinned.
+    @hypothesis.seed(37594339349312461837484375898415676759979543160611653165557364402402021213275679814335136801317517341765586735730555)
     @PROPERTY
     @given(
         st.floats(-10.0, 20.0),
@@ -198,14 +189,15 @@ def test_pair_serves_a_link_as_a_one_candidate_trial():
     def check(gw_db, offset_db, beta, alpha, tau, solver):
         gs_db = gw_db + offset_db
         users = user_table([0, 1], [0, 0], [db_to_linear(gs_db), db_to_linear(gw_db)], [2e-9, 1e-9])
-        table = _trial_table(users, [Strategy(solver)], [FairnessConfig(alpha=alpha, tau=tau)], [beta])
-        mur_s, mur_w, mur_oma, t, asr, pairs = table[0, 0, 0].tolist()
-        report = _pair_report(
+        table = _trial_tables([users], [Strategy(solver)], [FairnessConfig(alpha=alpha, tau=tau)], [beta])
+        mur_s, mur_w, mur_oma, t, asr, pairs = table[0, 0, 0, 0].tolist()
+        report = cli._pair_report(
             Namespace(gamma_s_db=gs_db, gamma_w_db=gw_db, beta=beta, alpha=alpha, tau=tau, solver=solver)
         )
         paired = report["mode"] == "noma_paired"
         oma = report["rate_strong_oma"], report["rate_weak_oma"]
         served = (report["rate_strong_noma"], report["rate_weak_noma"]) if paired else oma
+        assert report["utility_sum"] == utility(served[0], alpha) + utility(served[1], alpha)
         assert (mur_s, mur_w, t, asr, pairs) == (*served, report["t_alpha"], served[0] + served[1], paired)
         assert math.isnan(mur_oma) if paired else mur_oma == (oma[0] + oma[1]) / 2
         seen[solver, paired, "0" if alpha == 0 else "1" if alpha == 1 else ">1" if alpha > 1 else "(0, 1)"] += 1
@@ -270,8 +262,8 @@ def _assert_stack_equals_one_beta_passes(users, betas):
     # table of a trial must be, byte for byte, its one-point tables stacked.
     strategies = list(Strategy)
     fairs = [FairnessConfig(alpha=a) for a in (0.0, 0.5, 1.0, 1.0 + 1e-12, 3.0)]
-    got = _trial_table(users, strategies, fairs, betas)
-    want = np.stack([[_trial_table(users, strategies, [f], [b])[0, 0] for b in betas] for f in fairs])
+    got = _trial_tables([users], strategies, fairs, betas)[0]
+    want = np.stack([[_trial_tables([users], strategies, [f], [b])[0, 0, 0] for b in betas] for f in fairs])
     assert got.shape == (len(fairs), len(betas), len(strategies), 6)
     assert got.tobytes() == want.tobytes(), betas
 
@@ -298,7 +290,7 @@ def test_one_pass_over_betas_equals_one_beta_passes(users, betas, admitted):
         assert (match(users)[1] < 0).all()
     else:
         # Each beta's gate admits the stated number of candidates.
-        opt = _trial_table(users, [Strategy.OPTIMAL], [FairnessConfig(alpha=1.0)], betas)[0]
+        opt = _trial_tables([users], [Strategy.OPTIMAL], [FairnessConfig(alpha=1.0)], betas)[0, 0]
         assert opt[:, 0, 5].tolist() == admitted
     _assert_stack_equals_one_beta_passes(users, betas)
 
@@ -325,6 +317,8 @@ def test_chunked_kernel_equals_one_trial_tables():
     seen = collections.Counter()
     singles = st.lists(st.floats(0.1, 1000.0), min_size=1, max_size=4).map(lambda g: _cells(*zip(g)))
 
+    # Pinned to the seed its source gave, as in test_pair_serves_a_link_as_a_one_candidate_trial.
+    @hypothesis.seed(13826335183101934751358680617175656734724432884702120904782486618248071185559280968315256578047928717074059833882620)
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(
         st.lists(drops() | singles, min_size=1, max_size=6),
@@ -336,7 +330,7 @@ def test_chunked_kernel_equals_one_trial_tables():
     )
     def check(trials, sizes, alphas_, betas, strategies):
         fairs = [FairnessConfig(alpha=a) for a in alphas_]
-        want = [_trial_table(users, strategies, fairs, betas) for users in trials]
+        want = [_trial_tables([users], strategies, fairs, betas)[0] for users in trials]
         copies = [users.copy() for users in trials]
         lo = 0
         for size in sizes:
@@ -387,7 +381,7 @@ def test_campaign_rows_equal_per_trial_reference(shape, threads):
         assert len(expected) == len(sweep) * len(strategies) * 5
         assert {r.trials for r in expected} == {cfg.trials}
     got = run_campaign(cfg, sweep, strategies, threads=threads)
-    assert sort_rows(got) == sort_rows(expected)
+    assert _sorted_ref(got) == _sorted_ref(expected)
 
 
 def test_grouped_aggregation_equals_column_by_column_reference():
