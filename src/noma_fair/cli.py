@@ -333,7 +333,7 @@ def _cmd_sweep(args) -> int:
 
     links = list(product(grid["gamma-s"], grid["gamma-w"]))
     table = _sweep_table(links, grid["beta"], grid["alpha"], tau=args.tau, solver=Strategy(args.solver))
-    if not table[0]:
+    if not len(table[0]):
         raise ValueError("sweep produced no rows (all links infeasible at beta_star)")
     # Artifacts are <out>.csv, <out>.json and <out>.manifest.txt; a dot in <out> is kept.
     name = args.out.stem if args.out.suffix == ".csv" else args.out.name

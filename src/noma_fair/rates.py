@@ -64,15 +64,23 @@ AllocationSource = Strategy  # the name perfbench/trace.py imports
 
 def _require_positive_finite(name: str, value) -> None:
     """Raise ValueError naming ``name`` unless the scalar or every array entry
-    is positive and finite.  Plain floats skip numpy's per-call cost."""
+    is positive and finite; for an array, the message names its first failing
+    entry, that entry's flat index and how many fail.  Plain floats skip
+    numpy's per-call cost."""
     if isinstance(value, float):
         ok = math.isfinite(value) and value > 0
     else:
         arr = np.asarray(value, dtype=float)
         # NaN fails both comparisons; an empty array passes.
         ok = bool(arr.min(initial=math.inf) > 0 and arr.max(initial=0.0) < math.inf)
-    if not ok:
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if ok:
+        return
+    got = repr(value)
+    if np.ndim(value):
+        bad = ~((arr > 0) & (arr < math.inf)).ravel()
+        first = int(bad.argmax())
+        got = f"{arr.flat[first].item()!r} at flat index {first} ({np.count_nonzero(bad)} of {bad.size} entries fail)"
+    raise ValueError(f"{name} must be positive and finite, got {got}")
 
 
 def _require_split(delta_s) -> None:

@@ -11,9 +11,14 @@ output byte-stable and round-trippable.  A JSON mirror (array of objects,
 same rows and precision) accompanies every CSV for programmatic consumers.
 
 Rows travel from the ``sweep`` and ``simulate`` producers to the artifacts
-as one row table, a list per CSV_HEADER column, with :class:`ResultRow` as
-its object view.  A table is sorted once and each distinct value of a
-column formatted once; both artifacts are written from that one rendering.
+as one row table, a list or NumPy array per CSV_HEADER column (``sweep``
+gives arrays, ``simulate`` lists), with :class:`ResultRow` as its object
+view.  A table is sorted once, by Python's stable sort on its key columns.
+Each column is factorized once into a code per row and its distinct values
+(an array of 8-byte numbers on its bits, any other column by a dict), and
+each distinct value formatted once.  The cells are then taken by code, in
+sorted order, into a rows x columns array of texts per artifact, and both
+artifacts are written from that one rendering, a block of rows per write.
 The JSON mirror is written as text directly, with the bytes
 ``json.dump(indent=2)`` gives for the CSV cells parsed back.  The row-by-row
 writers it replaces are kept as the reference in ``tests/_oracles.py``.
@@ -26,9 +31,9 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -122,8 +127,8 @@ def _require_distinct(name: str, given: Sequence, values: Sequence) -> None:
             raise ValueError(f"repeated {name} {given[i]!r}{alike}")
 
 
-def _sweep_table(links_db, betas, alphas, tau: float, solver: Strategy) -> list[list]:
-    """The row table of :func:`emit_delta_sweep`."""
+def _sweep_table(links_db, betas, alphas, tau: float, solver: Strategy) -> list[np.ndarray]:
+    """The row table of :func:`emit_delta_sweep`, an array per column."""
     links_db, betas, alphas = [tuple(link) for link in links_db], list(betas), list(alphas)
     if not links_db or not betas or not alphas:
         raise ValueError("links, betas and alphas must all be non-empty")
@@ -159,9 +164,10 @@ def _sweep_table(links_db, betas, alphas, tau: float, solver: Strategy) -> list[
     keep = ~np.isnan(values) & ~np.array(skip).T[..., None, None]
     link, entry, alpha, metric = np.nonzero(keep)
     n = len(link)
-    return [np.array(alphas, dtype=float)[alpha].tolist(), g.beta[entry, link].tolist(), *links[link].T.tolist(),
-            [solver.value] * n, np.array(("delta_lb", "delta_ub", "msd_satisfied", "delta_s"))[metric].tolist(),
-            values[keep].tolist(), [1] * n, [0.0] * n]
+    return [np.array(alphas, dtype=float)[alpha], g.beta[entry, link], *links[link].T,
+            np.full(n, solver.value, dtype=object),
+            np.array(("delta_lb", "delta_ub", "msd_satisfied", "delta_s"), dtype=object)[metric],
+            values[keep], np.ones(n, dtype=np.int64), np.zeros(n)]
 
 
 def emit_delta_sweep(
@@ -180,7 +186,7 @@ def emit_delta_sweep(
     SUBOPTIMAL.  An alpha, beta entry or link that repeats or prints like
     an earlier one is rejected.  The object view of the sweep's row table.
     """
-    return list(map(ResultRow, *_sweep_table(links_db, betas, alphas, tau, solver)))
+    return list(map(ResultRow, *(column.tolist() for column in _sweep_table(links_db, betas, alphas, tau, solver))))
 
 
 # One row of each artifact, written as csv.writer and json.dump(indent=2)
@@ -188,6 +194,9 @@ def emit_delta_sweep(
 _CSV_LINE = ",".join(["%s"] * len(CSV_HEADER)) + "\r\n"
 _JSON_OBJECT = ",\n  {\n" + ",\n".join(f'    "{key}": %s' for key in CSV_HEADER) + "\n  }"
 _TEXT_KEYS = ("strategy", "metric")
+# Rows an artifact is written in per call: a block, not the whole file, is
+# joined into one string.
+_BLOCK_ROWS = 4096
 
 
 def _cell_formats(line: str) -> list[str]:
@@ -197,56 +206,79 @@ def _cell_formats(line: str) -> list[str]:
     return [text + "%s" for text in before[:-1]] + [before[-1] + "%s" + after]
 
 
-def _cell_texts(key: str, value) -> tuple[str, str]:
-    """A cell's CSV text and the JSON text of what that CSV text parses back to."""
+def _column_texts(key: str, distinct: list) -> tuple[list[str], list[str]]:
+    """The CSV texts of a column's distinct values, and the JSON texts of
+    what those CSV texts parse back to."""
     if key in _TEXT_KEYS:  # quoted as csv.writer quotes a cell of a row
-        csv.writer(line := io.StringIO()).writerow((value, ""))
-        return line.getvalue()[: -len(",\r\n")], json.dumps(value)
+        csv_texts = []
+        for value in distinct:
+            csv.writer(line := io.StringIO()).writerow((value, ""))
+            csv_texts.append(line.getvalue()[: -len(",\r\n")])
+        return csv_texts, list(map(json.dumps, distinct))
     if key == "trials":
-        text = str(int(value))
-        return text, text
-    if value is None:  # a campaign row's link SINRs
-        return "", "null"
-    text = format_value(value)
-    parsed = float(text)  # json.dumps writes a finite float as its repr
-    return text, repr(parsed) if math.isfinite(parsed) else json.dumps(parsed)
+        texts = [str(int(value)) for value in distinct]
+        return texts, texts
+    # A campaign row's link SINRs may be None; json.dumps writes a finite float as its repr.
+    csv_texts = ["" if value is None else format_value(value) for value in distinct]
+    return csv_texts, ["null" if not text else repr(parsed) if math.isfinite(parsed := float(text)) else json.dumps(parsed)
+                       for text in csv_texts]
 
 
-def _render(table: Sequence[list]) -> tuple[Iterator[str], Iterator[str]]:
-    """The rows' CSV lines and JSON objects, sorted once (:func:`_order`).
-    Each distinct value of a column is formatted once, with its line's text
-    around it; a float zero (and None) is keyed by its repr, as -0.0 and 0.0
-    hash alike but print "-0" and "0".  Refuses empty input, so no emitter
-    touches disk for it."""
-    if not table[0]:
+def _factorize(key: str, values) -> tuple[Sequence[int], list]:
+    """A column's code per row and its distinct values.  An array of 8-byte
+    numbers is factorized on its bits, so -0.0 and 0.0 (and NaN payloads)
+    stay apart; any other column by a dict, with a number zero (and None)
+    keyed by its repr, as -0.0 and 0.0 hash alike but print "-0" and "0"."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu" and values.dtype.itemsize == 8:
+        _, first, codes = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
+        return codes, values[first].tolist()
+    values = values.tolist() if isinstance(values, np.ndarray) else values
+    keys = values if key in _TEXT_KEYS else [v or repr(v) for v in values]
+    distinct = dict(zip(keys, values))
+    code = dict(zip(distinct, range(len(distinct))))
+    return list(map(code.__getitem__, keys)), list(distinct.values())
+
+
+def _render(table: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """The rows' CSV and JSON cells, sorted once (:func:`_order`): a rows x
+    columns array of texts per artifact, each cell with its line's text
+    around it, so that an artifact is its rows' cells joined.  Each column
+    is factorized once and each distinct value formatted once; the cells
+    are taken by code from one array of all the columns' texts.  Refuses
+    empty input, so no emitter touches disk for it."""
+    if not len(table[0]):
         raise ValueError("no rows to emit")
-    order = _order(table)
-    permute = itemgetter(*order) if len(order) > 1 else tuple  # itemgetter(i) gives an item, not a tuple
-    csv_columns, json_columns = [], []
+    order = _order([c.tolist() if isinstance(c, np.ndarray) else c for c in table[:6]])
+    codes, offsets, csv_texts, json_texts = [], [], [], []
     for key, values, csv_format, json_format in zip(CSV_HEADER, table, *map(_cell_formats, (_CSV_LINE, _JSON_OBJECT))):
-        memo_keys = values if key in _TEXT_KEYS else [v or repr(v) for v in values]
-        csv_texts, json_texts = {}, {}
-        for k, v in dict(zip(memo_keys, values)).items():
-            csv_text, json_text = _cell_texts(key, v)
-            csv_texts[k], json_texts[k] = csv_format % csv_text, json_format % json_text
-        memo_keys = permute(memo_keys)
-        csv_columns.append(map(csv_texts.__getitem__, memo_keys))
-        json_columns.append(map(json_texts.__getitem__, memo_keys))
-    # Rows are joined as they are written, so no row outlives its write.
-    return map("".join, zip(*csv_columns)), map("".join, zip(*json_columns))
+        column_codes, distinct = _factorize(key, values)
+        codes.append(column_codes)
+        offsets.append(len(csv_texts))
+        csv_column, json_column = _column_texts(key, distinct)
+        csv_texts += map(csv_format.__mod__, csv_column)
+        json_texts += map(json_format.__mod__, json_column)
+    texts = np.array(csv_texts + json_texts, dtype=object).reshape(2, -1)
+    cells = texts[:, (np.array(codes).T + offsets)[order]]
+    return cells[0], cells[1]
 
 
-def _write_csv(lines: Iterator[str], path: Path) -> Path:
+def _write_blocks(fh, cells: np.ndarray) -> None:
+    """Write a rows x columns array of cell texts, :data:`_BLOCK_ROWS` joined rows per write."""
+    for start in range(0, len(cells), _BLOCK_ROWS):
+        fh.write("".join(cells[start : start + _BLOCK_ROWS].ravel().tolist()))
+
+
+def _write_csv(cells: np.ndarray, path: Path) -> Path:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_CSV_LINE % CSV_HEADER)
-        fh.writelines(lines)
+        _write_blocks(fh, cells)
     return path
 
 
-def _write_json(objects: Iterator[str], path: Path) -> Path:
+def _write_json(cells: np.ndarray, path: Path) -> Path:
+    cells[0, 0] = "[" + cells[0, 0][1:]  # the first object's "\n" without its ","
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("[" + next(objects)[1:])  # the first object's "\n" without its ","
-        fh.writelines(objects)
+        _write_blocks(fh, cells)
         fh.write("\n]\n")
     return path
 
@@ -261,7 +293,7 @@ def emit_campaign_json(rows: Sequence[ResultRow], path) -> Path:
     return _write_json(_render(_table(rows))[1], Path(path))
 
 
-def emit_artifacts(table: Sequence[list], csv_path, json_path) -> tuple[Path, Path]:
-    """Both artifacts of a row table (a list per :data:`CSV_HEADER` column) from a single rendering."""
-    csv_lines, json_objects = _render(table)
-    return _write_csv(csv_lines, Path(csv_path)), _write_json(json_objects, Path(json_path))
+def emit_artifacts(table: Sequence, csv_path, json_path) -> tuple[Path, Path]:
+    """Both artifacts of a row table (a list or NumPy array per :data:`CSV_HEADER` column) from a single rendering."""
+    csv_cells, json_cells = _render(table)
+    return _write_csv(csv_cells, Path(csv_path)), _write_json(json_cells, Path(json_path))

@@ -800,6 +800,16 @@ class TestSimulateCommand:
         assert not (tmp_path / "o").exists()
         assert len(forks) == (int(threads) - 1 if sys.platform == "linux" else 0)
 
+    def test_rates_that_round_to_zero_name_the_first_one_briefly(self, tmp_path, capsys):
+        # At 300 dBm of noise every SINR is positive but its rate rounds to 0;
+        # the error names the first failing rate, not the whole array of them.
+        cfg = tmp_path / "noisy.cfg"
+        cfg.write_text("noise_power_dbm = 300\ntrials = 2\n", encoding="utf-8")
+        assert run(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("runtime error: trial 0, alpha=1.0, beta=0.01: r_s must be positive and finite, got 0.0 at")
+        assert "array" not in err and len(err) < 300, err
+
     def test_unknown_strategy_exit_2(self, tmp_path):
         code = run(
             ["simulate", "--strategies", "psychic", "--out-dir", str(tmp_path / "o")]

@@ -18,6 +18,7 @@ same cases.
 """
 
 import collections
+import dataclasses
 import functools
 import itertools
 import math
@@ -54,9 +55,11 @@ from noma_fair.netsim import (
 from noma_fair.pairing import match, user_table
 from noma_fair.rates import PairLink, Strategy, db_to_linear, noma_rates, oma_rate
 from noma_fair.report import (
+    _BLOCK_ROWS,
     BETA_STAR_TOKEN,
     METRIC_NAMES,
     ResultRow,
+    emit_artifacts,
     emit_campaign_csv,
     emit_campaign_json,
     emit_delta_sweep,
@@ -528,7 +531,8 @@ def test_blocked_sinrs_equal_full_matrix_reference():
 def test_emitters_equal_row_by_row_reference(tmp_path):
     # Each drawn row set is written by both emitters and by the row-by-row
     # references, and the bytes compared with ==.  Values come from small
-    # pools so that sort keys repeat and -0.0 meets 0.0 in one column.
+    # pools so that sort keys repeat and -0.0 meets 0.0 in one column, and
+    # the last few rows (but the first) take the first row's sort keys.
     special = [0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, 1e-10, 1.23456789e11]
     numbers = st.sampled_from(special) | st.floats(allow_nan=True, allow_infinity=True)
     keys = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0])
@@ -549,8 +553,11 @@ def test_emitters_equal_row_by_row_reference(tmp_path):
     seen = dict.fromkeys(cases, 0)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-    @given(st.lists(rows, min_size=1, max_size=24))
-    def check(drawn):
+    @given(st.lists(rows, min_size=1, max_size=24), st.integers(0, 2))
+    def check(drawn, copies):
+        keys = {key: getattr(drawn[0], key) for key in ("alpha", "beta", "strategy", "metric")}
+        tail = max(1, len(drawn) - copies)
+        drawn = drawn[:tail] + [dataclasses.replace(row, **keys) for row in drawn[tail:]]
         for emit, ref, suffix in (
             (emit_campaign_csv, emit_campaign_csv_ref, ".csv"),
             (emit_campaign_json, emit_campaign_json_ref, ".json"),
@@ -586,6 +593,68 @@ def _assert_written_as_by_the_reference(rows, csv_path, json_path, scratch):
     emit_campaign_json_ref(rows, scratch / "want.json")
     assert csv_path.read_bytes() == (scratch / "want.csv").read_bytes()
     assert json_path.read_bytes() == (scratch / "want.json").read_bytes()
+
+
+def _assert_table_written_as_by_the_reference(table, tmp_path):
+    """A row table, as NumPy arrays and as lists, and its rows through the
+    single emitters are all written as by the row-by-row writers."""
+    lists = [c.tolist() if isinstance(c, np.ndarray) else c for c in table]
+    rows = list(map(ResultRow, *lists))
+    for k, columns in enumerate((table, lists)):
+        got = tmp_path / f"table{k}.csv", tmp_path / f"table{k}.json"
+        emit_artifacts(columns, *got)
+        _assert_written_as_by_the_reference(rows, *got, tmp_path)
+    emit_campaign_csv(rows, tmp_path / "rows.csv")
+    emit_campaign_json(rows, tmp_path / "rows.json")
+    _assert_written_as_by_the_reference(rows, tmp_path / "rows.csv", tmp_path / "rows.json", tmp_path)
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_a_write_block_and_one_more_row_equal_row_by_row_writers(tmp_path, extra):
+    # Artifacts are written a block of rows at a time: exactly one block, and
+    # one block and one row, whose last row is written on its own.
+    n = _BLOCK_ROWS + extra
+    rng = np.random.default_rng(extra)
+    pick = lambda pool: np.array(pool, dtype=object if isinstance(pool[0], str) else None)[rng.integers(0, len(pool), n)]
+    table = [pick([0.0, 0.5, 1.0, 2.0]), pick([0.0, 0.01, 0.1]), rng.normal(10.0, 5.0, n).round(1),
+             rng.normal(0.0, 5.0, n), pick(["oma", "optimal", 'a,"b"']), pick(METRIC_NAMES),
+             rng.normal(size=n), rng.integers(1, 10**6, n), rng.exponential(size=n)]
+    _assert_table_written_as_by_the_reference(table, tmp_path)
+
+
+def test_cells_a_careless_factorization_would_alter_equal_row_by_row_writers(tmp_path):
+    # Each column holds values that a factorization could merge or change:
+    # a text with a trailing NUL beside the same text without it (which a
+    # fixed-width NumPy string drops), a long non-ASCII text, numbers that
+    # compare equal but are of other types, both zeros, NaNs of three bit
+    # patterns, and trial counts beyond the int64 range.
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, -0x0008000000000000], dtype=np.int64).view(float)
+    assert len(set(nans.view(np.int64).tolist())) == 3 and np.isnan(nans).all()
+    values = [1, 1.0, True, -0.0, 0.0, *nans.tolist()]
+    n = len(values)
+    long_text = "sous-optimal \u00e9\u03b1\u4e2d " * 40 + 'a,"b"'
+    table = [[0.5] * n, [-0.0, 0.0, -0.0, 0.0, 0.0, 0.0, -0.0, 0.0], [None, 1.0, None, -0.0, 0.0, None, 2.5, True],
+             [0.0, -0.0, None, True, 1, None, 1.0, -0.0], ["oma", "oma\x00", long_text, "oma\x00", "oma", long_text, "", "oma"],
+             ["t_alpha"] * n, values, [1, 2**63, 2**63 + 1, 2**64 - 1, True, 1, 3, 2**63], values[::-1]]
+    _assert_table_written_as_by_the_reference(table, tmp_path)
+    # The number columns again as the NumPy arrays a producer may give.
+    arrays = {1: np.array(table[1]), 6: np.array(values, dtype=float), 7: np.array(table[7], dtype=np.uint64),
+              8: np.array(values[::-1], dtype=float), 4: np.array(table[4], dtype=object)}
+    assert arrays[7][1:4].tolist() == table[7][1:4] and arrays[4][1] == "oma\x00"
+    _assert_table_written_as_by_the_reference([arrays.get(k, column) for k, column in enumerate(table)], tmp_path)
+
+
+def test_split_sweep_shape_equals_row_by_row_writers(tmp_path):
+    # The split-sweep benchmark's shape, several write blocks of rows.
+    values = [f"{2.1 + 0.1 * i:.4f}" for i in range(120)]
+    betas, alphas = [0, 0.02, 0.05, BETA_STAR_TOKEN], [0.3, 0.6, 1, 3, 25, 35]
+    base = tmp_path / "dense"
+    assert main(["sweep", "--axis", "gamma-s", "--values", ",".join(values), "--gamma-w-db", "2",
+                 "--betas", ",".join(map(str, betas)), "--alphas", ",".join(map(str, alphas)),
+                 "--solver", "suboptimal", "--out", str(base)]) == 0
+    rows = emit_delta_sweep([(float(v), 2.0) for v in values], betas, alphas, solver=Strategy.SUBOPTIMAL)
+    assert len(rows) > 2 * _BLOCK_ROWS
+    _assert_written_as_by_the_reference(rows, base.with_suffix(".csv"), base.with_suffix(".json"), tmp_path)
 
 
 def test_sweep_artifacts_equal_row_by_row_writers(tmp_path):

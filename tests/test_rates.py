@@ -160,6 +160,13 @@ def test_user_table_checks_users_in_order_and_gamma_before_gain():
         user_table([0, 1, 2], [0, 0, 0], [1.0, 1.0, math.nan], [1.0, 1.0, -1.0])
 
 
+def test_positive_finite_check_names_an_arrays_first_failing_entry():
+    # Entries 1 and 2 fail; the message names the first and counts both.
+    expected = "x must be positive and finite, got 0.0 at flat index 1 (2 of 4 entries fail)"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        utility(np.array([[1.0, 0.0], [math.nan, 2.0]]), 2.0)
+
+
 def test_positive_finite_check_passes_an_empty_array():
     assert utility(np.array([]), 2.0).shape == (0,)
     assert oma_rate(np.zeros((0, 3))).shape == (0, 3)
