@@ -26,11 +26,12 @@ return an :class:`AllocationDecision`; the campaign, ``sweep`` and ``pair``
 call the stages themselves.
 
 The 1-D objective, :func:`summed_utility`, is continuous on a compact
-interval but need not be concave, so the optimal solver runs a coarse grid
-scan followed by golden-section refinement of every near-best bracket; this
-is robust to multimodality without derivative machinery.  Every admitted
-link of a call is solved at once: the grids in blocks of links, the
-brackets of all links in lock step.
+interval, where its slope changes sign at most once, from positive to
+negative (pinned by ``test_slope_changes_sign_at_most_once_on_wide_links``).
+The optimal solver scans a grid around its best coarse point (the whole grid
+where the objective is too flat for that) and refines every near-best bracket
+by golden section, every admitted link at once: the scans in blocks of links,
+the brackets in lock step.
 """
 
 from __future__ import annotations
@@ -68,9 +69,16 @@ __all__ = [
 ]
 
 _GRID_POINTS = 1000
-# Links per grid evaluation, which bounds the (links x points) temporaries.
+# Links per whole-grid evaluation, which bounds the (links x points) temporaries.
 _GRID_BLOCK = 16
-# Grid maxima within this slack of the best are all refined (multimodal guard).
+# The scan's stride, and the grid steps either side of its best point that a window spans.
+_COARSE_STEP = 32
+_COARSE = np.append(np.arange(0, _GRID_POINTS, _COARSE_STEP), _GRID_POINTS - 1)
+_WINDOW = np.arange(2 * _COARSE_STEP + 1)
+# Links per coarse and window evaluation: temporaries of about half a whole-grid block's,
+# which keeps the peak memory of a campaign at that of whole-grid scans.
+_SCAN_BLOCK = 128
+# Grid maxima within this slack of the best are all refined (rounding and flat tops make several).
 _BRACKET_SLACK = 1e-9
 # Width at which golden section stops narrowing a bracket.  Comparing
 # objective values places an interior optimum only to about sqrt(eps), so
@@ -171,36 +179,63 @@ def _golden_max(fn: Callable, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.
     return out
 
 
+def _grid(lo, hi, index):
+    """Points ``index`` of each link's np.linspace(lo, hi, _GRID_POINTS), in its arithmetic."""
+    x = index * ((hi - lo) / (_GRID_POINTS - 1))[:, None] + lo[:, None]
+    return np.where(index == _GRID_POINTS - 1, hi[:, None], x)
+
+
 def _maximize_on_interval(gs, gw, beta, alpha: float, lo, hi, tol: float):
     """Grid scan plus golden-section refinement of every link at once.
 
-    Returns delta_s, one per link.  Each link's grid of _GRID_POINTS splits
-    is scanned; every local grid peak within _BRACKET_SLACK of the link's best
-    is refined, and the endpoints enter as exact candidates (golden section
-    only returns interior points, which loses real objective on boundary
-    maxima where the slope does not vanish).  The best refined value is kept;
-    values within 1e-12 of it tie and go to the smallest delta_s, which
-    favors the weak user.
+    Returns delta_s, one per link.  Every local peak of a link's grid of
+    _GRID_POINTS splits within _BRACKET_SLACK of its best is refined; the
+    endpoints enter as exact candidates (golden section returns interior
+    points only, which loses real objective on boundary maxima).  Values
+    within 1e-12 of the best tie and go to the smallest delta_s, which favors
+    the weak user.  The scan takes every _COARSE_STEP-th point, then the
+    window _COARSE_STEP either side of the best of them.  The objective being
+    unimodal, the points outside a window lie below its edges: a window whose
+    edges are grid ends, or below its best by more than the slack and the
+    rounding, holds the whole grid's near-best points, peaks and brackets.
+    The other links (flat objectives) scan their whole grids.
     """
-    last = _GRID_POINTS - 1
-    ends_x, ends_y, links, lows, highs = [], [], [], [], []
-    for start in range(0, lo.size, _GRID_BLOCK):
-        rows = slice(start, start + _GRID_BLOCK)
-        xs = np.linspace(lo[rows], hi[rows], _GRID_POINTS, axis=1)
-        ys = summed_utility(gs[rows, None], gw[rows, None], beta[rows, None], xs, alpha)
+    far = _GRID_POINTS - _WINDOW.size  # the last window's first point
+    ends_y, links, lows, highs, whole = [], [], [], [], []
+
+    def scan(rows, index):
+        xs = _grid(lo[rows], hi[rows], index)
+        return xs, summed_utility(gs[rows, None], gw[rows, None], beta[rows, None], xs, alpha)
+
+    def brackets(rows, xs, ys):
+        edge = ys.shape[1] - 1
         link, i = np.nonzero(ys >= (ys.max(axis=1) - _BRACKET_SLACK)[:, None])
-        below, above = np.maximum(i - 1, 0), np.minimum(i + 1, last)
+        below, above = np.maximum(i - 1, 0), np.minimum(i + 1, edge)
         # An interior point below a neighbor is not a peak: the neighbor's
         # bracket covers it.
         at = ys[link, i]
-        peak = (i == 0) | (i == last) | ((at >= ys[link, below]) & (at >= ys[link, above]))
+        peak = (i == 0) | (i == edge) | ((at >= ys[link, below]) & (at >= ys[link, above]))
         link, below, above = link[peak], below[peak], above[peak]
-        links.append(start + link)
+        links.append(rows[link])
         lows.append(xs[link, below])
         highs.append(xs[link, above])
-        ends_x.append(xs[:, [0, last]])
-        ends_y.append(ys[:, [0, last]])
-    link, ends_x, ends_y = np.concatenate(links), np.concatenate(ends_x), np.concatenate(ends_y)
+
+    for start in range(0, lo.size, _SCAN_BLOCK):
+        rows = np.arange(start, min(start + _SCAN_BLOCK, lo.size))
+        xs, ys = scan(rows, _COARSE)
+        ends_y.append(ys[:, [0, -1]])
+        first = np.clip(_COARSE[ys.argmax(axis=1)] - _COARSE_STEP, 0, far)
+        xs, ys = scan(rows, first[:, None] + _WINDOW)
+        best = ys.max(axis=1)
+        floor = best - _BRACKET_SLACK - 1e-12 * np.maximum(1.0, np.abs(best))
+        proved = ((first == 0) | (ys[:, 0] < floor)) & ((first == far) | (ys[:, -1] < floor))
+        brackets(rows[proved], xs[proved], ys[proved])
+        whole.append(rows[~proved])
+    whole = np.concatenate(whole)
+    for start in range(0, whole.size, _GRID_BLOCK):
+        rows = whole[start : start + _GRID_BLOCK]
+        brackets(rows, *scan(rows, np.arange(_GRID_POINTS)))
+    link, ends_x, ends_y = np.concatenate(links), np.stack((lo, hi), axis=1), np.concatenate(ends_y)
     on = (gs[link], gw[link], beta[link])
     x = _golden_max(lambda d: summed_utility(*on, d, alpha), np.concatenate(lows), np.concatenate(highs), tol)
     y = summed_utility(*on, x, alpha)
@@ -263,14 +298,15 @@ def solve_optimal(link: PairLink, cfg: FairnessConfig) -> AllocationDecision:
     """Maximize the pair's summed alpha-fair utility over the feasible splits.
 
     Returns an OMA fallback when the pairing criterion fails or the split
-    interval is empty.  Otherwise the returned split lies in
-    [delta_lb, delta_ub], which keeps both NOMA rates at or above their OMA
-    counterparts by construction.  It is the best of the two endpoints and
-    of every near-best grid peak refined by golden section until its bracket
-    is no wider than ``_SOLVER_TOL``.  The search compares objective
-    values, which are flat to second order at an interior optimum, so there
-    the split is placed only to about the square root of the rounding error:
-    interior optima have been measured up to 5.4e-8 from the exact maximizer.
+    interval is empty.  Otherwise the returned split lies in [delta_lb,
+    delta_ub], which keeps both NOMA rates at or above their OMA counterparts
+    by construction.  It is the best of the two endpoints and of every
+    near-best peak of the (unimodal) objective's grid, found around its best
+    coarse point, refined by golden section to a bracket no wider than
+    ``_SOLVER_TOL``.  The search compares objective values, which are flat to
+    second order at an interior optimum, so there the split is placed only to
+    about the square root of the rounding error: interior optima have been
+    measured up to 5.4e-8 from the exact maximizer.
     """
     return _decide_one(link, Strategy.OPTIMAL, cfg)
 

@@ -432,6 +432,8 @@ def _campaign_table(cfg: NetworkConfig, sweep, strategies, tau: float, threads: 
     # A worker is forked only for a share of at least one chunk budget of work, which outweighs its fork: a
     # trial's SINR matrix, its stacked tables and, with optimal, the solver's grid per candidate link.
     work = users * cfg.bs_density * cfg.area_km2 + entries
+    # The optimal term still charges the whole grid, though most links scan about 98 of its points
+    # (ROADMAP item 10 re-derives it); it keeps the fork decisions the rule made with whole-grid scans.
     work += users / 2 * len(sweep) * _GRID_POINTS if Strategy.OPTIMAL in strategies else 0
     workers = max(1, min(threads, cfg.trials, int(cfg.trials * work // _CHUNK_ENTRIES)))
     workers = workers if sys.platform == "linux" else 1  # fork after NumPy's import: Linux only

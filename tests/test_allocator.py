@@ -264,11 +264,13 @@ class TestBatchedDecision:
             for strategy in Strategy:
                 assert bits(split(column, strategy, cfg)) == bits([split(r, strategy, cfg) for r in rows]), strategy
 
-    def test_optimal_solver_stays_batched(self, monkeypatch):
-        # One split(OPTIMAL) call evaluates the objective once per grid block
-        # of links, then in lock step over every bracket: the count must not
-        # grow with the links beyond the block term and the spread of the
-        # brackets' golden-section step counts.
+    def test_optimal_solver_stays_batched(self, monkeypatch, whole_grids):
+        # One split(OPTIMAL) call evaluates the objective twice per scan block
+        # of links (every coarse point, then one window per link), once per
+        # block of links whose window is not proved (their whole grids), then
+        # in lock step over every bracket: the count must not grow with the
+        # links beyond those whole-grid blocks and the spread of the brackets'
+        # golden-section step counts.
         calls = []
         objective = allocator.summed_utility
 
@@ -283,24 +285,32 @@ class TestBatchedDecision:
         assert keep.size == 64
         gs, gw = gs[keep], gw[keep]
         beta = rng.uniform(0.0, 0.9, 64) * beta_star(gs, gw)
-        cfg = FairnessConfig(alpha=1.0)
 
-        def count(n):
+        def count(n, alpha):
             g = gate(gs[:n], gw[:n], beta[:n])
             assert g.admitted.all()
             calls.clear()
-            split(g, Strategy.OPTIMAL, cfg)
-            return len(calls), g.delta_ub - g.delta_lb
+            whole_grids.clear()
+            split(g, Strategy.OPTIMAL, FairnessConfig(alpha=alpha))
+            # The whole grids are evaluated in as few blocks of links as hold them.
+            assert len(whole_grids) == -(-sum(whole_grids) // _GRID_BLOCK)
+            return len(calls), len(whole_grids), sum(whole_grids)
 
-        one, _ = count(1)
-        many, width = count(64)
         # A grid bracket is one or two grid steps wide.
-        step = width / (_GRID_POINTS - 1)
+        g = gate(gs, gw, beta)
+        step = (g.delta_ub - g.delta_lb) / (_GRID_POINTS - 1)
         steps = [
             math.ceil(math.log(allocator._SOLVER_TOL / w) / math.log(allocator._INV_PHI)) - 1
             for w in np.concatenate((step, 2 * step))
         ]
         spread = max(steps) - min(steps)
-        assert many < 64
-        assert count(_GRID_BLOCK)[0] - one <= spread
-        assert many - one <= spread + 64 // _GRID_BLOCK - 1
+        for alpha in (1.0, 35.0):
+            one, one_blocks, _ = count(1, alpha)
+            block, block_blocks, _ = count(_GRID_BLOCK, alpha)
+            many, many_blocks, flat = count(64, alpha)
+            assert many < 64
+            assert block - one <= spread + block_blocks - one_blocks
+            assert many - one <= spread + many_blocks - one_blocks
+            # At alpha = 1 every window is proved; at 35 the flat objectives
+            # take several whole-grid blocks.
+            assert (flat == 0) if alpha == 1.0 else (many_blocks > 1), (alpha, flat)

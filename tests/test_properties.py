@@ -10,9 +10,13 @@ NaN pattern against the column-by-column one, the batched optimal solver
 against its per-link reference on drawn sets of links, and the row-blocked
 SINRs against the full-matrix reference on drawn windows, and the
 single-rendering CSV/JSON emitters against the row-by-row writers on drawn
-row sets.  The artifacts ``sweep`` and ``simulate`` write from their row
-tables must be those writers' bytes for the rows of ``emit_delta_sweep`` and
-of the campaign reference.  ``pair`` must serve a link as a one-candidate
+row sets.  On a wider domain (``wide_links``: gamma_w from -12 dB,
+gamma_s / gamma_w up to 95 dB) the optimal solver's coarse-and-window scan
+is checked against the whole-grid search, its grid points against
+np.linspace, and the objective's slope for a single sign change.  The
+artifacts ``sweep`` and ``simulate`` write from their row tables must be
+those writers' bytes for the rows of ``emit_delta_sweep`` and of the
+campaign reference.  ``pair`` must serve a link as a one-candidate
 campaign trial does.  Hypothesis runs derandomized, so every run draws the
 same cases.
 """
@@ -32,7 +36,12 @@ from hypothesis import strategies as st
 
 from noma_fair import allocator, cli
 from noma_fair.allocator import (
+    _COARSE,
+    _COARSE_STEP,
     _GRID_BLOCK,
+    _GRID_POINTS,
+    _SOLVER_TOL,
+    _WINDOW,
     DecisionMode,
     gate,
     split,
@@ -70,6 +79,7 @@ from _oracles import (
     WRAPPERS,
     _sorted_ref,
     aggregate_columns_ref,
+    alpha_fair_slope_ref,
     candidate_pairs_ref,
     compute_sinrs_ref,
     emit_campaign_csv_ref,
@@ -88,6 +98,15 @@ links = st.builds(
     st.floats(0.0, 1.0),
 )
 alphas = st.floats(0.0, 25.0)
+# The wider domain of the SINRs that campaigns admit: gamma_w (linear) from -12 dB,
+# gamma_s / gamma_w up to 95 dB, and beta as a share of beta_star up to
+# beta_star * (1 - 1e-12), whose split intervals are a few ulps wide.
+wide_links = st.tuples(
+    st.floats(-12.0, 30.0).map(db_to_linear),
+    st.floats(0.0, 95.0).map(db_to_linear),
+    st.sampled_from([0.0, 0.5, 1 - 1e-12]) | st.floats(0.0, 1 - 1e-12),
+)
+wide_alphas = st.sampled_from([0.0, 0.3, 1.0, 2.0, 5.0, 35.0]) | st.floats(0.0, 40.0)
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=1000)
 
 
@@ -475,6 +494,147 @@ def test_batched_optimal_split_equals_per_link_reference():
     # The draws must reach multi-peak links, the no-iteration branch and
     # calls that span several grid blocks.
     assert min(seen.values()) >= 20, seen
+
+
+def _wide_gate(drawn):
+    """The gate of ``wide_links`` draws, each beta its share of the link's beta_star."""
+    gw, ratio, share = (np.array(column) for column in zip(*drawn))
+    gs = gw * ratio
+    return gate(gs, gw, np.minimum(share * np.maximum(beta_star(gs, gw), 0.0), 1.0))
+
+
+def _scan_kind(ys):
+    """How the solver scans a link whose whole grid of values is ``ys``: "window"
+    when the window around the coarse best is proved inside the grid,
+    "clipped" when it is proved and reaches a grid end, "whole" when it is not
+    proved and the whole grid is scanned."""
+    first = min(max(_COARSE[np.argmax(ys[_COARSE])] - _COARSE_STEP, 0), _GRID_POINTS - _WINDOW.size)
+    window = ys[first : first + _WINDOW.size]
+    best = window.max()
+    floor = best - allocator._BRACKET_SLACK - 1e-12 * max(1.0, abs(best))
+    clipped = (first == 0, first + _WINDOW.size == _GRID_POINTS)
+    if not (clipped[0] or window[0] < floor) or not (clipped[1] or window[-1] < floor):
+        return "whole"
+    return "clipped" if any(clipped) else "window"
+
+
+def test_scan_window_equals_whole_grid_reference_on_wide_links(whole_grids):
+    # The coarse pass and one window around its best point, or the whole grid
+    # where that window is not proved, must give the whole-grid search's
+    # delta_s, with ==, on drawn sets of links of the wider domain, at the
+    # drawn alpha, at 1 (where interior optima are common) and at 35 (where
+    # flat objectives are).  Every kind of scan is reached: a proved window
+    # inside the grid, one at a grid end, the whole-grid fallback, and a
+    # fallback over several blocks of links.
+    seen = dict.fromkeys(("window", "clipped", "whole", "several_whole_blocks"), 0)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(
+        (st.just(3 * _GRID_BLOCK) | st.integers(1, 3 * _GRID_BLOCK)).flatmap(
+            lambda n: st.lists(wide_links, min_size=n, max_size=n)
+        ),
+        wide_alphas,
+        st.booleans(),
+    )
+    def check(drawn, drawn_alpha, next_to_star):
+        # Every beta at beta_star * (1 - 1e-9) when next_to_star: objectives
+        # too flat for a window at any alpha.
+        g = _wide_gate([(gw, ratio, 1 - 1e-9 if next_to_star else share) for gw, ratio, share in drawn])
+        on = np.flatnonzero(g.admitted)
+        assume(on.size)
+        links = g.gamma_s[on], g.gamma_w[on], g.beta[on]
+        for alpha in (drawn_alpha, 1.0, 35.0):
+            whole_grids.clear()
+            delta = allocator._maximize_on_interval(*links, alpha, g.delta_lb[on], g.delta_ub[on], _SOLVER_TOL)
+            kinds = collections.Counter()
+            for k, i in enumerate(on):
+                args = tuple(float(column[k]) for column in links)
+                lo, hi = float(g.delta_lb[i]), float(g.delta_ub[i])
+                want, _, _ = maximize_on_interval_ref(lambda d: summed_utility(*args, d, alpha), lo, hi, _SOLVER_TOL)
+                assert delta[k] == want, (args, alpha)
+                kinds[_scan_kind(summed_utility(*args, np.linspace(lo, hi, _GRID_POINTS), alpha))] += 1
+            assert sum(whole_grids) == kinds["whole"], (whole_grids, kinds)
+            seen.update({kind: seen[kind] + n for kind, n in kinds.items()})
+            seen["several_whole_blocks"] += len(whole_grids) > 1
+
+    check()
+    # Calls whose whole grids span several blocks are the rarest draw (25-72
+    # on six seeds of these draws, every other kind at least 155).
+    floors = {"window": 20, "clipped": 20, "whole": 20, "several_whole_blocks": 10}
+    assert all(seen[kind] >= floor for kind, floor in floors.items()), seen
+
+
+def test_several_scan_blocks_equal_whole_grid_reference(whole_grids):
+    # One call over more links than two scan blocks hold, each link of the
+    # wider domain, gives the whole-grid search's delta_s, with ==, at an
+    # alpha whose windows are mostly proved and at one whose flat objectives
+    # take whole grids over several blocks of links.
+    rng = np.random.default_rng(27)
+    n = 2 * allocator._SCAN_BLOCK + _GRID_BLOCK
+    drawn = zip(10 ** rng.uniform(-1.2, 3.0, n), 10 ** rng.uniform(0.0, 9.5, n), rng.uniform(0.0, 1 - 1e-12, n))
+    g = _wide_gate(list(drawn))
+    on = np.flatnonzero(g.admitted)
+    assert on.size > 2 * allocator._SCAN_BLOCK
+    links = g.gamma_s[on], g.gamma_w[on], g.beta[on]
+    for alpha in (1.0, 35.0):
+        whole_grids.clear()
+        delta = allocator._maximize_on_interval(*links, alpha, g.delta_lb[on], g.delta_ub[on], _SOLVER_TOL)
+        for k, i in enumerate(on):
+            args = tuple(float(column[k]) for column in links)
+            want, _, _ = maximize_on_interval_ref(
+                lambda d: summed_utility(*args, d, alpha), float(g.delta_lb[i]), float(g.delta_ub[i]), _SOLVER_TOL
+            )
+            assert delta[k] == want, (args, alpha)
+        assert (len(whole_grids) > 1) == (alpha == 35.0), (alpha, whole_grids)
+
+
+def test_grid_points_equal_linspace_columns():
+    # The scan's points, at drawn indices with both grid ends and in per-link
+    # windows, are the columns of np.linspace over each link's split
+    # interval, bit for bit; next to beta_star the grid steps are a few ulps.
+    seen = {"few_ulp_steps": 0, "wide": 0}
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.lists(wide_links, min_size=1, max_size=8), st.lists(st.integers(0, _GRID_POINTS - 1), max_size=8))
+    def check(drawn, picks):
+        g = _wide_gate(drawn)
+        assume(g.admitted.any())
+        lo, hi = g.delta_lb[g.admitted], g.delta_ub[g.admitted]
+        full = np.linspace(lo, hi, _GRID_POINTS, axis=1)
+        index = np.array([0, *picks, _GRID_POINTS - 1])
+        assert allocator._grid(lo, hi, index).tobytes() == full[:, index].tobytes()
+        windows = np.resize(index, lo.size)[:, None] % (_GRID_POINTS - _WINDOW.size + 1) + _WINDOW
+        assert allocator._grid(lo, hi, windows).tobytes() == np.take_along_axis(full, windows, axis=1).tobytes()
+        # Grid steps of a few ulps: neighboring points round to few distinct values.
+        few = (hi - lo) / (_GRID_POINTS - 1) <= 100 * np.spacing(hi)
+        seen["few_ulp_steps"] += int(few.sum())
+        seen["wide"] += int((~few).sum())
+
+    check()
+    assert min(seen.values()) >= 20, seen
+
+
+def test_slope_changes_sign_at_most_once_on_wide_links():
+    # The scan's window rests on single crossing: on every admitted link of
+    # the wider domain, the slope of the summed utility (differentiated in
+    # mpmath) is positive, then negative, across a fixed grid of the split
+    # interval; either part may be empty, so the objective rises to one peak
+    # and falls.
+    seen = {"interior": 0, "rising": 0, "falling": 0}
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(wide_links, wide_alphas)
+    def check(link, alpha):
+        g = _wide_gate([link])
+        assume(g.admitted[0])
+        at = (float(g.gamma_s[0]), float(g.gamma_w[0]), float(g.beta[0]))
+        xs = np.linspace(g.delta_lb[0], g.delta_ub[0], 9)
+        signs = [s for s in (np.sign(alpha_fair_slope_ref(*at, float(x), alpha)) for x in xs) if s]
+        assert signs == sorted(signs, reverse=True), (at, alpha, signs)
+        seen["interior" if len(set(signs)) > 1 else "rising" if signs[0] > 0 else "falling"] += 1
+
+    check()
+    assert min(seen.values()) >= 10, seen
 
 
 def test_blocked_sinrs_equal_full_matrix_reference():
