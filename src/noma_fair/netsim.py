@@ -50,7 +50,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .allocator import _GRID_POINTS, gate, served_rates, split
+from .allocator import _COARSE, _WINDOW, gate, served_rates, split
 from .fairness import FairnessConfig, alpha_throughput
 from .pairing import match, user_table
 from .rates import Strategy, _require_positive_finite, db_to_linear, oma_rate
@@ -430,11 +430,10 @@ def _campaign_table(cfg: NetworkConfig, sweep, strategies, tau: float, threads: 
     entries = (users + 6) * len(sweep) * len(strategies)
     step = max(1, int(_CHUNK_ENTRIES // entries))
     # A worker is forked only for a share of at least one chunk budget of work, which outweighs its fork: a
-    # trial's SINR matrix, its stacked tables and, with optimal, the solver's grid per candidate link.
+    # trial's SINR matrix, its stacked tables and, with optimal, the points the solver's scan evaluates per
+    # candidate link: its coarse points and one window, not the whole grid that a flat objective's link scans.
     work = users * cfg.bs_density * cfg.area_km2 + entries
-    # The optimal term still charges the whole grid, though most links scan about 98 of its points
-    # (ROADMAP item 10 re-derives it); it keeps the fork decisions the rule made with whole-grid scans.
-    work += users / 2 * len(sweep) * _GRID_POINTS if Strategy.OPTIMAL in strategies else 0
+    work += users / 2 * len(sweep) * (_COARSE.size + _WINDOW.size) if Strategy.OPTIMAL in strategies else 0
     workers = max(1, min(threads, cfg.trials, int(cfg.trials * work // _CHUNK_ENTRIES)))
     workers = workers if sys.platform == "linux" else 1  # fork after NumPy's import: Linux only
     shares = [range(cfg.trials * k // workers, cfg.trials * (k + 1) // workers) for k in range(workers)]

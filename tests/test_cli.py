@@ -503,12 +503,19 @@ class TestSimulateCommand:
         assert (a / "campaign.csv").read_bytes() == (b / "campaign.csv").read_bytes()
         assert (a / "campaign.json").read_bytes() == (b / "campaign.json").read_bytes()
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        self._simulate(a)
-        self._simulate(b, extra=("--threads", "2"))
+    def test_threads_do_not_change_output(self, tmp_path, forks):
+        # Acceptance check 11's campaign (default strategies, alphas 1, betas
+        # 0.01,0.06) runs in one process at its 8 trials; at 33, the fewest
+        # whose two shares each hold a chunk budget of work, --threads 2 forks.
+        def simulate(out, threads):
+            argv = ["simulate", "--seed", "7", "--trials", "33", "--alphas", "1", "--betas", "0.01,0.06",
+                    "--threads", threads, "--out-dir", str(out)]
+            assert run(argv) == 0
+            return (out / "campaign.csv").read_bytes(), (out / "campaign.json").read_bytes()
+
         # manifests record the thread count; the data artifacts must not move
-        assert (a / "campaign.csv").read_bytes() == (b / "campaign.csv").read_bytes()
+        assert simulate(tmp_path / "a", "1") == simulate(tmp_path / "b", "2")
+        assert len(forks) == (sys.platform == "linux")
 
     def test_near_far_drops_below_oma_at_high_imperfection(self, tmp_path):
         out = tmp_path / "nf"
@@ -759,7 +766,8 @@ class TestSimulateCommand:
     def test_no_process_pool_module_is_imported(self, tmp_path):
         # Importing the CLI, a one-worker run and a two-worker run leave
         # multiprocessing and concurrent.futures unimported: a campaign's
-        # extra workers are forked with os.fork, once at five default trials.
+        # extra workers are forked with os.fork, once at 33 default trials, the
+        # fewest whose two shares each hold a chunk budget of work.
         script = (
             "import os, sys\n"
             "forks, fork = [], os.fork\n"
@@ -770,7 +778,7 @@ class TestSimulateCommand:
             f"argv = ['simulate', '--trials', '1', '--threads', '1', '--out-dir', {str(tmp_path / 'o')!r}]\n"
             "assert cli.main(argv) == 0\n"
             "assert not any(name in sys.modules for name in pools)\n"
-            f"argv = ['simulate', '--trials', '5', '--threads', '2', '--out-dir', {str(tmp_path / 'o2')!r}]\n"
+            f"argv = ['simulate', '--trials', '33', '--threads', '2', '--out-dir', {str(tmp_path / 'o2')!r}]\n"
             "assert cli.main(argv) == 0\n"
             "assert not any(name in sys.modules for name in pools)\n"
             "assert len(forks) == (sys.platform == 'linux')\n"

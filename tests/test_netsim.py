@@ -292,10 +292,12 @@ class TestRunCampaign:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="campaigns fork on Linux only")
     def test_a_worker_is_forked_only_for_a_chunk_budget_of_work(self, forks):
-        # At two trials and --threads 2, the benchmark's mc-fast shape (about 10.5k
-        # entries a trial) runs in one process, and forks from 50 trials; its
-        # mc-optimal shape (about 366k, mostly the optimal grid) and a 36 km2 oma
-        # window (about 3.9M, the SINR matrix) fork.
+        # At --threads 2, the benchmark's mc-fast shape (about 10.5k entries a
+        # trial) runs in one process at two trials and forks from 50; its
+        # mc-optimal shape (about 41.3k, 35.3k of them the optimal scan's 98
+        # points per candidate link) runs in one process up to 12 trials and
+        # forks from 13; a 36 km2 oma window (about 3.9M, the SINR matrix)
+        # forks at two.
         fast = [(a, b) for a in (0.5, 1.0, 3.0, 25.0) for b in (0.01, 0.04, 0.08)]
         closed = [Strategy.SUBOPTIMAL, Strategy.UPPER_BOUND, Strategy.LOWER_BOUND, Strategy.NEAR_FAR, Strategy.OMA]
         made = []
@@ -304,11 +306,12 @@ class TestRunCampaign:
             made.append(len(forks))
         acceptance = [(1.0, b) for b in (0.01, 0.02, 0.04, 0.06, 0.08, 0.1)]
         strategies = [Strategy.OPTIMAL, Strategy.SUBOPTIMAL, Strategy.NEAR_FAR, Strategy.OMA]
-        run_campaign(NetworkConfig(trials=2), acceptance, strategies, threads=2)
-        made.append(len(forks))
+        for trials in (2, 12, 13):
+            run_campaign(NetworkConfig(trials=trials), acceptance, strategies, threads=2)
+            made.append(len(forks))
         run_campaign(NetworkConfig(trials=2, area_km2=36.0), [(1.0, 0.04)], [Strategy.OMA], threads=2)
         made.append(len(forks))
-        assert made == [0, 0, 1, 2, 3]
+        assert made == [0, 0, 1, 1, 1, 2, 3]
 
     @pytest.mark.parametrize("budget", [None, 3500])  # one chunk of six trials; chunks of three
     def test_failure_inside_a_chunk_names_its_trial_and_point(self, monkeypatch, budget):
