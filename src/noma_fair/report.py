@@ -6,22 +6,24 @@ Every CSV has the exact header
     alpha,beta,gamma_s_db,gamma_w_db,strategy,metric,value,trials,stderr
 
 rows sorted by (alpha, beta, strategy, metric) with the link SINRs as final
-tie-breakers, and all floats printed with 9 significant digits, which makes
-output byte-stable and round-trippable.  A JSON mirror (array of objects,
-same rows and precision) accompanies every CSV for programmatic consumers.
+tie-breakers (an empty SINR before any number, -inf first, NaN last), and
+all floats printed with 9 significant digits, which makes output byte-stable
+and round-trippable.  A JSON mirror (array of objects, same rows and
+precision) accompanies every CSV for programmatic consumers.
 
 Rows travel from the ``sweep`` and ``simulate`` producers to the artifacts
 as one row table, a list or NumPy array per CSV_HEADER column (``sweep``
 gives arrays, ``simulate`` lists), with :class:`ResultRow` as its object
-view.  A table is sorted once, by Python's stable sort on its key columns.
-Each column is factorized once into a code per row and its distinct values
-(an array of 8-byte numbers on its bits, any other column by a dict), and
-each distinct value formatted once.  The cells are then taken by code, in
-sorted order, into a rows x columns array of texts per artifact, and both
-artifacts are written from that one rendering, a block of rows per write.
-The JSON mirror is written as text directly, with the bytes
-``json.dump(indent=2)`` gives for the CSV cells parsed back.  The row-by-row
-writers it replaces are kept as the reference in ``tests/_oracles.py``.
+view.  Each column is factorized once into a code per row and its distinct
+values (an array of 8-byte numbers on its bits, any other column by a dict),
+and each distinct value formatted once.  The table is sorted once, by one
+stable ``np.lexsort`` over keys built from the key columns' codes.  The
+cells are then taken by code, in sorted order, into a rows x columns array
+of texts per artifact, and both artifacts are written from that one
+rendering, a block of rows per write.  The JSON mirror is written as text
+directly, with the bytes ``json.dump(indent=2)`` gives for the CSV cells
+parsed back.  The row-by-row writers it replaces are kept as the reference
+in ``tests/_oracles.py``.
 """
 
 from __future__ import annotations
@@ -99,15 +101,6 @@ def format_value(value: float) -> str:
 def _table(rows: Sequence[ResultRow]) -> list[list]:
     """The row table of ``rows``: one list per :data:`CSV_HEADER` column."""
     return [list(map(attrgetter(key), rows)) for key in CSV_HEADER]
-
-
-def _order(table: Sequence[list]) -> list[int]:
-    """A row table's row indices sorted by (alpha, beta, strategy, metric), then the
-    link SINRs, None before any number, -inf and NaN too; equal keys keep their order."""
-    alpha, beta, gamma_s, gamma_w, strategy, metric = table[:6]
-    sinr_keys = ([(v is not None, v) for v in column] if None in column else column for column in (gamma_s, gamma_w))
-    keys = list(zip(alpha, beta, strategy, metric, *sinr_keys))
-    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def _printed(value):
@@ -194,6 +187,7 @@ def emit_delta_sweep(
 _CSV_LINE = ",".join(["%s"] * len(CSV_HEADER)) + "\r\n"
 _JSON_OBJECT = ",\n  {\n" + ",\n".join(f'    "{key}": %s' for key in CSV_HEADER) + "\n  }"
 _TEXT_KEYS = ("strategy", "metric")
+_SORT_COLUMNS = ("alpha", "beta", "strategy", "metric", "gamma_s_db", "gamma_w_db")  # the first most significant
 # Rows an artifact is written in per call: a block, not the whole file, is
 # joined into one string.
 _BLOCK_ROWS = 4096
@@ -224,7 +218,7 @@ def _column_texts(key: str, distinct: list) -> tuple[list[str], list[str]]:
                        for text in csv_texts]
 
 
-def _factorize(key: str, values) -> tuple[Sequence[int], list]:
+def _factorize(key: str, values) -> tuple[np.ndarray, list]:
     """A column's code per row and its distinct values.  An array of 8-byte
     numbers is factorized on its bits, so -0.0 and 0.0 (and NaN payloads)
     stay apart; any other column by a dict, with a number zero (and None)
@@ -236,27 +230,42 @@ def _factorize(key: str, values) -> tuple[Sequence[int], list]:
     keys = values if key in _TEXT_KEYS else [v or repr(v) for v in values]
     distinct = dict(zip(keys, values))
     code = dict(zip(distinct, range(len(distinct))))
-    return list(map(code.__getitem__, keys)), list(distinct.values())
+    return np.fromiter(map(code.__getitem__, keys), np.intp, len(keys)), list(distinct.values())
+
+
+def _sort_keys(key: str, values, codes: np.ndarray, distinct: list) -> list[np.ndarray]:
+    """A key column's sort keys, the first most significant: a text's rank in
+    code-point order, a NumPy number column itself, any other its values as
+    floats (True, 1 and 1.0 tie), after a presence flag if it holds None.  So
+    None sorts before any number, -inf first, NaN last; -0.0 ties with 0.0."""
+    if key in _TEXT_KEYS:
+        return [np.argsort(sorted(range(len(distinct)), key=distinct.__getitem__))[codes]]
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
+        return [values]
+    numbers = np.array(distinct, dtype=float)[codes]
+    return [np.array([v is not None for v in distinct])[codes], numbers] if None in distinct else [numbers]
 
 
 def _render(table: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """The rows' CSV and JSON cells, sorted once (:func:`_order`): a rows x
-    columns array of texts per artifact, each cell with its line's text
-    around it, so that an artifact is its rows' cells joined.  Each column
-    is factorized once and each distinct value formatted once; the cells
-    are taken by code from one array of all the columns' texts.  Refuses
-    empty input, so no emitter touches disk for it."""
+    """The rows' CSV and JSON cells, sorted once by one stable ``np.lexsort``
+    (:func:`_sort_keys`): a rows x columns array of texts per artifact, each
+    cell with its line's text around it, so that an artifact is its rows'
+    cells joined.  Each column is factorized once and each distinct value
+    formatted once; the cells are taken by code from one array of all the
+    columns' texts.  Refuses empty input, so no emitter touches disk for it."""
     if not len(table[0]):
         raise ValueError("no rows to emit")
-    order = _order([c.tolist() if isinstance(c, np.ndarray) else c for c in table[:6]])
-    codes, offsets, csv_texts, json_texts = [], [], [], []
+    codes, offsets, csv_texts, json_texts, sort_keys = [], [], [], [], {}
     for key, values, csv_format, json_format in zip(CSV_HEADER, table, *map(_cell_formats, (_CSV_LINE, _JSON_OBJECT))):
         column_codes, distinct = _factorize(key, values)
+        if key in _SORT_COLUMNS:
+            sort_keys[key] = _sort_keys(key, values, column_codes, distinct)
         codes.append(column_codes)
         offsets.append(len(csv_texts))
         csv_column, json_column = _column_texts(key, distinct)
         csv_texts += map(csv_format.__mod__, csv_column)
         json_texts += map(json_format.__mod__, json_column)
+    order = np.lexsort([k for key in _SORT_COLUMNS for k in sort_keys[key]][::-1])
     texts = np.array(csv_texts + json_texts, dtype=object).reshape(2, -1)
     cells = texts[:, (np.array(codes).T + offsets)[order]]
     return cells[0], cells[1]

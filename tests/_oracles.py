@@ -383,11 +383,16 @@ def parse_campaign_csv_ref(path) -> list[ResultRow]:
 
 def _sorted_ref(rows) -> list:
     """Rows in artifact order: by (alpha, beta, strategy, metric, gamma_s_db,
-    gamma_w_db), a None SINR before any number; equal keys keep their order."""
+    gamma_w_db), a None SINR before any number, -inf first and NaN last (as
+    ``<`` does not order NaN, a number is keyed by (isnan, value), a NaN's
+    value a stand-in that compares equal); equal keys keep their order."""
+
+    def number(v):
+        return (True, 0.0) if v != v else (False, v)
 
     def key(row):
-        sinrs = ((v is not None, 0.0 if v is None else v) for v in (row.gamma_s_db, row.gamma_w_db))
-        return (row.alpha, row.beta, row.strategy, row.metric, *sinrs)
+        sinrs = ((v is not None, *number(0.0 if v is None else v)) for v in (row.gamma_s_db, row.gamma_w_db))
+        return (*number(row.alpha), *number(row.beta), row.strategy, row.metric, *sinrs)
 
     return sorted(rows, key=key)
 

@@ -86,6 +86,7 @@ from _oracles import (
     emit_campaign_json_ref,
     evaluate_strategies_ref,
     maximize_on_interval_ref,
+    parse_campaign_csv_ref,
     run_campaign_ref,
 )
 
@@ -815,6 +816,15 @@ def test_split_sweep_shape_equals_row_by_row_writers(tmp_path):
     rows = emit_delta_sweep([(float(v), 2.0) for v in values], betas, alphas, solver=Strategy.SUBOPTIMAL)
     assert len(rows) > 2 * _BLOCK_ROWS
     _assert_written_as_by_the_reference(rows, base.with_suffix(".csv"), base.with_suffix(".json"), tmp_path)
+    # The shape interleaves links: 13 links have beta_star < 0.05, so at an
+    # alpha their beta_star rows sort before other links' beta = 0.05 rows,
+    # which a sort link by link would get wrong.
+    written = parse_campaign_csv_ref(base.with_suffix(".csv"))
+    star = [i for i, r in enumerate(written) if r.beta not in betas]
+    assert len({written[i].gamma_s_db for i in star if written[i].beta < 0.05}) == 13
+    first = written[star[0]]
+    assert any(r.beta == 0.05 and r.alpha == first.alpha and r.gamma_s_db != first.gamma_s_db
+               for r in written[star[0] :])
 
 
 def test_sweep_artifacts_equal_row_by_row_writers(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -187,6 +188,24 @@ class TestCsvContract:
         assert _sorted_ref(rows) == rows[::-1]
         parsed = parse_campaign_csv_ref(emit_campaign_csv(rows, tmp_path / "out.csv"))
         assert [r.value for r in parsed] == [2.0, 1.0]
+
+    def test_nan_and_inf_keys_write_the_same_bytes_in_any_input_order(self, tmp_path):
+        # Python's < does not order NaN; the artifacts put it last and -inf
+        # first in every key column, so rows with distinct full keys, NaN and
+        # -inf among them, are written alike whatever order they come in.
+        numbers = (math.nan, -math.inf, 0.5)
+        keys = itertools.product(numbers, numbers, ("oma", "optimal"), (None, *numbers), numbers)
+        rows = [make_row(alpha=a, beta=b, strategy=s, gamma_s_db=gs, gamma_w_db=gw, value=float(i))
+                for i, (a, b, s, gs, gw) in enumerate(keys)]
+        written = set()
+        for seed in range(20):
+            random.Random(seed).shuffle(rows)
+            paths = emit_artifacts(_table(rows), tmp_path / "a.csv", tmp_path / "a.json")
+            written.add(tuple(path.read_bytes() for path in paths))
+        assert len(written) == 1
+        parsed = parse_campaign_csv_ref(tmp_path / "a.csv")
+        assert [r.value for r in parsed] == [r.value for r in _sorted_ref(rows)]
+        assert [format_value(r.alpha) for r in parsed[:: len(rows) // 3]] == ["-inf", "0.5", "nan"]
 
     def test_nine_significant_digits(self):
         assert format_value(0.123456789123) == "0.123456789"
