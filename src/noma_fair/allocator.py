@@ -69,14 +69,13 @@ __all__ = [
 ]
 
 _GRID_POINTS = 1000
-# Links per whole-grid evaluation, which bounds the (links x points) temporaries.
-_GRID_BLOCK = 16
 # The scan's stride, and the grid steps either side of its best point that a window spans.
 _COARSE_STEP = 32
 _COARSE = np.append(np.arange(0, _GRID_POINTS, _COARSE_STEP), _GRID_POINTS - 1)
 _WINDOW = np.arange(2 * _COARSE_STEP + 1)
-# Links per coarse and window evaluation: temporaries of about half a whole-grid block's,
-# which keeps the peak memory of a campaign at that of whole-grid scans.
+# The points the scan evaluates per link whose window is proved, which the campaign's worker rule charges.
+_SCAN_POINTS = _COARSE.size + _WINDOW.size
+# Links per scan block, which bounds its (links x points) temporaries.
 _SCAN_BLOCK = 128
 # Grid maxima within this slack of the best are all refined (rounding and flat tops make several).
 _BRACKET_SLACK = 1e-9
@@ -198,10 +197,10 @@ def _maximize_on_interval(gs, gw, beta, alpha: float, lo, hi, tol: float):
     unimodal, the points outside a window lie below its edges: a window whose
     edges are grid ends, or below its best by more than the slack and the
     rounding, holds the whole grid's near-best points, peaks and brackets.
-    The other links (flat objectives) scan their whole grids.
+    The other links of the block (flat objectives) scan their whole grids.
     """
     far = _GRID_POINTS - _WINDOW.size  # the last window's first point
-    ends_y, links, lows, highs, whole = [], [], [], [], []
+    found = []
 
     def scan(rows, index):
         xs = _grid(lo[rows], hi[rows], index)
@@ -216,28 +215,23 @@ def _maximize_on_interval(gs, gw, beta, alpha: float, lo, hi, tol: float):
         at = ys[link, i]
         peak = (i == 0) | (i == edge) | ((at >= ys[link, below]) & (at >= ys[link, above]))
         link, below, above = link[peak], below[peak], above[peak]
-        links.append(rows[link])
-        lows.append(xs[link, below])
-        highs.append(xs[link, above])
+        return rows[link], xs[link, below], xs[link, above]
 
     for start in range(0, lo.size, _SCAN_BLOCK):
         rows = np.arange(start, min(start + _SCAN_BLOCK, lo.size))
         xs, ys = scan(rows, _COARSE)
-        ends_y.append(ys[:, [0, -1]])
         first = np.clip(_COARSE[ys.argmax(axis=1)] - _COARSE_STEP, 0, far)
         xs, ys = scan(rows, first[:, None] + _WINDOW)
         best = ys.max(axis=1)
         floor = best - _BRACKET_SLACK - 1e-12 * np.maximum(1.0, np.abs(best))
         proved = ((first == 0) | (ys[:, 0] < floor)) & ((first == far) | (ys[:, -1] < floor))
-        brackets(rows[proved], xs[proved], ys[proved])
-        whole.append(rows[~proved])
-    whole = np.concatenate(whole)
-    for start in range(0, whole.size, _GRID_BLOCK):
-        rows = whole[start : start + _GRID_BLOCK]
-        brackets(rows, *scan(rows, np.arange(_GRID_POINTS)))
-    link, ends_x, ends_y = np.concatenate(links), np.stack((lo, hi), axis=1), np.concatenate(ends_y)
+        found.append(brackets(rows[proved], xs[proved], ys[proved]))
+        if not proved.all():
+            found.append(brackets(rows[~proved], *scan(rows[~proved], np.arange(_GRID_POINTS))))
+    (link, lows, highs), ends_x = map(np.concatenate, zip(*found)), np.stack((lo, hi), axis=1)
+    ends_y = summed_utility(gs[:, None], gw[:, None], beta[:, None], ends_x, alpha)
     on = (gs[link], gw[link], beta[link])
-    x = _golden_max(lambda d: summed_utility(*on, d, alpha), np.concatenate(lows), np.concatenate(highs), tol)
+    x = _golden_max(lambda d: summed_utility(*on, d, alpha), lows, highs, tol)
     y = summed_utility(*on, x, alpha)
     top = ends_y.max(axis=1)
     np.maximum.at(top, link, y)

@@ -50,7 +50,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .allocator import _COARSE, _WINDOW, gate, served_rates, split
+from .allocator import _SCAN_POINTS, gate, served_rates, split
 from .fairness import FairnessConfig, alpha_throughput
 from .pairing import match, user_table
 from .rates import Strategy, _require_positive_finite, db_to_linear, oma_rate
@@ -107,6 +107,12 @@ class NetworkConfig:
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         _require_positive_finite("tx_power_dbm in mW", db_to_linear(self.tx_power_dbm))
         _require_positive_finite("noise_power_dbm in mW", db_to_linear(self.noise_power_dbm))
+        # A user at the minimum distance, with unit fading and no interference, must get a positive OMA rate.
+        snr_db = self.tx_power_dbm - self.noise_power_dbm - self.pathloss_intercept_db
+        snr_db -= self.pathloss_slope_db * math.log10(self.pathloss_min_distance_km)
+        if 1.0 + db_to_linear(snr_db) == 1.0:
+            raise ValueError("tx_power_dbm - noise_power_dbm - pathloss_intercept_db - pathloss_slope_db * log10("
+                             f"pathloss_min_distance_km) = {snr_db:.6g} dB leaves a user at that distance an OMA rate of 0")
         mean_stations = self.bs_density * self.area_km2  # a drop takes about 1 / mean_stations draws
         if mean_stations < 1e-3:
             raise ValueError(f"bs_density * area_km2 must be >= 0.001, got {mean_stations!r}")
@@ -429,11 +435,10 @@ def _campaign_table(cfg: NetworkConfig, sweep, strategies, tau: float, threads: 
     users = cfg.user_density * cfg.area_km2
     entries = (users + 6) * len(sweep) * len(strategies)
     step = max(1, int(_CHUNK_ENTRIES // entries))
-    # A worker is forked only for a share of at least one chunk budget of work, which outweighs its fork: a
-    # trial's SINR matrix, its stacked tables and, with optimal, the points the solver's scan evaluates per
-    # candidate link: its coarse points and one window, not the whole grid that a flat objective's link scans.
+    # A worker is forked only for a share of at least one chunk budget of work, which outweighs its fork: a trial's
+    # SINR matrix, its stacked tables and, with optimal, _SCAN_POINTS per candidate link (not a flat link's whole grid).
     work = users * cfg.bs_density * cfg.area_km2 + entries
-    work += users / 2 * len(sweep) * (_COARSE.size + _WINDOW.size) if Strategy.OPTIMAL in strategies else 0
+    work += users / 2 * len(sweep) * _SCAN_POINTS if Strategy.OPTIMAL in strategies else 0
     workers = max(1, min(threads, cfg.trials, int(cfg.trials * work // _CHUNK_ENTRIES)))
     workers = workers if sys.platform == "linux" else 1  # fork after NumPy's import: Linux only
     shares = [range(cfg.trials * k // workers, cfg.trials * (k + 1) // workers) for k in range(workers)]

@@ -5,7 +5,6 @@ import pytest
 
 from noma_fair import allocator
 from noma_fair.allocator import (
-    _GRID_BLOCK,
     _GRID_POINTS,
     DecisionMode,
     allocate_fixed_bound,
@@ -266,10 +265,11 @@ class TestBatchedDecision:
 
     def test_optimal_solver_stays_batched(self, monkeypatch, whole_grids):
         # One split(OPTIMAL) call evaluates the objective twice per scan block
-        # of links (every coarse point, then one window per link), once per
-        # block of links whose window is not proved (their whole grids), then
-        # in lock step over every bracket: the count must not grow with the
-        # links beyond those whole-grid blocks and the spread of the brackets'
+        # of links (every coarse point, then one window per link), once more
+        # in a block that holds links whose window is not proved (their whole
+        # grids), once at every link's two endpoints, then in lock step over
+        # every bracket: the count must not grow with the links beyond those
+        # whole-grid evaluations and the spread of the brackets'
         # golden-section step counts.
         calls = []
         objective = allocator.summed_utility
@@ -285,6 +285,7 @@ class TestBatchedDecision:
         assert keep.size == 64
         gs, gw = gs[keep], gw[keep]
         beta = rng.uniform(0.0, 0.9, 64) * beta_star(gs, gw)
+        assert 64 <= allocator._SCAN_BLOCK
 
         def count(n, alpha):
             g = gate(gs[:n], gw[:n], beta[:n])
@@ -292,8 +293,9 @@ class TestBatchedDecision:
             calls.clear()
             whole_grids.clear()
             split(g, Strategy.OPTIMAL, FairnessConfig(alpha=alpha))
-            # The whole grids are evaluated in as few blocks of links as hold them.
-            assert len(whole_grids) == -(-sum(whole_grids) // _GRID_BLOCK)
+            # The links fill one scan block, which scans the whole grids of
+            # its unproved links, if it holds any, in one evaluation.
+            assert len(whole_grids) <= 1 and all(whole_grids), whole_grids
             return len(calls), len(whole_grids), sum(whole_grids)
 
         # A grid bracket is one or two grid steps wide.
@@ -306,11 +308,11 @@ class TestBatchedDecision:
         spread = max(steps) - min(steps)
         for alpha in (1.0, 35.0):
             one, one_blocks, _ = count(1, alpha)
-            block, block_blocks, _ = count(_GRID_BLOCK, alpha)
+            block, block_blocks, _ = count(16, alpha)
             many, many_blocks, flat = count(64, alpha)
             assert many < 64
             assert block - one <= spread + block_blocks - one_blocks
             assert many - one <= spread + many_blocks - one_blocks
             # At alpha = 1 every window is proved; at 35 the flat objectives
-            # take several whole-grid blocks.
-            assert (flat == 0) if alpha == 1.0 else (many_blocks > 1), (alpha, flat)
+            # take a whole-grid evaluation.
+            assert (flat == 0) if alpha == 1.0 else (many_blocks == 1), (alpha, flat)

@@ -808,11 +808,26 @@ class TestSimulateCommand:
         assert not (tmp_path / "o").exists()
         assert len(forks) == (int(threads) - 1 if sys.platform == "linux" else 0)
 
-    def test_rates_that_round_to_zero_name_the_first_one_briefly(self, tmp_path, capsys):
-        # At 300 dBm of noise every SINR is positive but its rate rounds to 0;
-        # the error names the first failing rate, not the whole array of them.
+    def test_hopeless_link_budget_names_its_keys(self, tmp_path, capsys):
+        # At 300 dBm of noise even a user at the minimum distance would get
+        # an OMA rate of 0: the config is rejected before any trial runs.
         cfg = tmp_path / "noisy.cfg"
         cfg.write_text("noise_power_dbm = 300\ntrials = 2\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: tx_power_dbm - noise_power_dbm - "), err
+        for key in ("pathloss_intercept_db", "pathloss_slope_db", "pathloss_min_distance_km"):
+            assert key in err, (key, err)
+        assert not out.exists()
+
+    def test_rates_that_round_to_zero_name_the_first_one_briefly(self, tmp_path, capsys):
+        # At 150 dBm of noise a user at the minimum distance would keep a
+        # positive rate, but every drawn SINR is positive and its rate rounds
+        # to 0; the error names the first failing rate, not the whole array
+        # of them.
+        cfg = tmp_path / "noisy.cfg"
+        cfg.write_text("noise_power_dbm = 150\ntrials = 2\n", encoding="utf-8")
         assert run(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err.strip()
         assert err.startswith("runtime error: trial 0, alpha=1.0, beta=0.01: r_s must be positive and finite, got 0.0 at")

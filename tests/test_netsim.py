@@ -75,6 +75,22 @@ class TestDropNetwork:
         with pytest.raises(ValueError, match="seed"):
             NetworkConfig(seed=-1)
 
+    def test_rejects_a_link_budget_that_leaves_no_rate(self):
+        # The SNR of a user at the minimum distance, with unit fading and no
+        # interference: 46 + 95 - 128.1 + 37.6 * 3 = 125.7 dB by default.
+        keys = ("tx_power_dbm", "noise_power_dbm", "pathloss_intercept_db", "pathloss_slope_db",
+                "pathloss_min_distance_km")
+        for changed in ({"noise_power_dbm": 300.0}, {"tx_power_dbm": -250.0}, {"pathloss_intercept_db": 450.0},
+                        {"pathloss_slope_db": -60.0}, {"pathloss_min_distance_km": 1e6}):
+            with pytest.raises(ValueError) as caught:
+                NetworkConfig(**changed)
+            assert all(key in str(caught.value) for key in keys), caught.value
+        # 1 + SNR rounds to 1 below about -159.5 dB of SNR (noise above about 190.2 dBm).
+        assert NetworkConfig(noise_power_dbm=150.0).noise_power_dbm == 150.0
+        assert NetworkConfig(noise_power_dbm=190.0).noise_power_dbm == 190.0
+        with pytest.raises(ValueError, match=r"= -160\.3 dB leaves a user at that distance an OMA rate of 0$"):
+            NetworkConfig(noise_power_dbm=191.0)
+
     def test_rejects_a_window_that_rarely_holds_a_station(self):
         # About 1 / (bs_density * area_km2) draws until a station exists.
         for density, area in ((1e-9, 1.0), (0.01, 0.05)):

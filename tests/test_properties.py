@@ -38,7 +38,6 @@ from noma_fair import allocator, cli
 from noma_fair.allocator import (
     _COARSE,
     _COARSE_STEP,
-    _GRID_BLOCK,
     _GRID_POINTS,
     _SOLVER_TOL,
     _WINDOW,
@@ -445,11 +444,11 @@ def test_batched_optimal_split_equals_per_link_reference():
     # beta is a drawn fraction of each link's beta_star, up to
     # beta_star * (1 - 1e-12), whose few-ulp intervals make every bracket
     # narrower than tol.
-    seen = {"links": 0, "several_brackets": 0, "narrow_brackets": 0, "several_blocks": 0}
+    seen = {"links": 0, "several_brackets": 0, "narrow_brackets": 0, "over_16_links": 0}
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(
-        st.integers(1, 3 * _GRID_BLOCK).flatmap(
+        st.integers(1, 48).flatmap(
             lambda n: st.lists(
                 st.tuples(
                     st.floats(0.1, 100.0),
@@ -477,7 +476,7 @@ def test_batched_optimal_split_equals_per_link_reference():
             )
         if tol == allocator._SOLVER_TOL:
             assert delta.tobytes() == split_delta.tobytes()
-        seen["several_blocks"] += int(on.size > _GRID_BLOCK)
+        seen["over_16_links"] += int(on.size > 16)
         for i in range(len(drawn)):
             if not g.admitted[i]:
                 assert np.isnan(split_delta[i])
@@ -493,7 +492,7 @@ def test_batched_optimal_split_equals_per_link_reference():
 
     check()
     # The draws must reach multi-peak links, the no-iteration branch and
-    # calls that span several grid blocks.
+    # calls of more than 16 links.
     assert min(seen.values()) >= 20, seen
 
 
@@ -525,15 +524,14 @@ def test_scan_window_equals_whole_grid_reference_on_wide_links(whole_grids):
     # delta_s, with ==, on drawn sets of links of the wider domain, at the
     # drawn alpha, at 1 (where interior optima are common) and at 35 (where
     # flat objectives are).  Every kind of scan is reached: a proved window
-    # inside the grid, one at a grid end, the whole-grid fallback, and a
-    # fallback over several blocks of links.
-    seen = dict.fromkeys(("window", "clipped", "whole", "several_whole_blocks"), 0)
+    # inside the grid, one at a grid end, the whole-grid fallback, and a scan
+    # block that mixes proved windows with whole grids.  The links fill one
+    # scan block, which scans its unproved links' whole grids in one evaluation.
+    seen = dict.fromkeys(("window", "clipped", "whole", "mixed_block"), 0)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(
-        (st.just(3 * _GRID_BLOCK) | st.integers(1, 3 * _GRID_BLOCK)).flatmap(
-            lambda n: st.lists(wide_links, min_size=n, max_size=n)
-        ),
+        (st.just(48) | st.integers(1, 48)).flatmap(lambda n: st.lists(wide_links, min_size=n, max_size=n)),
         wide_alphas,
         st.booleans(),
     )
@@ -554,14 +552,13 @@ def test_scan_window_equals_whole_grid_reference_on_wide_links(whole_grids):
                 want, _, _ = maximize_on_interval_ref(lambda d: summed_utility(*args, d, alpha), lo, hi, _SOLVER_TOL)
                 assert delta[k] == want, (args, alpha)
                 kinds[_scan_kind(summed_utility(*args, np.linspace(lo, hi, _GRID_POINTS), alpha))] += 1
-            assert sum(whole_grids) == kinds["whole"], (whole_grids, kinds)
+            assert whole_grids == ([kinds["whole"]] if kinds["whole"] else []), (whole_grids, kinds)
             seen.update({kind: seen[kind] + n for kind, n in kinds.items()})
-            seen["several_whole_blocks"] += len(whole_grids) > 1
+            seen["mixed_block"] += 0 < kinds["whole"] < on.size
 
     check()
-    # Calls whose whole grids span several blocks are the rarest draw (25-72
-    # on six seeds of these draws, every other kind at least 155).
-    floors = {"window": 20, "clipped": 20, "whole": 20, "several_whole_blocks": 10}
+    # Mixed blocks are the rarest draw (140 on these draws, every other kind at least 331).
+    floors = {"window": 20, "clipped": 20, "whole": 20, "mixed_block": 20}
     assert all(seen[kind] >= floor for kind, floor in floors.items()), seen
 
 
@@ -569,9 +566,10 @@ def test_several_scan_blocks_equal_whole_grid_reference(whole_grids):
     # One call over more links than two scan blocks hold, each link of the
     # wider domain, gives the whole-grid search's delta_s, with ==, at an
     # alpha whose windows are mostly proved and at one whose flat objectives
-    # take whole grids over several blocks of links.
+    # take whole grids in several scan blocks: one whole-grid evaluation per
+    # block that holds an unproved link, of those links.
     rng = np.random.default_rng(27)
-    n = 2 * allocator._SCAN_BLOCK + _GRID_BLOCK
+    n = 2 * allocator._SCAN_BLOCK + 16
     drawn = zip(10 ** rng.uniform(-1.2, 3.0, n), 10 ** rng.uniform(0.0, 9.5, n), rng.uniform(0.0, 1 - 1e-12, n))
     g = _wide_gate(list(drawn))
     on = np.flatnonzero(g.admitted)
@@ -580,12 +578,15 @@ def test_several_scan_blocks_equal_whole_grid_reference(whole_grids):
     for alpha in (1.0, 35.0):
         whole_grids.clear()
         delta = allocator._maximize_on_interval(*links, alpha, g.delta_lb[on], g.delta_ub[on], _SOLVER_TOL)
+        unproved = np.zeros(on.size, dtype=int)
         for k, i in enumerate(on):
             args = tuple(float(column[k]) for column in links)
-            want, _, _ = maximize_on_interval_ref(
-                lambda d: summed_utility(*args, d, alpha), float(g.delta_lb[i]), float(g.delta_ub[i]), _SOLVER_TOL
-            )
+            lo, hi = float(g.delta_lb[i]), float(g.delta_ub[i])
+            want, _, _ = maximize_on_interval_ref(lambda d: summed_utility(*args, d, alpha), lo, hi, _SOLVER_TOL)
             assert delta[k] == want, (args, alpha)
+            unproved[k] = _scan_kind(summed_utility(*args, np.linspace(lo, hi, _GRID_POINTS), alpha)) == "whole"
+        per_block = np.add.reduceat(unproved, np.arange(0, on.size, allocator._SCAN_BLOCK))
+        assert whole_grids == [int(u) for u in per_block if u], (whole_grids, per_block)
         assert (len(whole_grids) > 1) == (alpha == 35.0), (alpha, whole_grids)
 
 
