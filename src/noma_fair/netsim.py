@@ -384,7 +384,13 @@ def _run_shares(run, shares: list[list[range]]) -> list[np.ndarray]:
     try:
         for share in shares[1:]:
             r, w = os.pipe()
-            if not (pid := os.fork()):
+            try:
+                pid = os.fork()
+            except BaseException:  # no child holds the pipe
+                os.close(r)
+                os.close(w)
+                raise
+            if not pid:
                 try:  # the child, which never returns
                     os.close(r)
                     try:

@@ -16,14 +16,14 @@ as one row table, a list or NumPy array per CSV_HEADER column (``sweep``
 gives arrays, ``simulate`` lists), with :class:`ResultRow` as its object
 view.  Each column is factorized once into a code per row and its distinct
 values (an array of 8-byte numbers on its bits, any other column by a dict),
-and each distinct value formatted once.  The table is sorted once, by one
-stable ``np.lexsort`` over keys built from the key columns' codes.  The
-cells are then taken by code, in sorted order, into a rows x columns array
-of texts per artifact, and both artifacts are written from that one
-rendering, a block of rows per write.  The JSON mirror is written as text
-directly, with the bytes ``json.dump(indent=2)`` gives for the CSV cells
-parsed back.  The row-by-row writers it replaces are kept as the reference
-in ``tests/_oracles.py``.
+and each distinct value formatted once and ranked once, by the one ordering
+rule above.  The table is sorted once, by one stable ``np.lexsort`` over the
+key columns' ranks taken by code.  The cells are then taken by code, in
+sorted order, into a rows x columns array of texts per artifact, and both
+artifacts are written from that one rendering, a block of rows per write.
+The JSON mirror is written as text directly, with the bytes
+``json.dump(indent=2)`` gives for the CSV cells parsed back.  The row-by-row
+writers it replaces are kept as the reference in ``tests/_oracles.py``.
 """
 
 from __future__ import annotations
@@ -233,39 +233,32 @@ def _factorize(key: str, values) -> tuple[np.ndarray, list]:
     return np.fromiter(map(code.__getitem__, keys), np.intp, len(keys)), list(distinct.values())
 
 
-def _sort_keys(key: str, values, codes: np.ndarray, distinct: list) -> list[np.ndarray]:
-    """A key column's sort keys, the first most significant: a text's rank in
-    code-point order, a NumPy number column itself, any other its values as
-    floats (True, 1 and 1.0 tie), after a presence flag if it holds None.  So
-    None sorts before any number, -inf first, NaN last; -0.0 ties with 0.0."""
-    if key in _TEXT_KEYS:
-        return [np.argsort(sorted(range(len(distinct)), key=distinct.__getitem__))[codes]]
-    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
-        return [values]
-    numbers = np.array(distinct, dtype=float)[codes]
-    return [np.array([v is not None for v in distinct])[codes], numbers] if None in distinct else [numbers]
+def _sort_key(distinct: list, codes: np.ndarray) -> np.ndarray:
+    """A key column's rank per row among its distinct values, each keyed once as
+    (present, NaN, value): None first, -inf to inf, NaN last, texts by code
+    point; -0.0 ties with 0.0, NaN with NaN, and True with 1 and 1.0."""
+    keys = [(v is not None, v != v, 0 if v != v else v) for v in distinct]
+    rank = dict(zip(sorted(set(keys)), range(len(keys))))
+    return np.fromiter(map(rank.__getitem__, keys), np.intp, len(keys))[codes]
 
 
 def _render(table: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """The rows' CSV and JSON cells, sorted once by one stable ``np.lexsort``
-    (:func:`_sort_keys`): a rows x columns array of texts per artifact, each
-    cell with its line's text around it, so that an artifact is its rows'
-    cells joined.  Each column is factorized once and each distinct value
-    formatted once; the cells are taken by code from one array of all the
-    columns' texts.  Refuses empty input, so no emitter touches disk for it."""
+    over the key columns' :func:`_sort_key`: a rows x columns array of texts
+    per artifact, each cell with its line's text around it, so that an artifact
+    is its rows' cells joined.  Each column is factorized once and each
+    distinct value formatted once; the cells are taken by code from one array
+    of all the columns' texts.  Refuses empty input, so no emitter touches disk."""
     if not len(table[0]):
         raise ValueError("no rows to emit")
-    codes, offsets, csv_texts, json_texts, sort_keys = [], [], [], [], {}
-    for key, values, csv_format, json_format in zip(CSV_HEADER, table, *map(_cell_formats, (_CSV_LINE, _JSON_OBJECT))):
-        column_codes, distinct = _factorize(key, values)
-        if key in _SORT_COLUMNS:
-            sort_keys[key] = _sort_keys(key, values, column_codes, distinct)
-        codes.append(column_codes)
+    codes, distincts = zip(*map(_factorize, CSV_HEADER, table))
+    order = np.lexsort([_sort_key(distincts[i], codes[i]) for i in map(CSV_HEADER.index, _SORT_COLUMNS[::-1])])
+    offsets, csv_texts, json_texts = [], [], []
+    for key, distinct, csv_format, json_format in zip(CSV_HEADER, distincts, *map(_cell_formats, (_CSV_LINE, _JSON_OBJECT))):
         offsets.append(len(csv_texts))
         csv_column, json_column = _column_texts(key, distinct)
         csv_texts += map(csv_format.__mod__, csv_column)
         json_texts += map(json_format.__mod__, json_column)
-    order = np.lexsort([k for key in _SORT_COLUMNS for k in sort_keys[key]][::-1])
     texts = np.array(csv_texts + json_texts, dtype=object).reshape(2, -1)
     cells = texts[:, (np.array(codes).T + offsets)[order]]
     return cells[0], cells[1]

@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import signal
@@ -497,4 +498,21 @@ class TestForkedShares:
         monkeypatch.setattr(netsim, "split", failing)
         with _deadline(10), pytest.raises(RuntimeError, match=r"^trial 0, alpha=1\.0, beta=0\.01: boom in trial 0$"):
             run_campaign(cfg, self.SWEEP, [Strategy.SUBOPTIMAL, Strategy.OMA], threads=2)
+        assert len(forks) == 1
+
+    def test_a_failed_fork_closes_its_pipe(self, monkeypatch, forks):
+        # The third share's fork fails: its pipe is closed and the OSError
+        # propagates, and no_child_left finds the second share's child reaped.
+        fork = os.fork
+
+        def failing():
+            if forks:
+                raise BlockingIOError(errno.EAGAIN, "fork failed")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", failing)
+        fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError, match="fork failed"):
+            run_campaign(NetworkConfig(trials=6, seed=5), self.SWEEP, [Strategy.OMA], threads=3)
+        assert len(os.listdir("/proc/self/fd")) == fds
         assert len(forks) == 1

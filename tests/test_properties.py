@@ -65,6 +65,7 @@ from noma_fair.rates import PairLink, Strategy, db_to_linear, noma_rates, oma_ra
 from noma_fair.report import (
     _BLOCK_ROWS,
     BETA_STAR_TOKEN,
+    CSV_HEADER,
     METRIC_NAMES,
     ResultRow,
     emit_artifacts,
@@ -192,8 +193,18 @@ def test_alpha_throughput_is_a_mean_that_falls_with_alpha(link, alpha, step):
 def test_pair_serves_a_link_as_a_one_candidate_trial():
     # pair's served rates (NOMA when admitted, OMA when rejected), t_alpha,
     # rate sum and mode against the campaign metrics of a trial whose one
-    # cell holds the link's two users, compared with ==.
+    # cell holds the link's two users, compared with ==.  Each example draws
+    # its band first (solver, admitted or not, alpha band), then an alpha in
+    # the band and a link built to land on that side of the gate, so that
+    # every band gets about a sixteenth of the examples whatever literals
+    # Hypothesis's constant pool holds.  The bands count what pair reports.
     seen = collections.Counter()
+    alpha_bands = {
+        "0": st.just(0.0),
+        "(0, 1)": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        "1": st.just(1.0),
+        ">1": st.sampled_from([1.0 + 1e-3, 3.0, 25.0]) | st.floats(1.0, 25.0, exclude_min=True),
+    }
 
     # Derandomized Hypothesis seeds a test from its source, so an edit to check
     # would re-draw the examples that the band counts below were met on.  The
@@ -201,15 +212,27 @@ def test_pair_serves_a_link_as_a_one_candidate_trial():
     @hypothesis.seed(37594339349312461837484375898415676759979543160611653165557364402402021213275679814335136801317517341765586735730555)
     @PROPERTY
     @given(
+        st.sampled_from(list(itertools.product(("optimal", "suboptimal"), (True, False), alpha_bands))),
         st.floats(-10.0, 20.0),
-        st.sampled_from([0.0, 7.0]) | st.floats(0.0, 30.0),
-        st.sampled_from([0.0, 1.0]) | st.floats(0.0, 0.1) | st.floats(0.0, 1.0),
-        st.sampled_from([0.0, 1.0, 1.0 + 1e-3, 3.0, 25.0]) | alphas,
         st.just(FairnessConfig.tau) | st.floats(0.05, 0.95),
-        st.sampled_from(["optimal", "suboptimal"]),
+        st.data(),
     )
-    def check(gw_db, offset_db, beta, alpha, tau, solver):
+    def check(band, gw_db, tau, data):
+        solver, admitted, alpha_band = band
+        alpha = data.draw(alpha_bands[alpha_band])
+        if admitted:
+            # The criterion holds where sqrt(1 + gamma_s) > b + 1 - 1/b, b = sqrt(1 + gamma_w), and a
+            # beta below beta_star leaves a nonempty split interval.
+            b = math.sqrt(1.0 + db_to_linear(gw_db))
+            offset_db = 10.0 * math.log10(((b + 1.0 - 1.0 / b) ** 2 - 1.0) / (b * b - 1.0))
+            offset_db += data.draw(st.floats(0.01, 30.0))
+            share = data.draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.99))
+        else:  # equal SINRs fail the criterion; from beta_star on the interval is empty (at beta_star up to rounding)
+            offset_db = data.draw(st.just(0.0) | st.floats(0.0, 30.0))
+            share = data.draw(st.sampled_from([1.0, 2.0]) | st.floats(1.0, 2.0))
         gs_db = gw_db + offset_db
+        star = beta_star(db_to_linear(gs_db), db_to_linear(gw_db))
+        beta = share * star if admitted else star + (share - 1.0) * (1.0 - star)
         users = user_table([0, 1], [0, 0], [db_to_linear(gs_db), db_to_linear(gw_db)], [2e-9, 1e-9])
         table = _trial_tables([users], [Strategy(solver)], [FairnessConfig(alpha=alpha, tau=tau)], [beta])
         mur_s, mur_w, mur_oma, t, asr, pairs = table[0, 0, 0, 0].tolist()
@@ -222,7 +245,7 @@ def test_pair_serves_a_link_as_a_one_candidate_trial():
         assert report["utility_sum"] == utility(served[0], alpha) + utility(served[1], alpha)
         assert (mur_s, mur_w, t, asr, pairs) == (*served, report["t_alpha"], served[0] + served[1], paired)
         assert math.isnan(mur_oma) if paired else mur_oma == (oma[0] + oma[1]) / 2
-        seen[solver, paired, "0" if alpha == 0 else "1" if alpha == 1 else ">1" if alpha > 1 else "(0, 1)"] += 1
+        seen[solver, paired, alpha_band] += 1
 
     check()
     bands = itertools.product(("optimal", "suboptimal"), (True, False), ("0", "1", ">1"))
@@ -728,6 +751,14 @@ def test_emitters_equal_row_by_row_reference(tmp_path):
             emit(drawn, got)
             ref(drawn, want)
             assert got.read_bytes() == want.read_bytes(), drawn
+        # The same rows as a row table whose alpha and beta are float64 arrays,
+        # so that NaNs, infinities and both zeros meet in a NumPy key column.
+        table = [[getattr(r, key) for r in drawn] for key in CSV_HEADER]
+        table[:2] = [np.array(column, dtype=np.float64) for column in table[:2]]
+        got = tmp_path / "table.csv", tmp_path / "table.json"
+        emit_artifacts(table, *got)
+        for path, suffix in zip(got, (".csv", ".json")):
+            assert path.read_bytes() == (tmp_path / ("want" + suffix)).read_bytes(), drawn
         floats = [v for r in drawn for v in (r.alpha, r.beta, r.gamma_s_db, r.gamma_w_db, r.value, r.stderr)]
         columns = [[getattr(r, key) for r in drawn] for key in ("alpha", "beta", "value", "stderr")]
         seen["signed_zeros"] += any(
