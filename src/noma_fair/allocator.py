@@ -45,14 +45,7 @@ import numpy as np
 
 from .bounds import PairingCriterion, delta_lower_bound, delta_upper_bound, pairing_criterion
 from .fairness import FairnessConfig, utility
-from .rates import (
-    PairLink,
-    PowerAllocation,
-    Strategy,
-    _require_split,
-    noma_sinr_strong,
-    noma_sinr_weak,
-)
+from .rates import PairLink, PowerAllocation, Strategy, _noma_rate_pair, _require_split
 
 __all__ = [
     "DecisionMode",
@@ -136,8 +129,7 @@ def summed_utility(gamma_s, gamma_w, beta, delta_s, alpha: float):
     Positive rates are guaranteed on [delta_lb, delta_ub] because the
     endpoints already achieve the (positive) OMA rates.
     """
-    r_s = np.log2(1.0 + noma_sinr_strong(gamma_s, beta, delta_s))
-    r_w = np.log2(1.0 + noma_sinr_weak(gamma_w, delta_s))
+    r_s, r_w = _noma_rate_pair(gamma_s, gamma_w, beta, delta_s)
     return utility(r_s, alpha) + utility(r_w, alpha)
 
 
@@ -276,8 +268,7 @@ def served_rates(g: Gate, delta, oma_s, oma_w) -> tuple[np.ndarray, np.ndarray]:
     log2(1 + SINR) where ``delta`` is a number, ``oma_s``/``oma_w`` where it
     is NaN (the pair is served OMA)."""
     paired = ~np.isnan(delta)
-    r_s = np.log2(1.0 + noma_sinr_strong(g.gamma_s, g.beta, delta))
-    r_w = np.log2(1.0 + noma_sinr_weak(g.gamma_w, delta))
+    r_s, r_w = _noma_rate_pair(g.gamma_s, g.gamma_w, g.beta, delta)
     return np.where(paired, r_s, oma_s), np.where(paired, r_w, oma_w)
 
 

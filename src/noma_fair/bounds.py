@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rates import PairLink, _require_positive_finite
+from .rates import PairLink, _require_beta, _require_positive_finite
 
 __all__ = [
     "AllocationBounds",
@@ -81,9 +81,8 @@ def delta_lower_bound(gamma_s, beta):
     stability.  Strictly increasing in beta.
     """
     _require_positive_finite("gamma_s", gamma_s)
+    _require_beta(beta)
     b = np.asarray(beta, dtype=float)
-    if not np.all((b >= 0) & (b <= 1)):
-        raise ValueError(f"beta must lie in [0, 1], got {beta!r}")
     g = np.asarray(gamma_s, dtype=float)
     a = np.sqrt(1.0 + g)
     out = (1.0 + b * g) / ((1.0 + a) * (1.0 + b * (a - 1.0)))

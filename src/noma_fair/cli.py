@@ -27,9 +27,9 @@ import numpy as np
 
 from . import __version__
 from .allocator import gate, served_rates, split
-from .fairness import FairnessConfig, alpha_throughput, utility
-from .netsim import NetworkConfig, _campaign_table
-from .rates import Strategy, _require_positive_finite, db_to_linear, oma_rate
+from .fairness import FairnessConfig, _require_alpha, alpha_throughput, utility
+from .netsim import NetworkConfig, _campaign_table, _require_threads
+from .rates import Strategy, _require_beta, _require_positive_finite, db_to_linear, oma_rate
 from .report import BETA_STAR_TOKEN, _require_distinct, _sweep_table, emit_artifacts
 
 __all__ = ["main", "build_parser", "parse_config_file", "ConfigError", "SETTINGS"]
@@ -65,38 +65,28 @@ def _strategy(text: str) -> Strategy:
         raise ValueError(f"unknown strategy {text!r}; valid: {valid}") from None
 
 
-def _alpha(text: str) -> float:
-    alpha = float(text)
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ValueError(f"alpha must be >= 0, got {alpha!r}")
-    return alpha
+def _checked(convert, check):
+    """Parser that converts its text and passes the value to the library's ``check``."""
+
+    def parse(text):
+        value = convert(text)
+        check(value)
+        return value
+
+    return parse
 
 
-def _beta(text: str) -> float:
-    beta = float(text)
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta!r}")
-    return beta
-
-
-def _sinr_db(text) -> float:
-    """A dB SINR whose linear ratio is positive and finite."""
-    value = float(text)
-    _require_positive_finite(f"the linear ratio of {value!r} dB", db_to_linear(value))
-    return value
+_alpha = _checked(float, _require_alpha)
+_beta = _checked(float, _require_beta)
+_threads = _checked(int, _require_threads)
+# A dB SINR whose linear ratio is positive and finite.
+_sinr_db = _checked(float, lambda db: _require_positive_finite(f"the linear ratio of {db!r} dB", db_to_linear(db)))
 
 
 _sinr_db_list = _comma_list(_sinr_db)
 _alpha_list = _comma_list(_alpha)
 _beta_list = _comma_list(_beta)
 _sweep_beta_list = _comma_list(lambda text: text if text == BETA_STAR_TOKEN else _beta(text))
-
-
-def _threads(text: str) -> int:
-    threads = int(text)
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads!r}")
-    return threads
 
 
 # The simulate settings, config key -> (parser, default); a network or solver

@@ -23,6 +23,12 @@ from .rates import _require_positive_finite
 __all__ = ["FairnessConfig", "utility", "alpha_throughput"]
 
 
+def _require_alpha(alpha) -> None:
+    """Raise ValueError unless the fairness exponent is finite and >= 0."""
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be >= 0, got {alpha!r}")
+
+
 @dataclass(frozen=True)
 class FairnessConfig:
     """Scheduler parameters shared by the allocators.
@@ -35,8 +41,7 @@ class FairnessConfig:
     tau: float = 0.5
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError(f"alpha must be >= 0, got {self.alpha!r}")
+        _require_alpha(self.alpha)
         if not (0.0 < self.tau < 1.0):
             raise ValueError(f"tau must lie in (0, 1), got {self.tau!r}")
 
@@ -44,19 +49,16 @@ class FairnessConfig:
 def utility(x, alpha: float):
     """Alpha-fair utility of a positive rate.
 
-    Returns x^(1-alpha)/(1-alpha) for alpha > 0, alpha != 1; ln(x) at
-    alpha = 1; and x itself at alpha = 0 (the throughput-maximizing limit,
-    accepted as an extension to simplify sweeps).  Scalar/ndarray
-    transparent.  Raises ValueError for non-positive rates, where the
-    utility is unbounded below.
+    Returns x^(1-alpha)/(1-alpha) for alpha != 1, which at alpha = 0 is x
+    itself, exactly (the throughput-maximizing limit, accepted as an
+    extension to simplify sweeps), and ln(x) at alpha = 1.  Scalar/ndarray
+    transparent.  Raises ValueError for a negative, NaN or infinite alpha,
+    and for non-positive rates, where the utility is unbounded below.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha!r}")
+    _require_alpha(alpha)
     _require_positive_finite("x", x)
     arr = np.asarray(x, dtype=float)
-    if alpha == 0:
-        out = arr
-    elif alpha == 1:
+    if alpha == 1:
         out = np.log(arr)
     else:
         out = arr ** (1.0 - alpha) / (1.0 - alpha)
@@ -70,10 +72,11 @@ def alpha_throughput(r_s, r_w, alpha: float):
     sqrt(r_s * r_w) at alpha = 1.  The 1/2 applies to the whole sum so that
     the metric is symmetric in the users and continuous through alpha = 1.
     Evaluated in log space so large exponents neither overflow nor lose the
-    ordering.  Scalar/ndarray transparent.
+    ordering.  Scalar/ndarray transparent.  Raises ValueError for a
+    negative, NaN or infinite alpha, and for rates that are not positive
+    and finite.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha!r}")
+    _require_alpha(alpha)
     _require_positive_finite("r_s", r_s)
     _require_positive_finite("r_w", r_w)
     rs = np.asarray(r_s, dtype=float)

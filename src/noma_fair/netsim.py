@@ -53,7 +53,7 @@ import numpy as np
 from .allocator import _SCAN_POINTS, gate, served_rates, split
 from .fairness import FairnessConfig, alpha_throughput
 from .pairing import match, user_table
-from .rates import Strategy, _require_positive_finite, db_to_linear, oma_rate
+from .rates import Strategy, _require_beta, _require_positive_finite, db_to_linear, oma_rate
 from .report import ResultRow, _require_distinct
 
 __all__ = [
@@ -422,20 +422,24 @@ def _run_shares(run, shares: list[list[range]]) -> list[np.ndarray]:
             os.waitpid(pid, 0)
 
 
+def _require_threads(threads: int) -> None:
+    """Raise ValueError unless the worker count is at least 1."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads!r}")
+
+
 def _campaign_table(cfg: NetworkConfig, sweep, strategies, tau: float, threads: int) -> list[list]:
     """The row table of :func:`run_campaign`."""
     if not sweep or not strategies:
         raise ValueError("sweep and strategies must be non-empty")
-    if not all(0.0 <= beta <= 1.0 for _, beta in sweep):
-        raise ValueError(f"betas must lie in [0, 1], got {sorted({b for _, b in sweep})}")
+    _require_beta(sorted({b for _, b in sweep}), "betas")
     strategies = list(strategies)
     _require_distinct("strategy", [s.value for s in strategies], strategies)
     alphas, betas = (list(dict.fromkeys(axis)) for axis in zip(*sweep))
     if list(map(tuple, sweep)) != list(product(alphas, betas)):
         raise ValueError(f"sweep must be the alpha-major grid of alphas {alphas} x betas {betas}")
     fairs = [FairnessConfig(alpha=a, tau=tau) for a in alphas]
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads!r}")
+    _require_threads(threads)
     # One contiguous share of trials per worker, in chunks of about _CHUNK_ENTRIES entries: a
     # trial stacks its mean user count of entries per point and strategy, and its table 6 more.
     users = cfg.user_density * cfg.area_km2

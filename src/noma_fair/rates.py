@@ -83,6 +83,14 @@ def _require_positive_finite(name: str, value) -> None:
     raise ValueError(f"{name} must be positive and finite, got {got}")
 
 
+def _require_beta(value, name: str = "beta") -> None:
+    """Raise ValueError naming ``name`` unless the scalar or every array
+    entry, a SIC imperfection, lies in [0, 1]."""
+    b = np.asarray(value, dtype=float)
+    if not np.all((b >= 0) & (b <= 1)):
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+
+
 def _require_split(delta_s) -> None:
     """Raise ValueError unless the scalar or every array entry delta_s, and
     its complement delta_w = 1 - delta_s, lie in (0, 1)."""
@@ -113,8 +121,7 @@ class PairLink:
             raise ValueError(
                 f"strong/weak ordering violated: gamma_s={self.gamma_s} < gamma_w={self.gamma_w}"
             )
-        if not (0.0 <= self.beta <= 1.0):
-            raise ValueError(f"beta must lie in [0, 1], got {self.beta!r}")
+        _require_beta(self.beta)
 
 
 @dataclass(frozen=True)
@@ -157,11 +164,14 @@ def noma_sinr_weak(gamma_w, delta_s):
     return (1.0 - delta_s) * gamma_w / (1.0 + delta_s * gamma_w)
 
 
-def noma_rates(link: PairLink, alloc: PowerAllocation) -> tuple[float, float]:
-    """NOMA rates (R_s, R_w) = log2(1 + sinr) in bits/s/Hz of a validated link and split.
+def _noma_rate_pair(gamma_s, gamma_w, beta, delta_s):
+    """NOMA rates (R_s, R_w) = log2(1 + sinr) in bits/s/Hz; no 1/2 factor:
+    both users reuse the full subchannel.  Scalar/ndarray transparent;
+    inputs are not validated here."""
+    return np.log2(1.0 + noma_sinr_strong(gamma_s, beta, delta_s)), np.log2(1.0 + noma_sinr_weak(gamma_w, delta_s))
 
-    No 1/2 factor: both users reuse the full subchannel.
-    """
-    sinr_s = float(noma_sinr_strong(link.gamma_s, link.beta, alloc.delta_s))
-    sinr_w = float(noma_sinr_weak(link.gamma_w, alloc.delta_s))
-    return float(np.log2(1.0 + sinr_s)), float(np.log2(1.0 + sinr_w))
+
+def noma_rates(link: PairLink, alloc: PowerAllocation) -> tuple[float, float]:
+    """:func:`_noma_rate_pair` of a validated link and split, as floats."""
+    r_s, r_w = _noma_rate_pair(link.gamma_s, link.gamma_w, link.beta, alloc.delta_s)
+    return float(r_s), float(r_w)

@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 
 from noma_fair import netsim
-from noma_fair.bounds import beta_star, msd_threshold
+from noma_fair.bounds import beta_star, delta_lower_bound, msd_threshold
 from noma_fair.cli import SETTINGS, build_parser, main, parse_config_file
-from noma_fair.fairness import FairnessConfig, utility
+from noma_fair.fairness import FairnessConfig, alpha_throughput, utility
 from noma_fair.netsim import NetworkConfig, compute_sinrs, drop_network, run_campaign
-from noma_fair.rates import Strategy, db_to_linear
+from noma_fair.rates import PairLink, Strategy, db_to_linear
 from noma_fair.report import emit_delta_sweep, format_value
 
 from _oracles import (
@@ -460,6 +460,42 @@ def test_minus_inf_or_nan_is_a_value_not_an_option(tmp_path, capsys, argv, key, 
     assert run([arg.format(value, out=tmp_path / "x") for arg in argv]) == 2
     assert f"error: bad value for {key!r}: " in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def _raised(call) -> str:
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "rule, bad",
+    [("alpha", bad) for bad in (-0.5, math.nan, math.inf, -math.inf)]
+    + [("beta", bad) for bad in (-0.1, 1.5, math.nan)]
+    + [("threads", bad) for bad in (0, -3)],
+)
+def test_an_input_rule_reads_the_same_at_every_site(tmp_path, capsys, rule, bad):
+    # One library check states each input rule, so every library call that takes
+    # the value and the CLI option that parses it reject a bad value with the same
+    # text, exit code 2 on the CLI, before anything runs or is written.
+    net, out = NetworkConfig(trials=1), tmp_path / "o"
+    rule_text = {"alpha": "must be >= 0", "beta": "must lie in [0, 1]", "threads": "must be >= 1"}[rule]
+    expected = f"{rule} {rule_text}, got {bad!r}"
+    if rule == "alpha":
+        calls = [lambda: FairnessConfig(alpha=bad), lambda: utility(2.0, bad), lambda: alpha_throughput(2.0, 3.0, bad)]
+        argv, err = ["simulate", f"--alphas={bad!r}", "--out-dir", str(out)], f"bad value for 'alphas': {expected}"
+    elif rule == "beta":
+        calls = [lambda: delta_lower_bound(2.0, bad), lambda: PairLink(2.0, 1.0, bad)]
+        # The campaign names its betas and shows them as a sorted list.
+        assert _raised(lambda: run_campaign(net, [(1.0, bad)], [Strategy.OMA])) == f"betas {rule_text}, got {[bad]!r}"
+        argv, err = ["pair", "--gamma-s-db", "9", "--gamma-w-db", "2", "--alpha", "1", f"--beta={bad!r}"], expected
+    else:
+        calls = [lambda: run_campaign(net, [(1.0, 0.01)], [Strategy.OMA], threads=bad)]
+        argv, err = ["simulate", f"--threads={bad!r}", "--out-dir", str(out)], f"bad value for 'threads': {expected}"
+    assert [_raised(call) for call in calls] == [expected] * len(calls)
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert not out.exists()
 
 
 class TestSimulateCommand:

@@ -7,6 +7,16 @@ import pytest
 from noma_fair import allocator
 from noma_fair.fairness import FairnessConfig, alpha_throughput, utility
 
+# Alphas outside the domain: negative, NaN and infinite.
+BAD_ALPHAS = (-0.5, math.nan, math.inf, -math.inf)
+
+
+def config_error(alpha) -> str:
+    """FairnessConfig's message for a bad alpha."""
+    with pytest.raises(ValueError) as info:
+        FairnessConfig(alpha=alpha)
+    return str(info.value)
+
 
 class TestUtility:
     def test_log_branch_at_one(self):
@@ -30,8 +40,11 @@ class TestUtility:
             utility(bad, 1.0)
 
     def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            utility(1.0, -0.5)
+        # So are NaN and infinite alphas, with FairnessConfig's message.
+        for alpha in BAD_ALPHAS:
+            with pytest.raises(ValueError) as info:
+                utility(1.0, alpha)
+            assert str(info.value) == config_error(alpha)
 
     def test_strictly_increasing_and_concave(self):
         rng = np.random.default_rng(21)
@@ -63,6 +76,10 @@ class TestAlphaThroughput:
             alpha_throughput(0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             alpha_throughput(1.0, -1.0, 2.0)
+        for alpha in BAD_ALPHAS:
+            with pytest.raises(ValueError) as info:
+                alpha_throughput(2.0, 3.0, alpha)
+            assert str(info.value) == config_error(alpha)
 
     def test_bounded_by_min_and_max(self):
         rng = np.random.default_rng(22)
