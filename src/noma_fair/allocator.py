@@ -28,10 +28,9 @@ call the stages themselves.
 The 1-D objective, :func:`summed_utility`, is continuous on a compact
 interval, where its slope changes sign at most once, from positive to
 negative (pinned by ``test_slope_changes_sign_at_most_once_on_wide_links``).
-The optimal solver scans a grid around its best coarse point (the whole grid
-where the objective is too flat for that) and refines every near-best bracket
-by golden section, every admitted link at once: the scans in blocks of links,
-the brackets in lock step.
+The optimal solver skips links too flat to rise above their lower end, scans
+a grid window where the slope turns (the whole grid where that is not proved)
+and refines every near-best bracket by golden section, all links at once.
 """
 
 from __future__ import annotations
@@ -62,13 +61,11 @@ __all__ = [
 ]
 
 _GRID_POINTS = 1000
-# The scan's stride, and the grid steps either side of its best point that a window spans.
-_COARSE_STEP = 32
-_COARSE = np.append(np.arange(0, _GRID_POINTS, _COARSE_STEP), _GRID_POINTS - 1)
-_WINDOW = np.arange(2 * _COARSE_STEP + 1)
-# The points the scan evaluates per link whose window is proved, which the campaign's worker rule charges.
-_SCAN_POINTS = _COARSE.size + _WINDOW.size
-# Links per scan block, which bounds its (links x points) temporaries.
+_SPAN = 7  # the grid points of a window placed by the slope, three either side of its centre
+# The objective points per candidate link that the worker rule charges: the coarse-and-window
+# scan's figure, kept when the slope came to place the window, so that no fork moves.
+_SCAN_POINTS = 98
+# Links per whole-grid block, which bounds its (links x points) temporaries.
 _SCAN_BLOCK = 128
 # Grid maxima within this slack of the best are all refined (rounding and flat tops make several).
 _BRACKET_SLACK = 1e-9
@@ -133,23 +130,27 @@ def summed_utility(gamma_s, gamma_w, beta, delta_s, alpha: float):
     return utility(r_s, alpha) + utility(r_w, alpha)
 
 
+def _golden_steps(dist: np.ndarray, tol: float) -> np.ndarray:
+    """The step after which golden section reads off each bracket of width ``dist``, -1 (the midpoint) where
+    it is no wider than ``tol``: counted by np.log, and by math.log as a one-bracket search counts them where
+    the quotient lies within 1e-9 of an integer (np.log may differ in the last bit)."""
+    last, wide = np.full(dist.shape, -1), np.flatnonzero(dist > tol)
+    q = np.log(tol / dist[wide]) / math.log(_INV_PHI)
+    last[wide] = np.ceil(q) - 1
+    for i in wide[np.abs(q - np.rint(q)) < 1e-9].tolist():
+        last[i] = math.ceil(math.log(tol / dist[i]) / math.log(_INV_PHI)) - 1
+    return last
+
+
 def _golden_max(fn: Callable, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
     """Golden-section maximizer of ``fn`` on every bracket [lo, hi] in lock step.
 
-    ``fn`` maps an array of splits, one per bracket, to their values.  Each
-    bracket's result is read off after its own number of steps, counted
-    with ``math.log`` as a one-bracket search counts them (``np.log`` may
-    differ in the last bit); brackets already read off keep stepping with
-    the rest, and their further steps are discarded.  A bracket no wider
-    than ``tol`` returns its midpoint.
+    ``fn`` maps an array of splits, one per bracket, to their values.  Each bracket is
+    read off after its own :func:`_golden_steps`; its further steps are discarded.
     """
     dist = hi - lo
     out = 0.5 * (lo + hi)
-    # The step after which each bracket is read off; -1 keeps the midpoint.
-    last = np.array(
-        [math.ceil(math.log(tol / w) / math.log(_INV_PHI)) - 1 if w > tol else -1 for w in dist.tolist()],
-        dtype=int,
-    )
+    last = _golden_steps(dist, tol)
     reads = set(last.tolist())
     c = lo + _INV_PHI_SQ * dist
     d = lo + _INV_PHI * dist
@@ -176,23 +177,37 @@ def _grid(lo, hi, index):
     return np.where(index == _GRID_POINTS - 1, hi[:, None], x)
 
 
+def _slope_up(gs, gw, beta, d, alpha: float):
+    """True where :func:`summed_utility` rises at the split ``d``: its slope's terms R_s^-alpha R_s' and
+    R_w^-alpha R_w' compared in log space, which no alpha overflows.  With A = 1 + beta gs + d gs(1-beta),
+    B = 1 + beta gs(1-d) and C = 1 + d gw: R_s = log2(A/B), R_s' ln 2 = gs(1-beta)/A + beta gs/B,
+    R_w = log2((1+gw)/C) and R_w' ln 2 = -gw/C."""
+    a, b, c = 1.0 + beta * gs + d * gs * (1.0 - beta), 1.0 + beta * gs * (1.0 - d), 1.0 + d * gw
+    rise = np.log(gs * (1.0 - beta) / a + beta * gs / b) - alpha * np.log(np.log2(a / b))
+    return rise > np.log(gw / c) - alpha * np.log(np.log2((1.0 + gw) / c))
+
+
 def _maximize_on_interval(gs, gw, beta, alpha: float, lo, hi, tol: float):
-    """Grid scan plus golden-section refinement of every link at once.
+    """Grid search plus golden-section refinement of every link at once.
 
     Returns delta_s, one per link.  Every local peak of a link's grid of
     _GRID_POINTS splits within _BRACKET_SLACK of its best is refined; the
     endpoints enter as exact candidates (golden section returns interior
     points only, which loses real objective on boundary maxima).  Values
     within 1e-12 of the best tie and go to the smallest delta_s, which favors
-    the weak user.  The scan takes every _COARSE_STEP-th point, then the
-    window _COARSE_STEP either side of the best of them.  The objective being
-    unimodal, the points outside a window lie below its edges: a window whose
-    edges are grid ends, or below its best by more than the slack and the
-    rounding, holds the whole grid's near-best points, peaks and brackets.
-    The other links of the block (flat objectives) scan their whole grids.
+    the weak user.  No split beats U(R_s(hi)) + U(R_w(lo)): where lo ties that
+    bound, it ties every candidate, and the link is not searched.  The others
+    bisect the grid in lock step to the first point whose slope is not positive
+    and evaluate the _SPAN points around it.  The objective being unimodal, a
+    window whose edges are grid ends, or below its best by more than the slack
+    and the rounding, holds the whole grid's near-best points, peaks and
+    brackets; the other links scan their whole grids.
     """
-    far = _GRID_POINTS - _WINDOW.size  # the last window's first point
-    found = []
+    ends_x = np.stack((lo, hi), axis=1)
+    u_s, u_w = (utility(r, alpha) for r in _noma_rate_pair(gs[:, None], gw[:, None], beta[:, None], ends_x))
+    ends_y = u_s + u_w
+    # Not flat; written so that an overflowed -inf utility meets no +inf.
+    rows = np.flatnonzero(ends_y[:, 0] - 1e-14 * (abs(u_s[:, 1]) + abs(u_w[:, 0])) < u_s[:, 1] + u_w[:, 0] - 1e-12)
 
     def scan(rows, index):
         xs = _grid(lo[rows], hi[rows], index)
@@ -202,26 +217,26 @@ def _maximize_on_interval(gs, gw, beta, alpha: float, lo, hi, tol: float):
         edge = ys.shape[1] - 1
         link, i = np.nonzero(ys >= (ys.max(axis=1) - _BRACKET_SLACK)[:, None])
         below, above = np.maximum(i - 1, 0), np.minimum(i + 1, edge)
-        # An interior point below a neighbor is not a peak: the neighbor's
-        # bracket covers it.
-        at = ys[link, i]
-        peak = (i == 0) | (i == edge) | ((at >= ys[link, below]) & (at >= ys[link, above]))
+        # An interior point below a neighbor is not a peak: the neighbor's bracket covers it.
+        peak = (i == 0) | (i == edge) | ((ys[link, i] >= ys[link, below]) & (ys[link, i] >= ys[link, above]))
         link, below, above = link[peak], below[peak], above[peak]
         return rows[link], xs[link, below], xs[link, above]
 
-    for start in range(0, lo.size, _SCAN_BLOCK):
-        rows = np.arange(start, min(start + _SCAN_BLOCK, lo.size))
-        xs, ys = scan(rows, _COARSE)
-        first = np.clip(_COARSE[ys.argmax(axis=1)] - _COARSE_STEP, 0, far)
-        xs, ys = scan(rows, first[:, None] + _WINDOW)
-        best = ys.max(axis=1)
-        floor = best - _BRACKET_SLACK - 1e-12 * np.maximum(1.0, np.abs(best))
-        proved = ((first == 0) | (ys[:, 0] < floor)) & ((first == far) | (ys[:, -1] < floor))
-        found.append(brackets(rows[proved], xs[proved], ys[proved]))
-        if not proved.all():
-            found.append(brackets(rows[~proved], *scan(rows[~proved], np.arange(_GRID_POINTS))))
-    (link, lows, highs), ends_x = map(np.concatenate, zip(*found)), np.stack((lo, hi), axis=1)
-    ends_y = summed_utility(gs[:, None], gw[:, None], beta[:, None], ends_x, alpha)
+    at, right = (gs[rows, None], gw[rows, None], beta[rows, None]), np.full((rows.size, 1), _GRID_POINTS - 1)
+    for step in 2 ** np.arange((_GRID_POINTS - 1).bit_length())[::-1]:
+        mid = np.maximum(right - step, 0)  # right: the first point whose slope is not positive
+        right = np.where(_slope_up(*at, _grid(lo[rows], hi[rows], mid), alpha), right, mid)
+    far = _GRID_POINTS - _SPAN  # the last window's first point
+    first = np.clip(right[:, 0] - _SPAN // 2, 0, far)
+    xs, ys = scan(rows, first[:, None] + np.arange(_SPAN))
+    best = ys.max(axis=1)
+    floor = best - _BRACKET_SLACK - 1e-12 * np.maximum(1.0, np.abs(best))
+    proved = ((first == 0) | (ys[:, 0] < floor)) & ((first == far) | (ys[:, -1] < floor))
+    found, rest = [brackets(rows[proved], xs[proved], ys[proved])], rows[~proved]
+    for start in range(0, rest.size, _SCAN_BLOCK):
+        block = rest[start : start + _SCAN_BLOCK]
+        found.append(brackets(block, *scan(block, np.arange(_GRID_POINTS))))
+    link, lows, highs = map(np.concatenate, zip(*found))
     on = (gs[link], gw[link], beta[link])
     x = _golden_max(lambda d: summed_utility(*on, d, alpha), lows, highs, tol)
     y = summed_utility(*on, x, alpha)
@@ -286,8 +301,8 @@ def solve_optimal(link: PairLink, cfg: FairnessConfig) -> AllocationDecision:
     interval is empty.  Otherwise the returned split lies in [delta_lb,
     delta_ub], which keeps both NOMA rates at or above their OMA counterparts
     by construction.  It is the best of the two endpoints and of every
-    near-best peak of the (unimodal) objective's grid, found around its best
-    coarse point, refined by golden section to a bracket no wider than
+    near-best peak of the (unimodal) objective's grid, found where the slope
+    changes sign, refined by golden section to a bracket no wider than
     ``_SOLVER_TOL``.  The search compares objective values, which are flat to
     second order at an interior optimum, so there the split is placed only to
     about the square root of the rounding error: interior optima have been

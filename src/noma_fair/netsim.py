@@ -446,7 +446,7 @@ def _campaign_table(cfg: NetworkConfig, sweep, strategies, tau: float, threads: 
     entries = (users + 6) * len(sweep) * len(strategies)
     step = max(1, int(_CHUNK_ENTRIES // entries))
     # A worker is forked only for a share of at least one chunk budget of work, which outweighs its fork: a trial's
-    # SINR matrix, its stacked tables and, with optimal, _SCAN_POINTS per candidate link (not a flat link's whole grid).
+    # SINR matrix, its stacked tables and, with optimal, the _SCAN_POINTS that allocator charges per candidate link.
     work = users * cfg.bs_density * cfg.area_km2 + entries
     work += users / 2 * len(sweep) * _SCAN_POINTS if Strategy.OPTIMAL in strategies else 0
     workers = max(1, min(threads, cfg.trials, int(cfg.trials * work // _CHUNK_ENTRIES)))

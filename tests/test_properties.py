@@ -11,9 +11,10 @@ against its per-link reference on drawn sets of links, and the row-blocked
 SINRs against the full-matrix reference on drawn windows, and the
 single-rendering CSV/JSON emitters against the row-by-row writers on drawn
 row sets.  On a wider domain (``wide_links``: gamma_w from -12 dB,
-gamma_s / gamma_w up to 95 dB) the optimal solver's coarse-and-window scan
-is checked against the whole-grid search, its grid points against
-np.linspace, and the objective's slope for a single sign change.  The
+gamma_s / gamma_w up to 95 dB) the optimal solver's flat-link bound and
+slope-placed windows are checked against the whole-grid search, its grid
+points against np.linspace, its slope signs against the mpmath slope, and
+the objective's slope for a single sign change.  The
 artifacts ``sweep`` and ``simulate`` write from their row tables must be
 those writers' bytes for the rows of ``emit_delta_sweep`` and of the
 campaign reference.  ``pair`` must serve a link as a one-candidate
@@ -36,12 +37,11 @@ from hypothesis import strategies as st
 
 from noma_fair import allocator, cli
 from noma_fair.allocator import (
-    _COARSE,
-    _COARSE_STEP,
     _GRID_POINTS,
     _SOLVER_TOL,
-    _WINDOW,
+    _SPAN,
     DecisionMode,
+    _slope_up,
     gate,
     split,
     summed_utility,
@@ -61,7 +61,7 @@ from noma_fair.netsim import (
     run_campaign,
 )
 from noma_fair.pairing import match, user_table
-from noma_fair.rates import PairLink, Strategy, db_to_linear, noma_rates, oma_rate
+from noma_fair.rates import PairLink, Strategy, _noma_rate_pair, db_to_linear, noma_rates, oma_rate
 from noma_fair.report import (
     _BLOCK_ROWS,
     BETA_STAR_TOKEN,
@@ -526,31 +526,47 @@ def _wide_gate(drawn):
     return gate(gs, gw, np.minimum(share * np.maximum(beta_star(gs, gw), 0.0), 1.0))
 
 
-def _scan_kind(ys):
-    """How the solver scans a link whose whole grid of values is ``ys``: "window"
-    when the window around the coarse best is proved inside the grid,
-    "clipped" when it is proved and reaches a grid end, "whole" when it is not
-    proved and the whole grid is scanned."""
-    first = min(max(_COARSE[np.argmax(ys[_COARSE])] - _COARSE_STEP, 0), _GRID_POINTS - _WINDOW.size)
-    window = ys[first : first + _WINDOW.size]
+def _scan_kind(args, lo, hi, alpha):
+    """How the solver searches a link: "flat" when its value at lo ties the
+    bound U(R_s(hi)) + U(R_w(lo)), so that it is not searched; otherwise
+    "window" when the _SPAN points around the first grid point whose slope is
+    not positive (found by the solver's bisection) are proved inside the grid,
+    "clipped" when they are proved and reach a grid end, "whole" when they
+    are not proved and the whole grid is scanned."""
+    (us_lo, us_hi), (uw_lo, uw_hi) = (utility(r, alpha) for r in _noma_rate_pair(*args, np.array([lo, hi])))
+    if us_lo + uw_lo - 1e-14 * (abs(us_hi) + abs(uw_lo)) >= us_hi + uw_lo - 1e-12:
+        return "flat"
+    xs = np.linspace(lo, hi, _GRID_POINTS)
+    up, right = _slope_up(*args, xs, alpha), _GRID_POINTS - 1
+    for step in (512, 256, 128, 64, 32, 16, 8, 4, 2, 1):
+        mid = max(right - step, 0)
+        right = right if up[mid] else mid
+    first = min(max(right - _SPAN // 2, 0), _GRID_POINTS - _SPAN)
+    window = summed_utility(*args, xs[first : first + _SPAN], alpha)
     best = window.max()
     floor = best - allocator._BRACKET_SLACK - 1e-12 * max(1.0, abs(best))
-    clipped = (first == 0, first + _WINDOW.size == _GRID_POINTS)
+    clipped = (first == 0, first + _SPAN == _GRID_POINTS)
     if not (clipped[0] or window[0] < floor) or not (clipped[1] or window[-1] < floor):
         return "whole"
     return "clipped" if any(clipped) else "window"
 
 
-def test_scan_window_equals_whole_grid_reference_on_wide_links(whole_grids):
-    # The coarse pass and one window around its best point, or the whole grid
-    # where that window is not proved, must give the whole-grid search's
-    # delta_s, with ==, on drawn sets of links of the wider domain, at the
-    # drawn alpha, at 1 (where interior optima are common) and at 35 (where
-    # flat objectives are).  Every kind of scan is reached: a proved window
-    # inside the grid, one at a grid end, the whole-grid fallback, and a scan
-    # block that mixes proved windows with whole grids.  The links fill one
-    # scan block, which scans its unproved links' whole grids in one evaluation.
-    seen = dict.fromkeys(("window", "clipped", "whole", "mixed_block"), 0)
+def _blocks(n):
+    """The link counts of the whole-grid evaluations of ``n`` links whose window is not proved."""
+    return [min(allocator._SCAN_BLOCK, n - k) for k in range(0, n, allocator._SCAN_BLOCK)]
+
+
+def test_scan_window_equals_whole_grid_reference_on_wide_links(whole_grids, slope_links):
+    # Flat links taken at lo, the windows placed by the slope's sign, and the
+    # whole grid where a window is not proved must give the whole-grid
+    # search's delta_s, with ==, on drawn sets of links of the wider domain,
+    # at the drawn alpha, at 1 (where interior optima are common) and at 35
+    # (where flat objectives are).  Every kind of search is reached: a flat
+    # link, a proved window inside the grid, one at a grid end, the
+    # whole-grid fallback, and a call that mixes whole grids with other
+    # kinds.  Only the links that are not flat take slope signs, and the
+    # unproved ones fill one whole-grid evaluation.
+    seen = dict.fromkeys(("flat", "window", "clipped", "whole", "mixed_block"), 0)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(
@@ -567,6 +583,7 @@ def test_scan_window_equals_whole_grid_reference_on_wide_links(whole_grids):
         links = g.gamma_s[on], g.gamma_w[on], g.beta[on]
         for alpha in (drawn_alpha, 1.0, 35.0):
             whole_grids.clear()
+            slope_links.clear()
             delta = allocator._maximize_on_interval(*links, alpha, g.delta_lb[on], g.delta_ub[on], _SOLVER_TOL)
             kinds = collections.Counter()
             for k, i in enumerate(on):
@@ -574,43 +591,79 @@ def test_scan_window_equals_whole_grid_reference_on_wide_links(whole_grids):
                 lo, hi = float(g.delta_lb[i]), float(g.delta_ub[i])
                 want, _, _ = maximize_on_interval_ref(lambda d: summed_utility(*args, d, alpha), lo, hi, _SOLVER_TOL)
                 assert delta[k] == want, (args, alpha)
-                kinds[_scan_kind(summed_utility(*args, np.linspace(lo, hi, _GRID_POINTS), alpha))] += 1
-            assert whole_grids == ([kinds["whole"]] if kinds["whole"] else []), (whole_grids, kinds)
+                kinds[_scan_kind(args, lo, hi, alpha)] += 1
+            assert whole_grids == _blocks(kinds["whole"]), (whole_grids, kinds)
+            assert set(slope_links) == {on.size - kinds["flat"]}, (slope_links, kinds)
             seen.update({kind: seen[kind] + n for kind, n in kinds.items()})
             seen["mixed_block"] += 0 < kinds["whole"] < on.size
 
     check()
-    # Mixed blocks are the rarest draw (140 on these draws, every other kind at least 331).
-    floors = {"window": 20, "clipped": 20, "whole": 20, "mixed_block": 20}
+    floors = {"flat": 20, "window": 20, "clipped": 20, "whole": 20, "mixed_block": 20}
     assert all(seen[kind] >= floor for kind, floor in floors.items()), seen
+
+
+def test_flat_links_equal_whole_grid_reference(slope_links):
+    # A link whose value at delta_lb ties the bound U(R_s(delta_ub)) +
+    # U(R_w(delta_lb)), which no split exceeds, is decided at delta_lb with
+    # no search: on drawn sets of links of the wider domain, at alpha 1 and
+    # 35, every flat link's delta_s is delta_lb and the whole-grid search's,
+    # with ==, and no flat link takes a slope sign.  Every beta at
+    # beta_star * (1 - 1e-12) when next_to_star: intervals a few ulps wide,
+    # flat at any alpha.
+    seen = {1.0: 0, 35.0: 0}
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(st.lists(wide_links, min_size=1, max_size=24), st.booleans())
+    def check(drawn, next_to_star):
+        g = _wide_gate([(gw, ratio, 1 - 1e-12 if next_to_star else share) for gw, ratio, share in drawn])
+        on = np.flatnonzero(g.admitted)
+        assume(on.size)
+        links = g.gamma_s[on], g.gamma_w[on], g.beta[on]
+        for alpha in seen:
+            slope_links.clear()
+            delta = allocator._maximize_on_interval(*links, alpha, g.delta_lb[on], g.delta_ub[on], _SOLVER_TOL)
+            flat = 0
+            for k, i in enumerate(on):
+                args = tuple(float(column[k]) for column in links)
+                lo, hi = float(g.delta_lb[i]), float(g.delta_ub[i])
+                if _scan_kind(args, lo, hi, alpha) != "flat":
+                    continue
+                want, _, _ = maximize_on_interval_ref(lambda d: summed_utility(*args, d, alpha), lo, hi, _SOLVER_TOL)
+                assert delta[k] == want == lo, (args, alpha)
+                flat += 1
+            assert set(slope_links) == {on.size - flat}, (slope_links, flat)
+            seen[alpha] += flat
+
+    check()
+    assert min(seen.values()) >= 20, seen
 
 
 def test_several_scan_blocks_equal_whole_grid_reference(whole_grids):
     # One call over more links than two scan blocks hold, each link of the
-    # wider domain, gives the whole-grid search's delta_s, with ==, at an
-    # alpha whose windows are mostly proved and at one whose flat objectives
-    # take whole grids in several scan blocks: one whole-grid evaluation per
-    # block that holds an unproved link, of those links.
+    # wider domain, gives the whole-grid search's delta_s, with ==, with
+    # every beta a drawn share of its link's beta_star (windows mostly
+    # proved) and with every beta at beta_star * (1 - 1e-9), whose objectives
+    # are too flat for a window and take whole grids in several blocks: one
+    # whole-grid evaluation per block of up to _SCAN_BLOCK unproved links.
     rng = np.random.default_rng(27)
     n = 2 * allocator._SCAN_BLOCK + 16
-    drawn = zip(10 ** rng.uniform(-1.2, 3.0, n), 10 ** rng.uniform(0.0, 9.5, n), rng.uniform(0.0, 1 - 1e-12, n))
-    g = _wide_gate(list(drawn))
-    on = np.flatnonzero(g.admitted)
-    assert on.size > 2 * allocator._SCAN_BLOCK
-    links = g.gamma_s[on], g.gamma_w[on], g.beta[on]
-    for alpha in (1.0, 35.0):
+    drawn = list(zip(10 ** rng.uniform(-1.2, 3.0, n), 10 ** rng.uniform(0.0, 9.5, n), rng.uniform(0.0, 1 - 1e-12, n)))
+    for next_to_star in (False, True):
+        g = _wide_gate([(gw, ratio, 1 - 1e-9 if next_to_star else share) for gw, ratio, share in drawn])
+        on = np.flatnonzero(g.admitted)
+        assert on.size > 2 * allocator._SCAN_BLOCK
+        links = g.gamma_s[on], g.gamma_w[on], g.beta[on]
         whole_grids.clear()
-        delta = allocator._maximize_on_interval(*links, alpha, g.delta_lb[on], g.delta_ub[on], _SOLVER_TOL)
-        unproved = np.zeros(on.size, dtype=int)
+        delta = allocator._maximize_on_interval(*links, 1.0, g.delta_lb[on], g.delta_ub[on], _SOLVER_TOL)
+        unproved = 0
         for k, i in enumerate(on):
             args = tuple(float(column[k]) for column in links)
             lo, hi = float(g.delta_lb[i]), float(g.delta_ub[i])
-            want, _, _ = maximize_on_interval_ref(lambda d: summed_utility(*args, d, alpha), lo, hi, _SOLVER_TOL)
-            assert delta[k] == want, (args, alpha)
-            unproved[k] = _scan_kind(summed_utility(*args, np.linspace(lo, hi, _GRID_POINTS), alpha)) == "whole"
-        per_block = np.add.reduceat(unproved, np.arange(0, on.size, allocator._SCAN_BLOCK))
-        assert whole_grids == [int(u) for u in per_block if u], (whole_grids, per_block)
-        assert (len(whole_grids) > 1) == (alpha == 35.0), (alpha, whole_grids)
+            want, _, _ = maximize_on_interval_ref(lambda d: summed_utility(*args, d, 1.0), lo, hi, _SOLVER_TOL)
+            assert delta[k] == want, (args, next_to_star)
+            unproved += _scan_kind(args, lo, hi, 1.0) == "whole"
+        assert whole_grids == _blocks(unproved), (whole_grids, unproved)
+        assert (len(whole_grids) > 2) == next_to_star, (next_to_star, whole_grids)
 
 
 def test_grid_points_equal_linspace_columns():
@@ -628,7 +681,7 @@ def test_grid_points_equal_linspace_columns():
         full = np.linspace(lo, hi, _GRID_POINTS, axis=1)
         index = np.array([0, *picks, _GRID_POINTS - 1])
         assert allocator._grid(lo, hi, index).tobytes() == full[:, index].tobytes()
-        windows = np.resize(index, lo.size)[:, None] % (_GRID_POINTS - _WINDOW.size + 1) + _WINDOW
+        windows = np.resize(index, lo.size)[:, None] % (_GRID_POINTS - _SPAN + 1) + np.arange(_SPAN)
         assert allocator._grid(lo, hi, windows).tobytes() == np.take_along_axis(full, windows, axis=1).tobytes()
         # Grid steps of a few ulps: neighboring points round to few distinct values.
         few = (hi - lo) / (_GRID_POINTS - 1) <= 100 * np.spacing(hi)
@@ -639,20 +692,104 @@ def test_grid_points_equal_linspace_columns():
     assert min(seen.values()) >= 20, seen
 
 
+def test_slope_sign_equals_mpmath_slope_away_from_its_root():
+    # The solver's slope sign, taken in log space, at a drawn split of an
+    # admitted link of the wider domain, is the sign of the slope
+    # differentiated in mpmath wherever that slope is more than 1e-9 of its
+    # falling term R_w^-alpha |R_w'| away from zero.
+    seen = {"rising": 0, "falling": 0}
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(wide_links, wide_alphas, st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    def check(link, alpha, share):
+        g = _wide_gate([link])
+        assume(g.admitted[0])
+        gs, gw, beta = (float(g.gamma_s[0]), float(g.gamma_w[0]), float(g.beta[0]))
+        lo, hi = float(g.delta_lb[0]), float(g.delta_ub[0])
+        d = min(lo + share * (hi - lo), hi)
+        slope = alpha_fair_slope_ref(gs, gw, beta, d, alpha)
+        r_w = float(_noma_rate_pair(gs, gw, beta, d)[1])
+        assume(abs(slope) > 1e-9 * r_w**-alpha * gw / ((1.0 + d * gw) * math.log(2.0)))
+        assert bool(_slope_up(gs, gw, beta, np.array([d]), alpha)[0]) == (slope > 0), (gs, gw, beta, d, alpha)
+        seen["rising" if slope > 0 else "falling"] += 1
+
+    check()
+    assert min(seen.values()) >= 50, seen
+
+
+def test_golden_steps_equal_one_bracket_counts():
+    # Every bracket's golden-section step count, taken with np.log, is the
+    # one-bracket search's math.log count: over drawn widths (zero and
+    # subnormal ones too) and over widths whose quotient tol / width is a
+    # power of 1/phi to within a few ulps, where the ceiling is decided by
+    # the last bits.
+    seen = {"drawn": 0, "powers": 0, "near_integer": 0}
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        st.lists(st.floats(0.0, 1.0), max_size=8),
+        st.lists(st.tuples(st.integers(0, 120), st.integers(-3, 3)), max_size=8),
+        st.sampled_from([1e-9, 1e-6, 1e-3]),
+    )
+    def check(drawn, powers, tol):
+        widths = list(drawn)
+        for k, ulps in powers:
+            widths.append(tol / allocator._INV_PHI**k)
+            for _ in range(abs(ulps)):
+                widths[-1] = math.nextafter(widths[-1], math.copysign(math.inf, ulps))
+        want = [math.ceil(math.log(tol / w) / math.log(allocator._INV_PHI)) - 1 if w > tol else -1 for w in widths]
+        assert allocator._golden_steps(np.array(widths, dtype=float), tol).tolist() == want, (widths, tol)
+        quotients = [math.log(tol / w) / math.log(allocator._INV_PHI) for w in widths if w > tol]
+        seen["drawn"] += len(drawn)
+        seen["powers"] += len(powers)
+        seen["near_integer"] += sum(abs(q - round(q)) < 1e-9 for q in quotients)
+
+    check()
+    assert min(seen.values()) >= 50, seen
+
+
+def _band_alphas(at, lo, hi, band):
+    """The alphas in [0, 40] at which the link ``at``'s slope is positive at
+    hi ("rising"), negative at lo ("falling"), or positive at lo and negative
+    at hi ("interior"), or None.  The slope's sign at a split is that of
+    K - alpha L, K = ln R_s' - ln |R_w'| and L = ln R_s - ln R_w."""
+    gs, gw, beta = at
+    d = np.array([lo, hi])
+    r_s, r_w = _noma_rate_pair(gs, gw, beta, d)
+    ks = np.log(gs * (1 - beta) / (1 + beta * gs + d * gs * (1 - beta)) + beta * gs / (1 + beta * gs * (1 - d)))
+    k, ell = ks - np.log(gw / (1 + d * gw)), np.log(r_s) - np.log(r_w)
+    # Each (end, sign) asks sign * (K - alpha L) > 0 at that end.
+    asks = {"rising": [(1, 1)], "falling": [(0, -1)], "interior": [(0, 1), (1, -1)]}[band]
+    low, high = 0.0, 40.0
+    for end, sign in asks:
+        a, b = sign * k[end], sign * ell[end]
+        if b > 0:
+            high = min(high, a / b)
+        elif b < 0:
+            low = max(low, a / b)
+        elif a <= 0:
+            return None
+    return (low, high) if low < high else None
+
+
 def test_slope_changes_sign_at_most_once_on_wide_links():
     # The scan's window rests on single crossing: on every admitted link of
     # the wider domain, the slope of the summed utility (differentiated in
     # mpmath) is positive, then negative, across a fixed grid of the split
     # interval; either part may be empty, so the objective rises to one peak
-    # and falls.
+    # and falls.  The band (where the slope changes sign) is drawn first and
+    # alpha inside the link's alphas for it (the drawn alpha where it has
+    # none), so that no band can be starved.
     seen = {"interior": 0, "rising": 0, "falling": 0}
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-    @given(wide_links, wide_alphas)
-    def check(link, alpha):
+    @given(st.sampled_from(sorted(seen)), wide_links, wide_alphas, st.floats(0.05, 0.95))
+    def check(band, link, alpha, share):
         g = _wide_gate([link])
         assume(g.admitted[0])
         at = (float(g.gamma_s[0]), float(g.gamma_w[0]), float(g.beta[0]))
+        if alphas := _band_alphas(at, float(g.delta_lb[0]), float(g.delta_ub[0]), band):
+            alpha = alphas[0] + share * (alphas[1] - alphas[0])
         xs = np.linspace(g.delta_lb[0], g.delta_ub[0], 9)
         signs = [s for s in (np.sign(alpha_fair_slope_ref(*at, float(x), alpha)) for x in xs) if s]
         assert signs == sorted(signs, reverse=True), (at, alpha, signs)
@@ -736,10 +873,32 @@ def test_emitters_equal_row_by_row_reference(tmp_path):
     cases = ("signed_zeros", "nan", "inf", "-inf", "none_gamma", "integral", "1e-10",
              "1.23456789e+11", "trials>1", "non_ascii", "duplicate_keys")
     seen = dict.fromkeys(cases, 0)
+    # The cases are drawn first and planted in a drawn row: one of four
+    # values (signed zeros with a copy of the row that holds -0.0), one of two
+    # stderrs, and by a drawn flag each: a None gamma_s_db, trials > 1, a copy
+    # of the row (duplicate keys), and alpha 1.0 and a non-ASCII strategy in
+    # the first row, whose sort keys the last rows take.
+    values = {"signed_zeros": 0.0, "nan": math.nan, "-inf": -math.inf, "1.23456789e+11": 1.23456789e11}
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-    @given(st.lists(rows, min_size=1, max_size=24), st.integers(0, 2))
-    def check(drawn, copies):
+    @given(
+        st.sampled_from(sorted(values)),
+        st.sampled_from([math.inf, 1e-10]),
+        st.tuples(*[st.booleans()] * 5),
+        st.lists(rows, min_size=1, max_size=24),
+        st.integers(0, 2),
+        st.integers(0, 23),
+    )
+    def check(value, stderr, flags, drawn, copies, at):
+        none_gamma, several_trials, duplicate, integral, non_ascii = flags
+        at = at % len(drawn)
+        row = dataclasses.replace(drawn[at], value=values[value], stderr=stderr)
+        row = dataclasses.replace(row, gamma_s_db=None) if none_gamma else row
+        row = dataclasses.replace(row, trials=7) if several_trials else row
+        drawn = drawn[:at] + [row] + drawn[at + 1 :]
+        drawn += [dataclasses.replace(row, value=-0.0)] * (value == "signed_zeros") + [row] * duplicate
+        drawn[0] = dataclasses.replace(drawn[0], alpha=1.0) if integral else drawn[0]
+        drawn[0] = dataclasses.replace(drawn[0], strategy="sous-optimal \u00e9\u03b1") if non_ascii else drawn[0]
         keys = {key: getattr(drawn[0], key) for key in ("alpha", "beta", "strategy", "metric")}
         tail = max(1, len(drawn) - copies)
         drawn = drawn[:tail] + [dataclasses.replace(row, **keys) for row in drawn[tail:]]
