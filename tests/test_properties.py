@@ -563,8 +563,8 @@ def test_scan_window_equals_whole_grid_reference_on_wide_links(whole_grids, slop
     # at the drawn alpha, at 1 (where interior optima are common) and at 35
     # (where flat objectives are).  Every kind of search is reached: a flat
     # link, a proved window inside the grid, one at a grid end, the
-    # whole-grid fallback, and a call that mixes whole grids with other
-    # kinds.  Only the links that are not flat take slope signs, and the
+    # whole-grid fallback, and a call that mixes whole grids with proved
+    # windows.  Only the links that are not flat take slope signs, and the
     # unproved ones fill one whole-grid evaluation.
     seen = dict.fromkeys(("flat", "window", "clipped", "whole", "mixed_block"), 0)
 
@@ -595,7 +595,7 @@ def test_scan_window_equals_whole_grid_reference_on_wide_links(whole_grids, slop
             assert whole_grids == _blocks(kinds["whole"]), (whole_grids, kinds)
             assert set(slope_links) == {on.size - kinds["flat"]}, (slope_links, kinds)
             seen.update({kind: seen[kind] + n for kind, n in kinds.items()})
-            seen["mixed_block"] += 0 < kinds["whole"] < on.size
+            seen["mixed_block"] += bool(kinds["whole"]) and bool(kinds["window"] or kinds["clipped"])
 
     check()
     floors = {"flat": 20, "window": 20, "clipped": 20, "whole": 20, "mixed_block": 20}
@@ -641,29 +641,31 @@ def test_flat_links_equal_whole_grid_reference(slope_links):
 def test_several_scan_blocks_equal_whole_grid_reference(whole_grids):
     # One call over more links than two scan blocks hold, each link of the
     # wider domain, gives the whole-grid search's delta_s, with ==, with
-    # every beta a drawn share of its link's beta_star (windows mostly
-    # proved) and with every beta at beta_star * (1 - 1e-9), whose objectives
-    # are too flat for a window and take whole grids in several blocks: one
-    # whole-grid evaluation per block of up to _SCAN_BLOCK unproved links.
+    # every beta a drawn share of its link's beta_star at alpha 1 (windows
+    # mostly proved) and at 35 (flat links and searched ones in one call),
+    # and with every beta at beta_star * (1 - 1e-9) at alpha 1, whose
+    # objectives are too flat for a window and take whole grids in several
+    # blocks: one whole-grid evaluation per block of up to _SCAN_BLOCK
+    # unproved links.
     rng = np.random.default_rng(27)
     n = 2 * allocator._SCAN_BLOCK + 16
     drawn = list(zip(10 ** rng.uniform(-1.2, 3.0, n), 10 ** rng.uniform(0.0, 9.5, n), rng.uniform(0.0, 1 - 1e-12, n)))
-    for next_to_star in (False, True):
+    for next_to_star, alpha in ((False, 1.0), (False, 35.0), (True, 1.0)):
         g = _wide_gate([(gw, ratio, 1 - 1e-9 if next_to_star else share) for gw, ratio, share in drawn])
         on = np.flatnonzero(g.admitted)
         assert on.size > 2 * allocator._SCAN_BLOCK
         links = g.gamma_s[on], g.gamma_w[on], g.beta[on]
         whole_grids.clear()
-        delta = allocator._maximize_on_interval(*links, 1.0, g.delta_lb[on], g.delta_ub[on], _SOLVER_TOL)
+        delta = allocator._maximize_on_interval(*links, alpha, g.delta_lb[on], g.delta_ub[on], _SOLVER_TOL)
         unproved = 0
         for k, i in enumerate(on):
             args = tuple(float(column[k]) for column in links)
             lo, hi = float(g.delta_lb[i]), float(g.delta_ub[i])
-            want, _, _ = maximize_on_interval_ref(lambda d: summed_utility(*args, d, 1.0), lo, hi, _SOLVER_TOL)
-            assert delta[k] == want, (args, next_to_star)
-            unproved += _scan_kind(args, lo, hi, 1.0) == "whole"
-        assert whole_grids == _blocks(unproved), (whole_grids, unproved)
-        assert (len(whole_grids) > 2) == next_to_star, (next_to_star, whole_grids)
+            want, _, _ = maximize_on_interval_ref(lambda d: summed_utility(*args, d, alpha), lo, hi, _SOLVER_TOL)
+            assert delta[k] == want, (args, alpha, next_to_star)
+            unproved += _scan_kind(args, lo, hi, alpha) == "whole"
+        assert whole_grids == _blocks(unproved), (whole_grids, unproved, alpha)
+        assert (len(whole_grids) > 2) == next_to_star, (next_to_star, alpha, whole_grids)
 
 
 def test_grid_points_equal_linspace_columns():
