@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rates import PairLink, _require_beta, _require_positive_finite
+from .rates import PairLink, _require_beta, _require_positive_finite, _scalar
 
 __all__ = [
     "AllocationBounds",
@@ -68,9 +68,8 @@ def delta_upper_bound(gamma_w):
     Equals (sqrt(1+g) - 1)/g, evaluated as 1/(1 + sqrt(1+g)) which is the
     same quantity without cancellation for small g.  Always in (0, 1/2].
     """
-    _require_positive_finite("gamma_w", gamma_w)
-    out = 1.0 / (1.0 + np.sqrt(1.0 + np.asarray(gamma_w, dtype=float)))
-    return float(out) if out.ndim == 0 else out
+    gw = _require_positive_finite("gamma_w", gamma_w)
+    return _scalar(1.0 / (1.0 + np.sqrt(1.0 + gw)))
 
 
 def delta_lower_bound(gamma_s, beta):
@@ -80,13 +79,10 @@ def delta_lower_bound(gamma_s, beta):
     evaluated with (sqrt(1+g)-1)/g rewritten as 1/(1+sqrt(1+g)) for
     stability.  Strictly increasing in beta.
     """
-    _require_positive_finite("gamma_s", gamma_s)
-    _require_beta(beta)
-    b = np.asarray(beta, dtype=float)
-    g = np.asarray(gamma_s, dtype=float)
+    g = _require_positive_finite("gamma_s", gamma_s)
+    b = _require_beta(beta)
     a = np.sqrt(1.0 + g)
-    out = (1.0 + b * g) / ((1.0 + a) * (1.0 + b * (a - 1.0)))
-    return float(out) if out.ndim == 0 else out
+    return _scalar((1.0 + b * g) / ((1.0 + a) * (1.0 + b * (a - 1.0))))
 
 
 def msd_threshold(gamma_s, gamma_w):
@@ -100,14 +96,11 @@ def msd_threshold(gamma_s, gamma_w):
     with (sqrt(1+gw) - 1) expanded to gw/(sqrt(1+gw)+1) for stability at
     small gamma_w.
     """
-    _require_positive_finite("gamma_s", gamma_s)
-    _require_positive_finite("gamma_w", gamma_w)
-    gs = np.asarray(gamma_s, dtype=float)
-    gw = np.asarray(gamma_w, dtype=float)
+    gs = _require_positive_finite("gamma_s", gamma_s)
+    gw = _require_positive_finite("gamma_w", gamma_w)
     a = np.sqrt(1.0 + gs)
     b = np.sqrt(1.0 + gw)
-    out = gs - gw * (a * b + 1.0) / (b * (b + 1.0))
-    return float(out) if out.ndim == 0 else out
+    return _scalar(gs - gw * (a * b + 1.0) / (b * (b + 1.0)))
 
 
 def beta_star(gamma_s, gamma_w):
@@ -123,14 +116,11 @@ def beta_star(gamma_s, gamma_w):
     near-equal SINRs.  Negative for gamma_s < gamma_w (pair infeasible for
     any imperfection); zero for equal SINRs.
     """
-    _require_positive_finite("gamma_s", gamma_s)
-    _require_positive_finite("gamma_w", gamma_w)
-    gs = np.asarray(gamma_s, dtype=float)
-    gw = np.asarray(gamma_w, dtype=float)
+    gs = _require_positive_finite("gamma_s", gamma_s)
+    gw = _require_positive_finite("gamma_w", gamma_w)
     a = np.sqrt(1.0 + gs)
     b = np.sqrt(1.0 + gw)
-    out = (gs - gw) / (gs * b * (a + b))
-    return float(out) if out.ndim == 0 else out
+    return _scalar((gs - gw) / (gs * b * (a + b)))
 
 
 def pairing_criterion(gamma_s, gamma_w) -> PairingCriterion:
@@ -139,11 +129,10 @@ def pairing_criterion(gamma_s, gamma_w) -> PairingCriterion:
     Scalar/ndarray transparent: arrays of links give a criterion of arrays.
     """
     threshold = msd_threshold(gamma_s, gamma_w)
-    satisfied = np.subtract(gamma_s, gamma_w) > threshold
     return PairingCriterion(
         msd_threshold=threshold,
         beta_star=beta_star(gamma_s, gamma_w),
-        satisfied=bool(satisfied) if np.ndim(satisfied) == 0 else satisfied,
+        satisfied=_scalar(np.subtract(gamma_s, gamma_w) > threshold),
     )
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rates import _require_positive_finite
+from .rates import _require_positive_finite, _scalar
 
 __all__ = ["FairnessConfig", "utility", "alpha_throughput"]
 
@@ -56,13 +56,10 @@ def utility(x, alpha: float):
     and for non-positive rates, where the utility is unbounded below.
     """
     _require_alpha(alpha)
-    _require_positive_finite("x", x)
-    arr = np.asarray(x, dtype=float)
+    x = _require_positive_finite("x", x)
     if alpha == 1:
-        out = np.log(arr)
-    else:
-        out = arr ** (1.0 - alpha) / (1.0 - alpha)
-    return float(out) if out.ndim == 0 else out
+        return _scalar(np.log(x))
+    return _scalar(x ** (1.0 - alpha) / (1.0 - alpha))
 
 
 def alpha_throughput(r_s, r_w, alpha: float):
@@ -77,18 +74,14 @@ def alpha_throughput(r_s, r_w, alpha: float):
     and finite.
     """
     _require_alpha(alpha)
-    _require_positive_finite("r_s", r_s)
-    _require_positive_finite("r_w", r_w)
-    rs = np.asarray(r_s, dtype=float)
-    rw = np.asarray(r_w, dtype=float)
+    rs = _require_positive_finite("r_s", r_s)
+    rw = _require_positive_finite("r_w", r_w)
+    p = 1.0 - alpha
     if alpha == 1:
-        out = np.sqrt(rs * rw)
-    elif abs(1.0 - alpha) < 1e-2:
+        return _scalar(np.sqrt(rs * rw))
+    if abs(p) < 1e-2:
         # The form below divides its rounding error by 1 - alpha; near 1 use
         # exp(mean log + log(cosh(p*d)) / p), with d half the log ratio.
-        p, d = 1.0 - alpha, 0.5 * (np.log(rs) - np.log(rw))
-        out = np.exp(0.5 * (np.log(rs) + np.log(rw)) + np.log1p(2.0 * np.sinh(0.5 * p * d) ** 2) / p)
-    else:
-        p = 1.0 - alpha
-        out = np.exp((np.logaddexp(p * np.log(rs), p * np.log(rw)) - math.log(2.0)) / p)
-    return float(out) if out.ndim == 0 else out
+        d = 0.5 * (np.log(rs) - np.log(rw))
+        return _scalar(np.exp(0.5 * (np.log(rs) + np.log(rw)) + np.log1p(2.0 * np.sinh(0.5 * p * d) ** 2) / p))
+    return _scalar(np.exp((np.logaddexp(p * np.log(rs), p * np.log(rw)) - math.log(2.0)) / p))

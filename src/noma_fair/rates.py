@@ -62,19 +62,19 @@ class Strategy(str, enum.Enum):
 AllocationSource = Strategy  # the name perfbench/trace.py imports
 
 
-def _require_positive_finite(name: str, value) -> None:
-    """Raise ValueError naming ``name`` unless the scalar or every array entry
-    is positive and finite; for an array, the message names its first failing
-    entry, that entry's flat index and how many fail.  Plain floats skip
-    numpy's per-call cost."""
+def _require_positive_finite(name: str, value) -> np.ndarray:
+    """Return ``value`` as a float array (0-d for a scalar) if it or every
+    entry is positive and finite, else raise ValueError naming ``name`` and,
+    for an array, its first failing entry, that entry's flat index and how
+    many fail.  Plain floats skip only numpy's reductions."""
+    arr = np.asarray(value, dtype=float)
     if isinstance(value, float):
         ok = math.isfinite(value) and value > 0
     else:
-        arr = np.asarray(value, dtype=float)
         # NaN fails both comparisons; an empty array passes.
         ok = bool(arr.min(initial=math.inf) > 0 and arr.max(initial=0.0) < math.inf)
     if ok:
-        return
+        return arr
     got = repr(value)
     if np.ndim(value):
         bad = ~((arr > 0) & (arr < math.inf)).ravel()
@@ -83,12 +83,19 @@ def _require_positive_finite(name: str, value) -> None:
     raise ValueError(f"{name} must be positive and finite, got {got}")
 
 
-def _require_beta(value, name: str = "beta") -> None:
-    """Raise ValueError naming ``name`` unless the scalar or every array
-    entry, a SIC imperfection, lies in [0, 1]."""
+def _require_beta(value, name: str = "beta") -> np.ndarray:
+    """Return ``value`` as a float array (0-d for a scalar) if it or every entry,
+    a SIC imperfection, lies in [0, 1], else raise ValueError naming ``name``."""
     b = np.asarray(value, dtype=float)
     if not np.all((b >= 0) & (b <= 1)):
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    return b
+
+
+def _scalar(out):
+    """A closed form's result ``out``: a Python float (a bool for a test) from
+    scalar inputs, the array itself from array inputs."""
+    return out if out.ndim else (bool if out.dtype == bool else float)(out)
 
 
 def _require_split(delta_s) -> None:
@@ -140,9 +147,8 @@ def oma_rate(gamma):
     Accepts a scalar or ndarray of linear SINRs.  The 1/2 accounts for the
     multiplexing loss of serving each user on half the subchannel.
     """
-    _require_positive_finite("gamma", gamma)
-    out = 0.5 * np.log2(1.0 + np.asarray(gamma, dtype=float))
-    return float(out) if out.ndim == 0 else out
+    g = _require_positive_finite("gamma", gamma)
+    return _scalar(0.5 * np.log2(1.0 + g))
 
 
 def noma_sinr_strong(gamma_s, beta, delta_s):

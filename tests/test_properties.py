@@ -10,7 +10,9 @@ NaN pattern against the column-by-column one, the batched optimal solver
 against its per-link reference on drawn sets of links, and the row-blocked
 SINRs against the full-matrix reference on drawn windows, and the
 single-rendering CSV/JSON emitters against the row-by-row writers on drawn
-row sets.  On a wider domain (``wide_links``: gamma_w from -12 dB,
+row sets.  Each closed form called on Python floats gives a Python float
+(a bool for the criterion's test) with the bits of the same call on arrays
+of size 1.  On a wider domain (``wide_links``: gamma_w from -12 dB,
 gamma_s / gamma_w up to 95 dB) the optimal solver's flat-link bound and
 slope-placed windows are checked against the whole-grid search, its grid
 points against np.linspace, its slope signs against the mpmath slope, and
@@ -46,7 +48,14 @@ from noma_fair.allocator import (
     split,
     summed_utility,
 )
-from noma_fair.bounds import allocation_bounds, beta_star, pairing_criterion
+from noma_fair.bounds import (
+    allocation_bounds,
+    beta_star,
+    delta_lower_bound,
+    delta_upper_bound,
+    msd_threshold,
+    pairing_criterion,
+)
 from noma_fair.cli import main
 from noma_fair.fairness import FairnessConfig, alpha_throughput, utility
 from noma_fair.netsim import (
@@ -61,7 +70,16 @@ from noma_fair.netsim import (
     run_campaign,
 )
 from noma_fair.pairing import match, user_table
-from noma_fair.rates import PairLink, Strategy, _noma_rate_pair, db_to_linear, noma_rates, oma_rate
+from noma_fair.rates import (
+    PairLink,
+    Strategy,
+    _noma_rate_pair,
+    _require_beta,
+    _require_positive_finite,
+    db_to_linear,
+    noma_rates,
+    oma_rate,
+)
 from noma_fair.report import (
     _BLOCK_ROWS,
     BETA_STAR_TOKEN,
@@ -188,6 +206,47 @@ def test_alpha_throughput_is_a_mean_that_falls_with_alpha(link, alpha, step):
         t = alpha_throughput(r_s, r_w, alpha)
         assert lo * (1 - 1e-12) <= t <= hi * (1 + 1e-12), strategy
         assert alpha_throughput(r_s, r_w, alpha + step) <= t * (1 + 1e-12), strategy
+
+
+@PROPERTY
+@given(
+    st.floats(-30.0, 60.0).map(db_to_linear),
+    st.floats(-30.0, 60.0).map(db_to_linear),
+    st.floats(0.0, 1.0),
+    st.sampled_from([1.0]) | st.floats(0.99, 1.01, exclude_min=True, exclude_max=True) | st.floats(0.0, 40.0),
+)
+def test_closed_forms_give_python_numbers_equal_to_their_size_1_array_entry(gs, gw, beta, alpha):
+    # The closed forms' one calling convention: the input checks return the
+    # float arrays they checked, each closed form computes on those with
+    # NumPy's loops, and a result from Python floats is a Python float (a
+    # bool for the criterion's test) whose bits are those of entry 0 of the
+    # same call on arrays of size 1.
+    forms = {
+        "oma_rate": (oma_rate, (gs,)),
+        "delta_upper_bound": (delta_upper_bound, (gw,)),
+        "delta_lower_bound": (delta_lower_bound, (gs, beta)),
+        "msd_threshold": (msd_threshold, (gs, gw)),
+        "beta_star": (beta_star, (gs, gw)),
+        "utility": (lambda x: utility(x, alpha), (gs,)),
+        "alpha_throughput": (lambda r_s, r_w: alpha_throughput(r_s, r_w, alpha), (gs, gw)),
+    }
+    for field in ("msd_threshold", "beta_star", "satisfied"):
+        forms[f"pairing_criterion.{field}"] = (lambda *links, f=field: getattr(pairing_criterion(*links), f), (gs, gw))
+    for name, (form, args) in forms.items():
+        got, entry = form(*args), form(*(np.array([a]) for a in args))[0]
+        if name.endswith("satisfied"):
+            assert type(got) is bool and got == entry, (name, args)
+        else:
+            assert type(got) is float and got.hex() == float(entry).hex(), (name, args, alpha, got, entry)
+    for check, args in (
+        (_require_positive_finite, ("gamma", gs)),
+        (_require_beta, (beta,)),
+        (_require_positive_finite, ("gamma", np.array([gw]))),
+        (_require_beta, (np.array([beta]),)),
+    ):
+        got = check(*args)
+        assert type(got) is np.ndarray and got.dtype == float and got.shape == np.shape(args[-1]), (check, args)
+        assert got.tolist() == np.asarray(args[-1]).tolist(), (check, args)
 
 
 def test_pair_serves_a_link_as_a_one_candidate_trial():
@@ -698,17 +757,29 @@ def test_slope_sign_equals_mpmath_slope_away_from_its_root():
     # The solver's slope sign, taken in log space, at a drawn split of an
     # admitted link of the wider domain, is the sign of the slope
     # differentiated in mpmath wherever that slope is more than 1e-9 of its
-    # falling term R_w^-alpha |R_w'| away from zero.
+    # falling term R_w^-alpha |R_w'| away from zero.  The sign is drawn
+    # first and alpha inside the link's alphas for it at the drawn split
+    # (the drawn alpha where it has none), so that neither sign can be
+    # starved.
     seen = {"rising": 0, "falling": 0}
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-    @given(wide_links, wide_alphas, st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
-    def check(link, alpha, share):
+    @given(
+        st.sampled_from(sorted(seen)),
+        wide_links,
+        wide_alphas,
+        st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        st.floats(0.05, 0.95),
+    )
+    def check(band, link, alpha, share, place):
         g = _wide_gate([link])
         assume(g.admitted[0])
         gs, gw, beta = (float(g.gamma_s[0]), float(g.gamma_w[0]), float(g.beta[0]))
         lo, hi = float(g.delta_lb[0]), float(g.delta_ub[0])
         d = min(lo + share * (hi - lo), hi)
+        # At lo = hi = d, the "rising" alphas make the slope positive at d and the "falling" ones negative.
+        if alphas := _band_alphas((gs, gw, beta), d, d, band):
+            alpha = alphas[0] + place * (alphas[1] - alphas[0])
         slope = alpha_fair_slope_ref(gs, gw, beta, d, alpha)
         r_w = float(_noma_rate_pair(gs, gw, beta, d)[1])
         assume(abs(slope) > 1e-9 * r_w**-alpha * gw / ((1.0 + d * gw) * math.log(2.0)))
