@@ -29,8 +29,8 @@ from . import __version__
 from .allocator import gate, served_rates, split
 from .fairness import FairnessConfig, _require_alpha, alpha_throughput, utility
 from .netsim import NetworkConfig, _campaign_table, _require_threads
-from .rates import Strategy, _require_beta, _require_positive_finite, db_to_linear, oma_rate
-from .report import BETA_STAR_TOKEN, _require_distinct, _sweep_table, emit_artifacts
+from .rates import Strategy, _require_beta, _require_ordered, _require_positive_finite, db_to_linear, oma_rate
+from .report import BETA_STAR_TOKEN, _require_distinct, _sweep_table, emit_artifacts, format_value
 
 __all__ = ["main", "build_parser", "parse_config_file", "ConfigError", "SETTINGS"]
 
@@ -255,13 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _pair_report(args) -> dict:
     """The link's facts and its decision, from the rules the campaign uses on arrays of size 1."""
+    _require_ordered(args.gamma_s_db, args.gamma_w_db, " dB")
     gamma_s = db_to_linear(args.gamma_s_db)
     gamma_w = db_to_linear(args.gamma_w_db)
-    if gamma_s < gamma_w:
-        raise ValueError("--gamma-s-db must be at least --gamma-w-db")
-    beta = _beta(args.beta)
+    g = gate([gamma_s], [gamma_w], args.beta)
     cfg = FairnessConfig(alpha=args.alpha, tau=args.tau)
-    g = gate([gamma_s], [gamma_w], beta)
     delta = split(g, Strategy(args.solver), cfg)
     crit = g.criterion
     paired = not math.isnan(delta[0])
@@ -293,10 +291,7 @@ def _pair_report(args) -> dict:
 def _cmd_pair(args) -> int:
     report = _pair_report(args)
     for key, value in report.items():
-        if isinstance(value, float):
-            print(f"{key:>18}: {value:.9g}")
-        else:
-            print(f"{key:>18}: {value}")
+        print(f"{key:>18}: {format_value(value) if isinstance(value, float) else value}")
     if args.json is not None:
         args.json.parent.mkdir(parents=True, exist_ok=True)
         args.json.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

@@ -116,10 +116,10 @@ class NetworkConfig:
         mean_stations = self.bs_density * self.area_km2  # a drop takes about 1 / mean_stations draws
         if mean_stations < 1e-3:
             raise ValueError(f"bs_density * area_km2 must be >= 0.001, got {mean_stations!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass
@@ -438,6 +438,8 @@ def _campaign_table(cfg: NetworkConfig, sweep, strategies, tau: float, threads: 
     alphas, betas = (list(dict.fromkeys(axis)) for axis in zip(*sweep))
     if list(map(tuple, sweep)) != list(product(alphas, betas)):
         raise ValueError(f"sweep must be the alpha-major grid of alphas {alphas} x betas {betas}")
+    _require_distinct("alpha", alphas, alphas)
+    _require_distinct("beta", betas, betas)
     fairs = [FairnessConfig(alpha=a, tau=tau) for a in alphas]
     _require_threads(threads)
     # One contiguous share of trials per worker, in chunks of about _CHUNK_ENTRIES entries: a

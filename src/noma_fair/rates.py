@@ -92,6 +92,12 @@ def _require_beta(value, name: str = "beta") -> np.ndarray:
     return b
 
 
+def _require_ordered(gamma_s, gamma_w, unit: str = "") -> None:
+    """Raise ValueError if the strong SINR ``gamma_s`` lies below the weak one, ``gamma_w``, each shown with ``unit``."""
+    if gamma_s < gamma_w:
+        raise ValueError(f"strong/weak ordering violated: gamma_s {gamma_s!r}{unit} < gamma_w {gamma_w!r}{unit}")
+
+
 def _scalar(out):
     """A closed form's result ``out``: a Python float (a bool for a test) from
     scalar inputs, the array itself from array inputs."""
@@ -124,10 +130,7 @@ class PairLink:
     def __post_init__(self) -> None:
         _require_positive_finite("gamma_s", self.gamma_s)
         _require_positive_finite("gamma_w", self.gamma_w)
-        if self.gamma_s < self.gamma_w:
-            raise ValueError(
-                f"strong/weak ordering violated: gamma_s={self.gamma_s} < gamma_w={self.gamma_w}"
-            )
+        _require_ordered(self.gamma_s, self.gamma_w)
         _require_beta(self.beta)
 
 

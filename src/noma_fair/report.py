@@ -42,7 +42,7 @@ import numpy as np
 from .allocator import gate, split
 from .bounds import beta_star
 from .fairness import FairnessConfig
-from .rates import Strategy, db_to_linear
+from .rates import Strategy, _require_beta, _require_ordered, db_to_linear
 
 __all__ = [
     "METRIC_NAMES",
@@ -129,6 +129,7 @@ def _sweep_table(links_db, betas, alphas, tau: float, solver: Strategy) -> list[
         _require_distinct(name, axis, axis)
     if solver not in (Strategy.OPTIMAL, Strategy.SUBOPTIMAL):
         raise ValueError(f"solver must be optimal or suboptimal, got {solver!r}")
+    _require_beta([entry for entry in betas if not isinstance(entry, str)], "betas")
     gs, gw = np.array([(db_to_linear(gs_db), db_to_linear(gw_db)) for gs_db, gw_db in links_db]).T
     links = np.array(links_db, dtype=float)
     star = beta_star(gs, gw)
@@ -141,9 +142,7 @@ def _sweep_table(links_db, betas, alphas, tau: float, solver: Strategy) -> list[
         if token and entry != BETA_STAR_TOKEN:
             raise ValueError(f"unknown beta token {entry!r}")
         if misordered and not token:  # a numeric beta applies to every link, so each must be ordered
-            gs_db, gw_db = links_db[misordered[0]]
-            raise ValueError("strong/weak ordering violated: "
-                             f"gamma_s {gs_db!r} dB < gamma_w {gw_db!r} dB")
+            _require_ordered(*links_db[misordered[0]], " dB")
         skip.append((star <= 0) & token)
         beta.append(np.where(skip[-1], 0.0, star * (1.0 - _BETA_STAR_MARGIN) if token else float(entry)))
     g = gate(gs, gw, np.array(beta))

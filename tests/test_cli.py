@@ -498,6 +498,43 @@ def test_an_input_rule_reads_the_same_at_every_site(tmp_path, capsys, rule, bad)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "gs_db, gw_db",
+    # The last pair's linear ratios round to the same value, yet its dB values are misordered.
+    [("2", "9"), ("0", "2"), ("15.92", "15.920000000000002")],
+)
+def test_the_order_rule_reads_the_same_at_every_site(tmp_path, capsys, gs_db, gw_db):
+    # One library check states the strong/weak order. The sweep and pair check
+    # the dB values they were given, the link its linear ones; the CLI exits 2
+    # before anything is written.
+    text = "strong/weak ordering violated: gamma_s {} < gamma_w {}"
+    assert _raised(lambda: PairLink(1.0, 2.0)) == text.format(1.0, 2.0)
+    expected = text.format(f"{float(gs_db)!r} dB", f"{float(gw_db)!r} dB")
+    if db_to_linear(float(gs_db)) < db_to_linear(float(gw_db)):
+        assert _raised(lambda: emit_delta_sweep([(float(gs_db), float(gw_db))], [0.0], [1.0])) == expected
+        sweep = ["sweep", "--axis", "gamma-s", f"--values={gs_db},99", "--gamma-w-db", gw_db, "--betas", "0"]
+        assert run([*sweep, "--out", str(tmp_path / "o" / "x")]) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
+    pair = ["pair", "--gamma-s-db", gs_db, "--gamma-w-db", gw_db, "--beta", "0", "--alpha", "1"]
+    assert run([*pair, "--json", str(tmp_path / "o" / "pair.json")]) == 2
+    assert capsys.readouterr() == ("", f"error: {expected}\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "link, beta, alpha, expected",
+    [
+        (("2", "9"), "1.5", "-1", "strong/weak ordering violated: gamma_s 2.0 dB < gamma_w 9.0 dB"),
+        (("9", "2"), "1.5", "-1", "beta must lie in [0, 1], got 1.5"),
+        (("9", "2"), "0", "-1", "alpha must be >= 0, got -1.0"),
+    ],
+)
+def test_pair_names_the_order_then_beta_then_alpha(capsys, link, beta, alpha, expected):
+    argv = ["pair", "--gamma-s-db", link[0], "--gamma-w-db", link[1], "--beta", beta, f"--alpha={alpha}", "--tau", "1"]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {expected}\n")
+
+
 class TestSimulateCommand:
     def _simulate(self, out_dir, extra=()):
         return run(
@@ -588,6 +625,12 @@ class TestSimulateCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "bogus_key" in err and ":2" in err
+
+    def test_unreadable_config_file_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        assert run(["simulate", "--config", str(missing), "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read config file {missing}: ")
+        assert not (tmp_path / "o").exists()
 
     def test_repeated_config_key_exit_2(self, tmp_path, capsys):
         # The last value would win silently; the error names the key and both lines.

@@ -99,6 +99,19 @@ class TestDropNetwork:
                 NetworkConfig(bs_density=density, area_km2=area)
         assert NetworkConfig(bs_density=1e-3).bs_density == 1e-3
 
+    @pytest.mark.parametrize("key, value", [("trials", 2.5), ("trials", 3.0), ("seed", 1.5), ("seed", "1")])
+    def test_trials_and_seed_must_be_integers(self, key, value):
+        # Else a float trial count fails in range() and a float seed in NumPy's
+        # seeding, blamed on trial 0; both are named as the key and its value.
+        with pytest.raises(ValueError) as caught:
+            NetworkConfig(**{key: value})
+        assert str(caught.value) == f"{key} must be an integer >= {int(key == 'trials')}, got {value!r}"
+
+    def test_numpy_integer_trials_and_seed_are_accepted(self):
+        sweep = [(1.0, 0.01)]
+        given = run_campaign(NetworkConfig(trials=np.int64(2), seed=np.uint32(3)), sweep, [Strategy.OMA])
+        assert list(map(repr, given)) == list(map(repr, run_campaign(NetworkConfig(trials=2, seed=3), sweep, [Strategy.OMA])))
+
 
 class TestComputeSinrs:
     def test_single_station_is_noise_limited(self):
@@ -374,6 +387,11 @@ class TestRunCampaign:
         [
             ([(1.0, 0.01)], [Strategy.OMA, Strategy.OMA], "repeated strategy 'oma'"),
             ([(1.0, 0.01), (2.0, 0.0), (1, 0.01)], [Strategy.OMA], "sweep must be the alpha-major grid"),
+            # Alphas or betas that print alike at 9 significant digits would repeat rows' key cells.
+            ([(1.0, 0.01), (1.0000000001, 0.01)], [Strategy.OMA],
+             r"^repeated alpha 1\.0000000001, which prints like 1\.0 at 9 significant digits$"),
+            ([(1.0, 0.01), (1.0, 0.0100000000001)], [Strategy.OMA],
+             r"^repeated beta 0\.0100000000001, which prints like 0\.01 at 9 significant digits$"),
         ],
     )
     def test_repeats_rejected(self, sweep, strategies, message):

@@ -12,6 +12,7 @@ from noma_fair.rates import (
     PairLink,
     PowerAllocation,
     db_to_linear,
+    linear_to_db,
     noma_rates,
     noma_sinr_strong,
     noma_sinr_weak,
@@ -96,6 +97,15 @@ class TestValidation:
 
     def test_pair_link_equal_sinrs_accepted(self):
         PairLink(gamma_s=2.0, gamma_w=2.0, beta=0.5)
+
+    @pytest.mark.parametrize("db", [-30.0, -2.5, 0.0, 2.0, 9.0, 60.0])
+    def test_linear_to_db_inverts_db_to_linear(self, db):
+        assert linear_to_db(db_to_linear(db)) == pytest.approx(db, rel=1e-14, abs=1e-14)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_linear_to_db_rejects_a_non_positive_value(self, value):
+        with pytest.raises(ValueError, match=rf"^cannot convert non-positive value {value!r} to dB$"):
+            linear_to_db(value)
 
     @pytest.mark.parametrize("beta", [-0.1, 1.1])
     def test_pair_link_beta_range(self, beta):

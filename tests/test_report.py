@@ -6,7 +6,7 @@ import time
 import pytest
 
 from noma_fair.bounds import beta_star
-from noma_fair.rates import db_to_linear
+from noma_fair.rates import Strategy, db_to_linear
 from noma_fair.report import (
     BETA_STAR_TOKEN,
     CSV_HEADER,
@@ -97,6 +97,17 @@ class TestDeltaSweep:
     def test_unknown_token_rejected(self):
         with pytest.raises(ValueError):
             emit_delta_sweep([(9.0, 2.0)], ["half_star"], [1.0])
+
+    def test_bad_numeric_beta_is_named_as_the_campaign_names_it(self):
+        # The numeric entries, as a list, before any link is gated; a token entry is not a number.
+        with pytest.raises(ValueError, match=r"^betas must lie in \[0, 1\], got \[1\.5\]$"):
+            emit_delta_sweep([(9.0, 2.0)], [1.5], [1.0])
+        with pytest.raises(ValueError, match=r"^betas must lie in \[0, 1\], got \[0\.0, -0\.1\]$"):
+            emit_delta_sweep([(9.0, 2.0)], [BETA_STAR_TOKEN, 0.0, -0.1], [1.0])
+
+    def test_solver_must_split_the_power(self):
+        with pytest.raises(ValueError, match=r"^solver must be optimal or suboptimal, got <Strategy\.OMA: 'oma'>$"):
+            emit_delta_sweep([(9.0, 2.0)], [0.0], [1.0], solver=Strategy.OMA)
 
     @pytest.mark.parametrize(
         "links, betas, alphas, message",
