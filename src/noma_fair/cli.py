@@ -30,7 +30,7 @@ from .allocator import gate, served_rates, split
 from .fairness import FairnessConfig, _require_alpha, alpha_throughput, utility
 from .netsim import NetworkConfig, _campaign_table, _require_threads
 from .rates import Strategy, _require_beta, _require_ordered, _require_positive_finite, db_to_linear, oma_rate
-from .report import BETA_STAR_TOKEN, _require_distinct, _sweep_table, emit_artifacts, format_value
+from .report import BETA_STAR_TOKEN, _require_distinct, _row_count, _sweep_table, emit_artifacts, format_value
 
 __all__ = ["main", "build_parser", "parse_config_file", "ConfigError", "SETTINGS"]
 
@@ -318,7 +318,7 @@ def _cmd_sweep(args) -> int:
 
     links = list(product(grid["gamma-s"], grid["gamma-w"]))
     table = _sweep_table(links, grid["beta"], grid["alpha"], tau=args.tau, solver=Strategy(args.solver))
-    if not len(table[0]):
+    if not _row_count(table):
         raise ValueError("sweep produced no rows (all links infeasible at beta_star)")
     # Artifacts are <out>.csv, <out>.json and <out>.manifest.txt; a dot in <out> is kept.
     name = args.out.stem if args.out.suffix == ".csv" else args.out.name

@@ -54,7 +54,7 @@ from .allocator import _SCAN_POINTS, gate, served_rates, split
 from .fairness import FairnessConfig, alpha_throughput
 from .pairing import match, user_table
 from .rates import Strategy, _require_beta, _require_positive_finite, db_to_linear, oma_rate
-from .report import ResultRow, _require_distinct
+from .report import ResultRow, _require_distinct, _rows
 
 __all__ = [
     "NetworkConfig",
@@ -116,10 +116,9 @@ class NetworkConfig:
         mean_stations = self.bs_density * self.area_km2  # a drop takes about 1 / mean_stations draws
         if mean_stations < 1e-3:
             raise ValueError(f"bs_density * area_km2 must be >= 0.001, got {mean_stations!r}")
-        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
-            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        for key, low in (("trials", 1), ("seed", 0)):  # a bool is an int, but not a count or a seed
+            if isinstance(value := getattr(self, key), bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass
@@ -459,11 +458,12 @@ def _campaign_table(cfg: NetworkConfig, sweep, strategies, tau: float, threads: 
     # Each (point, strategy, metric)'s column of trials, in row order.
     columns = np.moveaxis(table[..., : len(_METRICS)], 0, -1).reshape(-1, len(table))
     means, counts, stderrs = _aggregate(columns)
-    keys = [(a, b, None, None, s.value, metric) for (a, b), s, metric in product(sweep, strategies, _METRICS)]
-    row_table = [list(compress(column, counts)) for column in (*zip(*keys), means, counts, stderrs)]
-    if not row_table[0]:
+    point, strategy, metric = np.unravel_index(np.flatnonzero(counts), (len(sweep), len(strategies), len(_METRICS)))
+    if not len(point):
         raise ValueError(f"all {cfg.trials} trials dropped zero users; no metric to report")
-    return row_table
+    none = (np.zeros(len(point), dtype=np.intp), [None])  # no SINRs; the kept rows' indexes code the other keys
+    return [*((point, list(axis)) for axis in zip(*sweep)), none, none, (strategy, [s.value for s in strategies]),
+            (metric, list(_METRICS)), *(list(compress(column, counts)) for column in (means, counts, stderrs))]
 
 
 def run_campaign(
@@ -486,4 +486,4 @@ def run_campaign(
     The object view of the campaign's row table, without the metrics no
     trial has a value for.
     """
-    return list(map(ResultRow, *_campaign_table(cfg, sweep, strategies, tau, threads)))
+    return _rows(_campaign_table(cfg, sweep, strategies, tau, threads))

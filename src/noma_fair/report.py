@@ -11,19 +11,18 @@ all floats printed with 9 significant digits, which makes output byte-stable
 and round-trippable.  A JSON mirror (array of objects, same rows and
 precision) accompanies every CSV for programmatic consumers.
 
-Rows travel from the ``sweep`` and ``simulate`` producers to the artifacts
-as one row table, a list or NumPy array per CSV_HEADER column (``sweep``
-gives arrays, ``simulate`` lists), with :class:`ResultRow` as its object
-view.  Each column is factorized once into a code per row and its distinct
-values (an array of 8-byte numbers on its bits, any other column by a dict),
-and each distinct value formatted once and ranked once, by the one ordering
-rule above.  The table is sorted once, by one stable ``np.lexsort`` over the
-key columns' ranks taken by code.  The cells are then taken by code, in
-sorted order, into a rows x columns array of texts per artifact, and both
-artifacts are written from that one rendering, a block of rows per write.
-The JSON mirror is written as text directly, with the bytes
-``json.dump(indent=2)`` gives for the CSV cells parsed back.  The row-by-row
-writers it replaces are kept as the reference in ``tests/_oracles.py``.
+Rows travel from the ``sweep`` and ``simulate`` producers to the artifacts as
+one row table, with :class:`ResultRow` as its object view.  A column is a list,
+a NumPy array or a pair ``(codes, distinct values)``: an ``intp`` code per row
+and a list whose entries may repeat or go unused.  The producers pass as pairs
+the columns whose codes they hold, and :func:`_factorize` codes any other once.
+Each distinct value is formatted and ranked once, by the one ordering rule
+above, and the table sorted once by a stable ``np.lexsort`` of the key
+columns' ranks taken by code.  The cells are then taken by code, in sorted
+order, into a rows x columns array of texts per artifact, from which both are
+written, a block of rows per write.  The JSON mirror is written as text, with
+the bytes ``json.dump(indent=2)`` gives for the CSV cells parsed back; the
+row-by-row writers it replaces are the reference in ``tests/_oracles.py``.
 """
 
 from __future__ import annotations
@@ -103,6 +102,16 @@ def _table(rows: Sequence[ResultRow]) -> list[list]:
     return [list(map(attrgetter(key), rows)) for key in CSV_HEADER]
 
 
+def _rows(table: Sequence) -> list[ResultRow]:
+    """The object view of a row table: a coded column gives each row the distinct value of its code."""
+    columns = (np.array(c[1], dtype=object)[c[0]] if isinstance(c, tuple) else c for c in table)
+    return list(map(ResultRow, *(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+
+
+def _row_count(table: Sequence) -> int:
+    return len(table[0][0] if isinstance(table[0], tuple) else table[0])
+
+
 def _printed(value):
     """``value`` as the artifacts print it: a number (-0.0 as 0.0, which equals it) or a tuple's items."""
     if isinstance(value, tuple):
@@ -120,8 +129,8 @@ def _require_distinct(name: str, given: Sequence, values: Sequence) -> None:
             raise ValueError(f"repeated {name} {given[i]!r}{alike}")
 
 
-def _sweep_table(links_db, betas, alphas, tau: float, solver: Strategy) -> list[np.ndarray]:
-    """The row table of :func:`emit_delta_sweep`, an array per column."""
+def _sweep_table(links_db, betas, alphas, tau: float, solver: Strategy) -> list:
+    """The row table of :func:`emit_delta_sweep`: beta and value as arrays, the other columns coded."""
     links_db, betas, alphas = [tuple(link) for link in links_db], list(betas), list(alphas)
     if not links_db or not betas or not alphas:
         raise ValueError("links, betas and alphas must all be non-empty")
@@ -133,7 +142,7 @@ def _sweep_table(links_db, betas, alphas, tau: float, solver: Strategy) -> list[
     gs, gw = np.array([(db_to_linear(gs_db), db_to_linear(gw_db)) for gs_db, gw_db in links_db]).T
     links = np.array(links_db, dtype=float)
     star = beta_star(gs, gw)
-    misordered = np.flatnonzero(gs < gw).tolist()
+    misordered = np.flatnonzero(links[:, 0] < links[:, 1]).tolist()
     # Every link is gated at every beta entry at once; a token entry gives
     # each link its own beta and skips links with beta_star <= 0.
     skip, beta = [], []
@@ -155,11 +164,10 @@ def _sweep_table(links_db, betas, alphas, tau: float, solver: Strategy) -> list[
     values[..., 3] = np.stack([split(g, solver, FairnessConfig(alpha=a, tau=tau)) for a in alphas]).T
     keep = ~np.isnan(values) & ~np.array(skip).T[..., None, None]
     link, entry, alpha, metric = np.nonzero(keep)
-    n = len(link)
-    return [np.array(alphas, dtype=float)[alpha], g.beta[entry, link], *links[link].T,
-            np.full(n, solver.value, dtype=object),
-            np.array(("delta_lb", "delta_ub", "msd_satisfied", "delta_s"), dtype=object)[metric],
-            values[keep], np.ones(n, dtype=np.int64), np.zeros(n)]
+    same = np.zeros_like(link)  # every row's code in a column of one value
+    return [(alpha, np.array(alphas, dtype=float).tolist()), g.beta[entry, link],
+            *((link, axis.tolist()) for axis in links.T), (same, [solver.value]),
+            (metric, ["delta_lb", "delta_ub", "msd_satisfied", "delta_s"]), values[keep], (same, [1]), (same, [0.0])]
 
 
 def emit_delta_sweep(
@@ -178,7 +186,7 @@ def emit_delta_sweep(
     SUBOPTIMAL.  An alpha, beta entry or link that repeats or prints like
     an earlier one is rejected.  The object view of the sweep's row table.
     """
-    return list(map(ResultRow, *(column.tolist() for column in _sweep_table(links_db, betas, alphas, tau, solver))))
+    return _rows(_sweep_table(links_db, betas, alphas, tau, solver))
 
 
 # One row of each artifact, written as csv.writer and json.dump(indent=2)
@@ -222,6 +230,8 @@ def _factorize(key: str, values) -> tuple[np.ndarray, list]:
     numbers is factorized on its bits, so -0.0 and 0.0 (and NaN payloads)
     stay apart; any other column by a dict, with a number zero (and None)
     keyed by its repr, as -0.0 and 0.0 hash alike but print "-0" and "0"."""
+    if isinstance(values, tuple):  # coded by its producer
+        return values
     if isinstance(values, np.ndarray) and values.dtype.kind in "fiu" and values.dtype.itemsize == 8:
         _, first, codes = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
         return codes, values[first].tolist()
@@ -248,7 +258,7 @@ def _render(table: Sequence) -> tuple[np.ndarray, np.ndarray]:
     is its rows' cells joined.  Each column is factorized once and each
     distinct value formatted once; the cells are taken by code from one array
     of all the columns' texts.  Refuses empty input, so no emitter touches disk."""
-    if not len(table[0]):
+    if not _row_count(table):
         raise ValueError("no rows to emit")
     codes, distincts = zip(*map(_factorize, CSV_HEADER, table))
     order = np.lexsort([_sort_key(distincts[i], codes[i]) for i in map(CSV_HEADER.index, _SORT_COLUMNS[::-1])])
@@ -295,6 +305,6 @@ def emit_campaign_json(rows: Sequence[ResultRow], path) -> Path:
 
 
 def emit_artifacts(table: Sequence, csv_path, json_path) -> tuple[Path, Path]:
-    """Both artifacts of a row table (a list or NumPy array per :data:`CSV_HEADER` column) from a single rendering."""
+    """Both artifacts of a row table (one list, array or coded pair per :data:`CSV_HEADER` column) from one rendering."""
     csv_cells, json_cells = _render(table)
     return _write_csv(csv_cells, Path(csv_path)), _write_json(json_cells, Path(json_path))

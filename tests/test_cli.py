@@ -21,7 +21,7 @@ from noma_fair.cli import SETTINGS, build_parser, main, parse_config_file
 from noma_fair.fairness import FairnessConfig, alpha_throughput, utility
 from noma_fair.netsim import NetworkConfig, compute_sinrs, drop_network, run_campaign
 from noma_fair.rates import PairLink, Strategy, db_to_linear
-from noma_fair.report import emit_delta_sweep, format_value
+from noma_fair.report import BETA_STAR_TOKEN, emit_delta_sweep, format_value
 
 from _oracles import (
     alpha_fair_objective_ref,
@@ -506,15 +506,18 @@ def test_an_input_rule_reads_the_same_at_every_site(tmp_path, capsys, rule, bad)
 def test_the_order_rule_reads_the_same_at_every_site(tmp_path, capsys, gs_db, gw_db):
     # One library check states the strong/weak order. The sweep and pair check
     # the dB values they were given, the link its linear ones; the CLI exits 2
-    # before anything is written.
+    # before anything is written.  At the beta_star token the sweep skips such
+    # a link (its beta_star is not positive) instead.
     text = "strong/weak ordering violated: gamma_s {} < gamma_w {}"
     assert _raised(lambda: PairLink(1.0, 2.0)) == text.format(1.0, 2.0)
-    expected = text.format(f"{float(gs_db)!r} dB", f"{float(gw_db)!r} dB")
-    if db_to_linear(float(gs_db)) < db_to_linear(float(gw_db)):
-        assert _raised(lambda: emit_delta_sweep([(float(gs_db), float(gw_db))], [0.0], [1.0])) == expected
-        sweep = ["sweep", "--axis", "gamma-s", f"--values={gs_db},99", "--gamma-w-db", gw_db, "--betas", "0"]
+    link = float(gs_db), float(gw_db)
+    expected = text.format(f"{link[0]!r} dB", f"{link[1]!r} dB")
+    assert _raised(lambda: emit_delta_sweep([link], [0.0], [1.0])) == expected
+    assert emit_delta_sweep([link], [BETA_STAR_TOKEN], [1.0]) == []
+    for values in (gs_db, f"{gs_db},99"):
+        sweep = ["sweep", "--axis", "gamma-s", f"--values={values}", "--gamma-w-db", gw_db]
         assert run([*sweep, "--out", str(tmp_path / "o" / "x")]) == 2
-        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert capsys.readouterr() == ("", f"error: {expected}\n")
     pair = ["pair", "--gamma-s-db", gs_db, "--gamma-w-db", gw_db, "--beta", "0", "--alpha", "1"]
     assert run([*pair, "--json", str(tmp_path / "o" / "pair.json")]) == 2
     assert capsys.readouterr() == ("", f"error: {expected}\n")

@@ -14,17 +14,20 @@ from noma_fair import netsim
 from noma_fair.cli import main
 from noma_fair.fairness import FairnessConfig
 from noma_fair.netsim import (
+    _METRICS,
     NetworkConfig,
     NetworkRealization,
     Strategy,
     TrialMetrics,
     StrategyMetrics,
+    _campaign_table,
     compute_sinrs,
     drop_network,
     evaluate_strategies,
     run_campaign,
 )
 from noma_fair.rates import oma_rate
+from noma_fair.report import ResultRow
 
 from _oracles import received_power_mw_ref
 
@@ -99,13 +102,28 @@ class TestDropNetwork:
                 NetworkConfig(bs_density=density, area_km2=area)
         assert NetworkConfig(bs_density=1e-3).bs_density == 1e-3
 
-    @pytest.mark.parametrize("key, value", [("trials", 2.5), ("trials", 3.0), ("seed", 1.5), ("seed", "1")])
+    @pytest.mark.parametrize("key, value", [("trials", 2.5), ("trials", 3.0), ("seed", 1.5), ("seed", "1"),
+                                            ("trials", True), ("seed", False)])
     def test_trials_and_seed_must_be_integers(self, key, value):
         # Else a float trial count fails in range() and a float seed in NumPy's
         # seeding, blamed on trial 0; both are named as the key and its value.
+        # A bool is a Python int, but not a trial count or a seed.
         with pytest.raises(ValueError) as caught:
             NetworkConfig(**{key: value})
         assert str(caught.value) == f"{key} must be an integer >= {int(key == 'trials')}, got {value!r}"
+
+    def test_campaign_rows_are_the_row_table_with_its_coded_columns_expanded(self):
+        # The campaign hands the render its codes: the key columns come as
+        # (codes, distinct values), coded by the rows' sweep point, strategy and
+        # metric; the mean, count and stderr columns are lists.
+        sweep = [(a, b) for a in (0.0, 1, 25.0) for b in (0.01, 0.1)]
+        table = _campaign_table(SMALL, sweep, [Strategy.NEAR_FAR, Strategy.OMA], tau=0.5, threads=1)
+        assert [isinstance(column, tuple) for column in table] == [True] * 6 + [False] * 3
+        assert [distinct for _, distinct in table[2:6]] == [[None], [None], ["near_far", "oma"], list(_METRICS)]
+        columns = [[column[1][c] for c in column[0]] if isinstance(column, tuple) else column for column in table]
+        rows = run_campaign(SMALL, sweep, [Strategy.NEAR_FAR, Strategy.OMA], tau=0.5)
+        assert len(rows) == len(columns[0]) and {type(row.alpha) for row in rows} == {int, float}
+        assert list(map(repr, rows)) == list(map(repr, map(ResultRow, *columns)))
 
     def test_numpy_integer_trials_and_seed_are_accepted(self):
         sweep = [(1.0, 0.01)]

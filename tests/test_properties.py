@@ -1012,6 +1012,81 @@ def test_emitters_equal_row_by_row_reference(tmp_path):
     assert min(seen.values()) >= 50, seen
 
 
+def test_coded_columns_render_as_expanded_columns_and_row_by_row_writers(tmp_path):
+    # A producer may give a row-table column as (codes, distinct values): an
+    # intp code per row and a list whose entries may be unused or repeated.  A
+    # table with any subset of its columns so given must render the bytes of
+    # the same table with those columns expanded, to lists and to float64 and
+    # int64 arrays, and of the row-by-row writers.  Each example draws its band
+    # first and plants it in a drawn coded column: an unused or a repeated
+    # entry, -0.0 beside 0.0, a NaN, a None SINR, or a constant column (as the
+    # producers give strategy, trials and stderr).
+    special = [0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, 1e-10, 1.23456789e11]
+    numbers = st.sampled_from(special) | st.floats(allow_nan=True, allow_infinity=True)
+    keys = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, math.nan])
+    pools = dict(zip(CSV_HEADER, (
+        keys, keys | numbers, st.none() | numbers, st.none() | keys,
+        st.sampled_from(["oma", "near_far", "optimal", "sous-optimal \u00e9\u03b1", 'a,"b"']),
+        st.sampled_from(METRIC_NAMES), numbers, st.integers(1, 10**6), numbers,
+    )))
+    floats = ("alpha", "beta", "gamma_s_db", "gamma_w_db", "value", "stderr")
+    bands = {"unused": CSV_HEADER, "repeated": CSV_HEADER, "signed_zeros": floats, "nan": floats,
+             "none_sinr": ("gamma_s_db", "gamma_w_db"), "constant": CSV_HEADER}
+    seen = dict.fromkeys(bands, 0)
+
+    def plant(band, distinct, codes, extra):
+        """``band`` in a coded column, as its distinct values and codes."""
+        if band == "constant":
+            return distinct[:1], [0] * len(codes)
+        distinct = distinct + {"unused": [extra], "repeated": [distinct[codes[0]]], "signed_zeros": [0.0, -0.0],
+                               "nan": [math.nan], "none_sinr": [None]}[band]
+        if band != "unused":  # the first and the last row take the planted entries
+            codes = [len(distinct) - (band == "signed_zeros") - 1, *codes[1:-1], len(distinct) - 1]
+        return distinct, codes
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=480)
+    @given(st.sampled_from(list(bands)), st.integers(2, 12), st.data())
+    def check(band, n, data):
+        key = data.draw(st.sampled_from(bands[band]))
+        coded = {key, *data.draw(st.lists(st.sampled_from(CSV_HEADER), max_size=len(CSV_HEADER)))}
+        table, lists = [], []
+        for name in CSV_HEADER:
+            distinct = data.draw(st.lists(pools[name], min_size=1, max_size=5))
+            codes = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))
+            if name == key:
+                distinct, codes = plant(band, distinct, codes, data.draw(pools[name]))
+            lists.append([distinct[c] for c in codes])
+            table.append((np.array(codes, dtype=np.intp), distinct) if name in coded else list(lists[-1]))
+        arrays = [np.array(column, dtype=np.int64 if name == "trials" else float)
+                  if name == "trials" or None not in column and name in floats else column
+                  for name, column in zip(CSV_HEADER, lists)]
+        rows = list(map(ResultRow, *lists))
+        emit_campaign_csv_ref(rows, tmp_path / "want.csv")
+        emit_campaign_json_ref(rows, tmp_path / "want.json")
+        want = [(tmp_path / ("want" + suffix)).read_bytes() for suffix in (".csv", ".json")]
+        for k, columns in enumerate((table, lists, arrays)):
+            got = tmp_path / f"got{k}.csv", tmp_path / f"got{k}.json"
+            emit_artifacts(columns, *got)
+            assert [path.read_bytes() for path in got] == want, (band, key, sorted(coded), table)
+        found = set()  # the bands this table's coded columns hold
+        for name, (codes, distinct) in ((name, c) for name, c in zip(CSV_HEADER, table) if isinstance(c, tuple)):
+            used = [distinct[c] for c in set(codes.tolist())]
+            zeros = {math.copysign(1.0, v) for v in used if name in floats and v == 0.0}
+            found |= {band for band, holds in (
+                ("unused", len(used) < len(distinct)),
+                ("repeated", len({repr(v) for v in distinct}) < len(distinct)),
+                ("signed_zeros", zeros == {1.0, -1.0}),
+                ("nan", any(v != v for v in used if name in floats and v is not None)),
+                ("none_sinr", None in used),
+                ("constant", len(distinct) == 1),
+            ) if holds}
+        for band in found:
+            seen[band] += 1
+
+    check()
+    assert min(seen.values()) >= 50, seen
+
+
 def _assert_written_as_by_the_reference(rows, csv_path, json_path, scratch):
     """The CSV and JSON at the two paths are the row-by-row writers' bytes for ``rows``."""
     emit_campaign_csv_ref(rows, scratch / "want.csv")

@@ -3,15 +3,18 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from noma_fair.bounds import beta_star
+from noma_fair.fairness import FairnessConfig
 from noma_fair.rates import Strategy, db_to_linear
 from noma_fair.report import (
     BETA_STAR_TOKEN,
     CSV_HEADER,
     METRIC_NAMES,
     ResultRow,
+    _sweep_table,
     _table,
     emit_artifacts,
     emit_campaign_csv,
@@ -83,6 +86,24 @@ class TestDeltaSweep:
         with pytest.raises(ValueError, match="gamma_s 0.0 dB < gamma_w 2.0 dB"):
             emit_delta_sweep([(0.0, 2.0)], [0.0], [1.0])
         assert emit_delta_sweep([(0.0, 2.0)], [BETA_STAR_TOKEN], [1.0]) == []
+
+    @pytest.mark.parametrize("solver", [Strategy.OPTIMAL, Strategy.SUBOPTIMAL])
+    def test_rows_are_the_row_table_with_its_coded_columns_expanded(self, solver):
+        # The sweep hands the render its codes: each column but beta and value
+        # comes as (codes, distinct values), an intp code per row.  Its rows are
+        # those columns expanded code by code, with the same values and types.
+        args = [(9.0, 2.0), (2.0, 2.0), (12.5, 2.0), (40.0, -3.0)], [0.0, 0.05, BETA_STAR_TOKEN], [0.0, 1, 35.0]
+        table = _sweep_table(*args, tau=FairnessConfig.tau, solver=solver)
+        coded = {key: column for key, column in zip(CSV_HEADER, table) if isinstance(column, tuple)}
+        assert list(coded) == ["alpha", "gamma_s_db", "gamma_w_db", "strategy", "metric", "trials", "stderr"]
+        assert all(codes.dtype == np.intp for codes, _ in coded.values())
+        assert [distinct for _, distinct in coded.values()][3:] == [[solver.value], ["delta_lb", "delta_ub",
+                                                                    "msd_satisfied", "delta_s"], [1], [0.0]]
+        columns = [[column[1][c] for c in column[0]] if isinstance(column, tuple) else column.tolist()
+                   for column in table]
+        rows = emit_delta_sweep(*args, solver=solver)
+        assert len({row.beta for row in rows}) > 3 and {row.alpha for row in rows} == {0.0, 1.0, 35.0}
+        assert list(map(repr, rows)) == list(map(repr, map(ResultRow, *columns)))
 
     def test_rejected_pair_has_no_split_row(self):
         rows = emit_delta_sweep([(3.0, 3.0)], [0.0], [1.0])
@@ -260,4 +281,12 @@ class TestEmitArtifacts:
     def test_zero_rows_creates_no_file(self, tmp_path):
         with pytest.raises(ValueError):
             emit_artifacts(_table([]), tmp_path / "a.csv", tmp_path / "a.json")
+        assert not any(tmp_path.iterdir())
+
+    def test_coded_table_without_rows_creates_no_file(self, tmp_path):
+        # A table's row count is its first column's codes when that column is coded.
+        none = np.zeros(0, dtype=np.intp)
+        table = [(none, [1.0]), *_table([])[1:4], (none, ["oma"]), *_table([])[5:]]
+        with pytest.raises(ValueError, match="^no rows to emit$"):
+            emit_artifacts(table, tmp_path / "a.csv", tmp_path / "a.json")
         assert not any(tmp_path.iterdir())
